@@ -8,12 +8,9 @@ equalities.
 """
 
 from .center_algebra import (
-    CenterBasisLabel,
-    center_basis,
     center_basis_vector,
     center_product,
     center_product_oracle,
-    center_unit,
     class_size,
     s_constant,
 )
@@ -23,7 +20,6 @@ from .correspondence import (
     FamilySpec,
     InversionRecord,
     MainLemmaRecord,
-    RSystem,
     admissibility_audit,
     build_r_system,
     parse_family,
@@ -96,7 +92,6 @@ from .wreath import (
     mask_points,
     mask_str,
     multiply,
-    promote,
     support,
 )
 

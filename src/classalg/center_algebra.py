@@ -9,10 +9,9 @@ part of the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidLabel, LevelMismatch
+from .errors import LevelMismatch
 from .finite_group import FiniteGroup
 from .partial_algebra import AlgebraVector
 from .wreath import (
@@ -22,31 +21,6 @@ from .wreath import (
     labels_with_alpha_up_to,
     level_group,
 )
-
-
-@dataclass(frozen=True)
-class CenterBasisLabel:
-    """A class sum c(l): class label c realized in the group at level l."""
-
-    l: int
-    c: ClassLabel
-
-    def __post_init__(self):
-        if self.l < 0 or self.c.alpha > self.l:
-            raise InvalidLabel(
-                f"class needs alpha={self.c.alpha} points, level is {self.l}"
-            )
-
-    def sort_key(self):
-        return (self.l, self.c.sort_key())
-
-    def display(self, F: FiniteGroup) -> str:
-        return f"{self.c.display(F)}({self.l})"
-
-
-def center_basis(l: int, F: FiniteGroup) -> list[CenterBasisLabel]:
-    """Class sums spanning the center at level l, in canonical label order."""
-    return [CenterBasisLabel(l, c) for c in labels_with_alpha_up_to(l, F)]
 
 
 def class_size(c: ClassLabel, l: int, F: FiniteGroup,
@@ -91,10 +65,6 @@ def s_constant(
 
 def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:
     return AlgebraVector.make(l, {c: 1})
-
-
-def center_unit(l: int) -> AlgebraVector:
-    return center_basis_vector(ClassLabel(()), l)
 
 
 def center_product(

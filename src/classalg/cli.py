@@ -35,6 +35,7 @@ from .partial_algebra import (
     OmegaLabel,
     enumerate_omega_class,
     p_constant,
+    truncation_basis,
 )
 from .suites import SUITE_NAMES, run_suites
 from .wreath import ClassLabel, labels_with_alpha_up_to
@@ -82,45 +83,49 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _render(
+    args: argparse.Namespace, spec: FamilySpec, fields: dict,
+    headers: list[str], rows: list[list], lists: dict | None = None,
+) -> None:
+    """Emit one command's result.  rows hold typed values, one per header.
+    JSON gets the header fields and `lists` (default: the rows as dicts
+    under "rows"); table and csv get the rows as text, and the table is
+    titled with the header fields when there are any."""
+    if args.format == "json":
+        if lists is None:
+            lists = {"rows": [dict(zip(headers, row)) for row in rows]}
+        payload = {"schema": 1, "command": args.command, "family": spec.name}
+        _emit(args, _json_doc({**payload, **fields, **lists}))
+        return
+    cells = [[str(v) for v in row] for row in rows]
+    if args.format == "csv":
+        _emit(args, _csv(headers, cells))
+        return
+    title = "".join(f"  {k}={v}" for k, v in fields.items())
+    if title:
+        title = f"{args.command}  family={spec.name}{title}\n"
+    _emit(args, title + _table(headers, cells))
+
+
 def cmd_classes(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     N = args.level
     budget = args.budget_elements
     full = (1 << N) - 1
-    omega_rows = []
-    for l in range(N + 1):
-        for c in labels_with_alpha_up_to(l, F):
-            w = OmegaLabel(l, c)
-            size = len(enumerate_omega_class(w, full, F, N, budget))
-            omega_rows.append((w, size))
-    center_rows = [
-        (c, class_size(c, N, F, budget)) for c in labels_with_alpha_up_to(N, F)
+    omega = [
+        {"omega": w.display(F), "l": w.l, "c": w.c.display(F),
+         "size": len(enumerate_omega_class(w, full, F, N, budget))}
+        for w in truncation_basis(N, F)
     ]
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "classes",
-            "family": spec.name,
-            "level": N,
-            "omega": [
-                {"omega": w.display(F), "l": w.l, "c": w.c.display(F), "size": s}
-                for w, s in omega_rows
-            ],
-            "center": [
-                {"c": c.display(F), "l": N, "size": s} for c, s in center_rows
-            ],
-        }
-        _emit(args, _json_doc(payload))
-        return 0
-    rows = [["omega", w.display(F), str(w.l), str(s)] for w, s in omega_rows]
-    rows += [["center", c.display(F), str(N), str(s)] for c, s in center_rows]
-    headers = ["kind", "label", "l", "size"]
-    if args.format == "csv":
-        _emit(args, _csv(headers, rows))
-    else:
-        head = f"classes  family={spec.name}  level={N}\n"
-        _emit(args, head + _table(headers, rows))
+    center = [
+        {"c": c.display(F), "l": N, "size": class_size(c, N, F, budget)}
+        for c in labels_with_alpha_up_to(N, F)
+    ]
+    rows = [["omega", r["omega"], r["l"], r["size"]] for r in omega]
+    rows += [["center", r["c"], N, r["size"]] for r in center]
+    _render(args, spec, {"level": N}, ["kind", "label", "l", "size"], rows,
+            {"omega": omega, "center": center})
     return 0
 
 
@@ -129,44 +134,33 @@ def cmd_pconst(args: argparse.Namespace) -> int:
     F = spec.base
     N = args.level
     budget = args.budget_elements
-    w1 = OmegaLabel.parse(args.omega1, F)
-    w2 = OmegaLabel.parse(args.omega2, F)
-    rows: list[tuple[OmegaLabel, int]] = []
-    if args.omega:
-        w = OmegaLabel.parse(args.omega, F)
-        rows.append((w, p_constant(w1, w2, w, F, budget)))
+    labels = {
+        flag: OmegaLabel.parse(text, F)
+        for flag, text in (("--omega1", args.omega1), ("--omega2", args.omega2),
+                           ("--omega", args.omega))
+        if text
+    }
+    for flag, w in labels.items():
+        if w.l > N:
+            raise InvalidLabel(
+                f"{flag} {w.display(F)} has a window larger than --level {N}"
+            )
+    w1, w2 = labels["--omega1"], labels["--omega2"]
+    single = "--omega" in labels
+    if single:
+        targets = [labels["--omega"]]
     else:
-        for l in range(max(w1.l, w2.l), min(N, w1.l + w2.l) + 1):
-            for c in labels_with_alpha_up_to(l, F):
-                v = p_constant(w1, w2, OmegaLabel(l, c), F, budget)
-                if v:
-                    rows.append((OmegaLabel(l, c), v))
-    headers = ["omega1", "omega2", "omega", "P"]
-    cells = [
-        [w1.display(F), w2.display(F), w.display(F), str(v)] for w, v in rows
+        targets = [
+            OmegaLabel(l, c)
+            for l in range(max(w1.l, w2.l), min(N, w1.l + w2.l) + 1)
+            for c in labels_with_alpha_up_to(l, F)
+        ]
+    rows = [
+        [w1.display(F), w2.display(F), w.display(F), v]
+        for w in targets
+        if (v := p_constant(w1, w2, w, F, budget)) or single
     ]
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "pconst",
-            "family": spec.name,
-            "level": N,
-            "rows": [
-                {
-                    "omega1": w1.display(F),
-                    "omega2": w2.display(F),
-                    "omega": w.display(F),
-                    "P": v,
-                }
-                for w, v in rows
-            ],
-        }
-        _emit(args, _json_doc(payload))
-    elif args.format == "csv":
-        _emit(args, _csv(headers, cells))
-    else:
-        head = f"pconst  family={spec.name}  level={N}\n"
-        _emit(args, head + _table(headers, cells))
+    _render(args, spec, {"level": N}, ["omega1", "omega2", "omega", "P"], rows)
     return 0
 
 
@@ -175,45 +169,25 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     F = spec.base
     l = args.l
     budget = args.budget_elements
-    c1 = ClassLabel.parse(args.c1, F)
-    c2 = ClassLabel.parse(args.c2, F)
-    rows: list[tuple[ClassLabel, int]] = []
-    if args.c:
-        c = ClassLabel.parse(args.c, F)
-        rows.append((c, s_constant(c1, c2, c, l, F, budget)))
-    else:
-        for c in labels_with_alpha_up_to(l, F):
-            v = s_constant(c1, c2, c, l, F, budget)
-            if v:
-                rows.append((c, v))
-    headers = ["c1", "c2", "c", "l", "S"]
-    cells = [
-        [c1.display(F), c2.display(F), c.display(F), str(l), str(v)]
-        for c, v in rows
+    labels = {
+        flag: ClassLabel.parse(text, F)
+        for flag, text in (("--c1", args.c1), ("--c2", args.c2), ("--c", args.c))
+        if text
+    }
+    for flag, c in labels.items():
+        if c.alpha > l:
+            raise InvalidLabel(
+                f"{flag} {c.display(F)} needs more than --l {l} points"
+            )
+    c1, c2 = labels["--c1"], labels["--c2"]
+    single = "--c" in labels
+    targets = [labels["--c"]] if single else labels_with_alpha_up_to(l, F)
+    rows = [
+        [c1.display(F), c2.display(F), c.display(F), l, v]
+        for c in targets
+        if (v := s_constant(c1, c2, c, l, F, budget)) or single
     ]
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "sconst",
-            "family": spec.name,
-            "l": l,
-            "rows": [
-                {
-                    "c1": c1.display(F),
-                    "c2": c2.display(F),
-                    "c": c.display(F),
-                    "l": l,
-                    "S": v,
-                }
-                for c, v in rows
-            ],
-        }
-        _emit(args, _json_doc(payload))
-    elif args.format == "csv":
-        _emit(args, _csv(headers, cells))
-    else:
-        head = f"sconst  family={spec.name}  l={l}\n"
-        _emit(args, head + _table(headers, cells))
+    _render(args, spec, {"l": l}, ["c1", "c2", "c", "l", "S"], rows)
     return 0
 
 
@@ -234,15 +208,7 @@ def cmd_xi(args: argparse.Namespace) -> int:
         )
         row["oracle"] = oracle
         row["agree"] = oracle == value
-    headers = list(row.keys())
-    cells = [[str(row[h]) for h in headers]]
-    if args.format == "json":
-        payload = {"schema": 1, "command": "xi", "family": spec.name, "rows": [row]}
-        _emit(args, _json_doc(payload))
-    elif args.format == "csv":
-        _emit(args, _csv(headers, cells))
-    else:
-        _emit(args, _table(headers, cells))
+    _render(args, spec, {}, list(row), [list(row.values())])
     if args.oracle and not row["agree"]:
         return 1
     return 0
@@ -305,13 +271,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "only the audit suite (or all) applies"
         )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    # --jobs is validated and accepted for compatibility; the suites run
+    # in this process, which beats a fork pool whose workers each refill
+    # their own P and S caches
     result = run_suites(
-        names,
-        spec,
-        args.level,
-        jobs=args.jobs,
-        seed=args.seed,
-        budget=args.budget_elements,
+        names, spec, args.level, seed=args.seed, budget=args.budget_elements
     )
     if args.format == "json":
         _emit(args, _json_doc(result))
@@ -396,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("suite", choices=VERIFY_CHOICES)
     p_verify.add_argument("--level", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored: verify runs in one process",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     add_format(p_verify, choices=("table", "json"))
     p_verify.set_defaults(func=cmd_verify)
@@ -404,10 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bounds(args: argparse.Namespace) -> None:
+    """Reject numeric options outside their range as usage errors."""
+    for flag, low in (("level", 0), ("l", 0), ("lprime", 0), ("jobs", 1),
+                      ("budget_elements", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            name = "--" + flag.replace("_", "-")
+            raise ParseError(f"{name} must be at least {low}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

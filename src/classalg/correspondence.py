@@ -20,7 +20,7 @@ from math import comb
 
 from .center_algebra import s_constant
 from .errors import InvalidLabel, LevelMismatch, ParseError
-from .finite_group import FiniteGroup, builtin_group
+from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
     AlgebraVector,
     OmegaLabel,
@@ -415,29 +415,19 @@ def admissibility_audit(
     ]
     pe_index = {p: k for k, p in enumerate(pes)}
 
-    # orbits under the top-level family group
-    top = members[full]
-    orbit_of = [-1] * len(pes)
-    n_orbits = 0
-    for start in range(len(pes)):
-        if orbit_of[start] != -1:
-            continue
-        oid = n_orbits
-        n_orbits += 1
-        orbit_of[start] = oid
-        stack = [start]
-        while stack:
-            k = stack.pop()
+    def orbits_under(group: list[int], starts) -> dict[int, int]:
+        """Orbits of the partial elements reached from `starts` (indices
+        into pes) under simultaneous conjugation by `group`."""
+        def successors(k: int) -> list[int]:
             d, i = pes[k]
-            for g in top:
-                q = (
-                    apply_perm_to_mask(G.elements[g].perm, d),
-                    G.conj(g, i),
-                )
-                kq = pe_index[q]
-                if orbit_of[kq] == -1:
-                    orbit_of[kq] = oid
-                    stack.append(kq)
+            return [
+                pe_index[(apply_perm_to_mask(G.elements[g].perm, d), G.conj(g, i))]
+                for g in group
+            ]
+        return orbit_partition(starts, successors)
+
+    top = members[full]
+    orbit_of = orbits_under(top, range(len(pes)))
 
     fusion_ok = True
     witness = None
@@ -446,28 +436,7 @@ def admissibility_audit(
         if not fusion_ok:
             break
         inside = [k for k, (d, _) in enumerate(pes) if d & ~w == 0]
-        # orbits under the window's own group
-        sub_of: dict[int, int] = {}
-        n_sub = 0
-        for start in inside:
-            if start in sub_of:
-                continue
-            sid = n_sub
-            n_sub += 1
-            sub_of[start] = sid
-            stack = [start]
-            while stack:
-                k = stack.pop()
-                d, i = pes[k]
-                for g in members[w]:
-                    q = (
-                        apply_perm_to_mask(G.elements[g].perm, d),
-                        G.conj(g, i),
-                    )
-                    kq = pe_index[q]
-                    if kq not in sub_of:
-                        sub_of[kq] = sid
-                        stack.append(kq)
+        sub_of = orbits_under(members[w], inside)
         for a_pos, k1 in enumerate(inside):
             if not fusion_ok:
                 break

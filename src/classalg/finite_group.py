@@ -101,29 +101,66 @@ def validate_table(order: int, mult: list[list[int]]) -> tuple[tuple[int, ...], 
     return tuple(inv), identity
 
 
+def orbit_partition(starts, successors) -> dict:
+    """Orbits of everything reachable from `starts`, where successors(x) is
+    the list of neighbours of x.  Returns {item: orbit id}, with orbits
+    numbered in order of their first start."""
+    orbit_of: dict = {}
+    oid = 0
+    for start in starts:
+        if start in orbit_of:
+            continue
+        orbit_of[start] = oid
+        stack = [start]
+        while stack:
+            for z in successors(stack.pop()):
+                if z not in orbit_of:
+                    orbit_of[z] = oid
+                    stack.append(z)
+        oid += 1
+    return orbit_of
+
+
+def cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """Cycles of a permutation (fixed points included), each listed from its
+    least point, in order of least point."""
+    seen = bytearray(len(perm))
+    out = []
+    for start, j in enumerate(perm):
+        if seen[start]:
+            continue
+        cyc = [start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = 1
+            j = perm[j]
+        out.append(cyc)
+    return out
+
+
+def cycle_str(perm: tuple[int, ...], sep: str) -> str:
+    """Cycle notation on points 1..n without fixed points, "e" if none."""
+    return "".join(
+        "(" + sep.join(str(k + 1) for k in cyc) + ")"
+        for cyc in cycles(perm)
+        if len(cyc) > 1
+    ) or "e"
+
+
 def _conjugacy_data(
     order: int, mult: list[list[int]] | tuple[tuple[int, ...], ...],
     inv: tuple[int, ...], identity: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of x -> g x g^-1.  Identity class first, rest by minimal element."""
-    class_of = [-1] * order
+    starts = [identity] + [x for x in range(order) if x != identity]
+    class_of = orbit_partition(
+        starts, lambda y: [mult[mult[g][y]][inv[g]] for g in range(order)]
+    )
     reps: list[int] = []
-    order_of_discovery = [identity] + [x for x in range(order) if x != identity]
-    for x in order_of_discovery:
-        if class_of[x] != -1:
-            continue
-        cls = len(reps)
-        reps.append(x)
-        stack = [x]
-        class_of[x] = cls
-        while stack:
-            y = stack.pop()
-            for g in range(order):
-                z = mult[mult[g][y]][inv[g]]
-                if class_of[z] == -1:
-                    class_of[z] = cls
-                    stack.append(z)
-    return tuple(class_of), tuple(reps)
+    for x in starts:
+        if class_of[x] == len(reps):
+            reps.append(x)
+    return tuple(class_of[x] for x in range(order)), tuple(reps)
 
 
 def conjugacy_classes(F: FiniteGroup) -> list[tuple[int, ...]]:
@@ -192,31 +229,13 @@ def _cyclic_spec(m: int) -> dict:
     return {"order": m, "mult": mult, "names": names}
 
 
-def _perm_cycle_name(p: tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = p[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        parts.append("(" + "".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) or "e"
-
-
 def _symmetric_spec(m: int) -> dict:
     perms = list(itertools.permutations(range(m)))
     index = {p: i for i, p in enumerate(perms)}
     # compose(p, q) applies q first, matching the product convention used
     # for permutation parts everywhere else in the package
     mult = [[index[tuple(p[q[x]] for x in range(m))] for q in perms] for p in perms]
-    return {"order": len(perms), "mult": mult, "names": [_perm_cycle_name(p) for p in perms]}
+    return {"order": len(perms), "mult": mult, "names": [cycle_str(p, "") for p in perms]}
 
 
 _BUILTIN_RE = re.compile(r"^(trivial|cyclic|sym)\s*(?:\(\s*(\d+)\s*\)|(\d+))?$")

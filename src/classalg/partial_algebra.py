@@ -17,10 +17,11 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InvalidLabel, LevelMismatch, ParseError
-from .finite_group import FiniteGroup
+from .finite_group import FiniteGroup, orbit_partition
 from .wreath import (
     ClassLabel,
     GroupElement,
+    LevelGroup,
     apply_perm_to_mask,
     check_budget,
     class_label,
@@ -244,17 +245,11 @@ def enumerate_omega_class(
     return out
 
 
-@lru_cache(maxsize=None)
-def _p_constant(
-    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
-) -> int:
-    l = o.l
-    # budget was checked by the caller before entering the cache
-    G = level_group(F, l, budget=group_order(F, l))
+def _pair_count(G: LevelGroup, o1: OmegaLabel, o2: OmegaLabel, h: int) -> int:
+    """Factorizations of the partial element ({1..l}, h) at level l = G.n
+    into a product from classes o1 and o2."""
+    l = G.n
     full = (1 << l) - 1
-    ids_target = G.by_label.get(o.c)
-    # a label with alpha <= l is always realized at level l
-    h = ids_target[0]
     ids1 = G.by_label.get(o1.c, ())
     total = 0
     for combo in itertools.combinations(range(l), o1.l):
@@ -276,6 +271,16 @@ def _p_constant(
             # points may sit anywhere in the l available ones
             total += comb(l - nb, o2.l - nb)
     return total
+
+
+@lru_cache(maxsize=None)
+def _p_constant(
+    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
+) -> int:
+    # budget was checked by the caller before entering the cache
+    G = level_group(F, o.l, budget=group_order(F, o.l))
+    # a label with alpha <= l is always realized at level l
+    return _pair_count(G, o1, o2, G.by_label[o.c][0])
 
 
 def p_constant(
@@ -301,30 +306,8 @@ def p_constant_all_representatives(
     canonical representative.  Used to test representative independence."""
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return []
-    l = o.l
-    G = level_group(F, l, budget)
-    full = (1 << l) - 1
-    ids1 = G.by_label.get(o1.c, ())
-    counts = []
-    for rep in G.by_label.get(o.c, ()):
-        total = 0
-        for combo in itertools.combinations(range(l), o1.l):
-            d1 = 0
-            for j in combo:
-                d1 |= 1 << j
-            rest = full & ~d1
-            for i in ids1:
-                if G.sup[i] & ~d1:
-                    continue
-                k = G.mul(G.inv[i], rep)
-                if G.label[k] != o2.c:
-                    continue
-                need = rest | G.sup[k]
-                nb = bin(need).count("1")
-                if nb <= o2.l:
-                    total += comb(l - nb, o2.l - nb)
-        counts.append(total)
-    return counts
+    G = level_group(F, o.l, budget)
+    return [_pair_count(G, o1, o2, h) for h in G.by_label.get(o.c, ())]
 
 
 def ik_product(
@@ -394,29 +377,22 @@ def partial_orbit_oracle(
     G = level_group(F, N, budget)
     pes = enumerate_partial_elements(F, N, budget)
     index = {p: i for i, p in enumerate(pes)}
-    orbit_of = [-1] * len(pes)
-    orbits: list[tuple[PartialElement, ...]] = []
-    for start in range(len(pes)):
-        if orbit_of[start] != -1:
-            continue
-        oid = len(orbits)
-        orbit_of[start] = oid
-        members = [start]
-        stack = [start]
-        while stack:
-            y = stack.pop()
-            p = pes[y]
-            hi = G.index[p.h]
-            for g in range(G.order):
-                ge = G.elements[g]
-                q = PartialElement(
-                    apply_perm_to_mask(ge.perm, p.d),
-                    G.elements[G.conj(g, hi)],
-                )
-                z = index[q]
-                if orbit_of[z] == -1:
-                    orbit_of[z] = oid
-                    members.append(z)
-                    stack.append(z)
-        orbits.append(tuple(pes[i] for i in sorted(members)))
-    return orbits
+
+    def successors(y: int) -> list[int]:
+        p = pes[y]
+        hi = G.index[p.h]
+        return [
+            index[PartialElement(
+                apply_perm_to_mask(G.elements[g].perm, p.d),
+                G.elements[G.conj(g, hi)],
+            )]
+            for g in range(G.order)
+        ]
+
+    orbit_of = orbit_partition(range(len(pes)), successors)
+    orbits: list[list[PartialElement]] = [
+        [] for _ in range(max(orbit_of.values()) + 1)
+    ]
+    for y, p in enumerate(pes):
+        orbits[orbit_of[y]].append(p)
+    return [tuple(o) for o in orbits]

@@ -1,17 +1,13 @@
 """Exhaustive verification sweeps over a family at a truncation level.
 
 Each suite enumerates a canonical task list, checks exact integer
-identities, and returns a JSON-ready dict: summary counts plus one record
-per check.  Task lists and record order are deterministic, and workers
-only ever map over them in order, so output is identical for any worker
-count.
+identities in order in one process, and returns a JSON-ready dict:
+summary counts plus one record per check.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
-from functools import partial
 
 from .center_algebra import center_product
 from .correspondence import (
@@ -32,7 +28,6 @@ from .partial_algebra import (
     truncation_basis,
 )
 from .wreath import (
-    ClassLabel,
     GroupElement,
     class_label,
     conjugate,
@@ -42,16 +37,6 @@ from .wreath import (
 )
 
 SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
-
-
-def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    """Order-preserving map, optionally across processes."""
-    if jobs <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(fn, tasks, chunksize=chunk)
 
 
 def _suite_dict(name: str, spec: FamilySpec, level: int, records: list[dict]) -> dict:
@@ -67,186 +52,145 @@ def _suite_dict(name: str, spec: FamilySpec, level: int, records: list[dict]) ->
     }
 
 
-# --- main lemma ---
-
-def _ml_pair(F: FiniteGroup, N: int, budget, pair) -> list[dict]:
-    w1, w2 = pair
-    out = []
-    for l in range(N + 1):
-        for c in labels_with_alpha_up_to(l, F):
-            rec = verify_main_lemma(w1.l, w1.c, w2.l, w2.c, l, c, F, budget)
-            out.append(
-                {
-                    "l1": w1.l,
-                    "c1": w1.c.display(F),
-                    "l2": w2.l,
-                    "c2": w2.c.display(F),
-                    "l": l,
-                    "c": c.display(F),
-                    "lhs": rec.lhs,
-                    "rhs": rec.rhs,
-                    "ok": rec.ok,
-                }
-            )
-    return out
-
-
 def main_lemma_suite(
-    spec: FamilySpec, N: int, jobs: int = 1, budget: int | None = None
+    spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Check xi' xi'' S = sum xi P for every pair of class labels at level N
     and every target class at every level l <= N."""
     F = spec.base
     basis = truncation_basis(N, F)
-    pairs = [(w1, w2) for w1 in basis for w2 in basis]
-    chunks = _map_tasks(partial(_ml_pair, F, N, budget), pairs, jobs)
-    return _suite_dict(
-        "main-lemma", spec, N, [r for ch in chunks for r in ch]
-    )
-
-
-# --- triangular inversion ---
-
-def _inv_pair(F: FiniteGroup, budget, task) -> dict:
-    w1, w2, c = task
-    rec = verify_inversion(w1, w2, c, F, budget)
-    return {
-        "omega1": w1.display(F),
-        "omega2": w2.display(F),
-        "c": c.display(F),
-        "levels": list(rec.levels),
-        "solved": list(rec.solved),
-        "brute": list(rec.brute),
-        "ok": rec.ok,
-    }
+    # one display string per class label, shared by all records: the sweep
+    # holds tens of thousands of them, and fresh strings dominate its memory
+    shown = {c: c.display(F) for c in labels_with_alpha_up_to(N, F)}
+    targets = [(l, c) for l in range(N + 1) for c in labels_with_alpha_up_to(l, F)]
+    records = []
+    for w1 in basis:
+        for w2 in basis:
+            for l, c in targets:
+                rec = verify_main_lemma(w1.l, w1.c, w2.l, w2.c, l, c, F, budget)
+                records.append(
+                    {
+                        "l1": w1.l,
+                        "c1": shown[w1.c],
+                        "l2": w2.l,
+                        "c2": shown[w2.c],
+                        "l": l,
+                        "c": shown[c],
+                        "lhs": rec.lhs,
+                        "rhs": rec.rhs,
+                        "ok": rec.ok,
+                    }
+                )
+    return _suite_dict("main-lemma", spec, N, records)
 
 
 def inversion_suite(
-    spec: FamilySpec, N: int, jobs: int = 1, budget: int | None = None
+    spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Solve (1 + R) P = S by forward substitution for every pair with
     l' + l'' <= N and compare against directly counted P."""
     F = spec.base
     basis = truncation_basis(N, F)
-    tasks = [
-        (w1, w2, c)
-        for w1 in basis
-        for w2 in basis
-        if w1.l + w2.l <= N
-        for c in labels_with_alpha_up_to(w1.l + w2.l, F)
-    ]
-    records = _map_tasks(partial(_inv_pair, F, budget), tasks, jobs)
+    records = []
+    for w1 in basis:
+        for w2 in basis:
+            if w1.l + w2.l > N:
+                continue
+            for c in labels_with_alpha_up_to(w1.l + w2.l, F):
+                rec = verify_inversion(w1, w2, c, F, budget)
+                records.append(
+                    {
+                        "omega1": w1.display(F),
+                        "omega2": w2.display(F),
+                        "c": c.display(F),
+                        "levels": list(rec.levels),
+                        "solved": list(rec.solved),
+                        "brute": list(rec.brute),
+                        "ok": rec.ok,
+                    }
+                )
     return _suite_dict("invert", spec, N, records)
 
 
-# --- phi: multiplicativity, triangularity, preimages ---
-
-def _phi_levels_equal(a: dict[int, AlgebraVector], b: dict[int, AlgebraVector]) -> bool:
-    return a.keys() == b.keys() and all(a[l] == b[l] for l in a)
-
-
-def _phi_task(F: FiniteGroup, N: int, budget, task) -> dict:
-    kind = task[0]
-    if kind == "product":
-        _, w1, w2 = task
-        e1, e2 = basis_vector(w1, N), basis_vector(w2, N)
-        img1, img2 = phi(e1, F, budget), phi(e2, F, budget)
-        lhs = {
-            l: center_product(img1[l], img2[l], F, budget) for l in range(N + 1)
-        }
-        rhs = phi(ik_product(e1, e2, F, budget), F, budget)
-        return {
-            "kind": "product",
-            "omega1": w1.display(F),
-            "omega2": w2.display(F),
-            "ok": _phi_levels_equal(lhs, rhs),
-        }
-    if kind == "triangular":
-        _, w = task
-        img = phi(basis_vector(w, N), F, budget)
-        lead_ok = img[w.l].as_dict() == {w.c: 1}
-        below_ok = all(img[l].is_zero() for l in range(w.l))
-        return {
-            "kind": "triangular",
-            "omega": w.display(F),
-            "ok": lead_ok and below_ok,
-        }
-    _, l, c = task
-    v = phi_preimage(c, l, N, F)
-    img = phi(v, F, budget)
-    ok = all(
-        img[j].as_dict() == ({c: 1} if j == l else {}) for j in range(N + 1)
-    )
-    return {
-        "kind": "preimage",
-        "target": f"{c.display(F)}({l})",
-        "ok": ok,
-    }
-
-
 def phi_suite(
-    spec: FamilySpec, N: int, jobs: int = 1, budget: int | None = None
+    spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Check that phi is multiplicative levelwise on untruncated products,
     upper triangular with unit diagonal, and that computed preimages map
     back to the intended class sums."""
     F = spec.base
     basis = truncation_basis(N, F)
-    tasks: list[tuple] = [
-        ("product", w1, w2)
-        for w1 in basis
-        for w2 in basis
-        if w1.l + w2.l <= N
-    ]
-    tasks += [("triangular", w) for w in basis]
-    tasks += [
-        ("preimage", l, c)
-        for l in range(N + 1)
-        for c in labels_with_alpha_up_to(l, F)
-    ]
-    records = _map_tasks(partial(_phi_task, F, N, budget), tasks, jobs)
+    records = []
+    for w1 in basis:
+        for w2 in basis:
+            if w1.l + w2.l > N:
+                continue
+            e1, e2 = basis_vector(w1, N), basis_vector(w2, N)
+            img1, img2 = phi(e1, F, budget), phi(e2, F, budget)
+            lhs = {
+                l: center_product(img1[l], img2[l], F, budget)
+                for l in range(N + 1)
+            }
+            rhs = phi(ik_product(e1, e2, F, budget), F, budget)
+            records.append(
+                {
+                    "kind": "product",
+                    "omega1": w1.display(F),
+                    "omega2": w2.display(F),
+                    "ok": lhs == rhs,
+                }
+            )
+    for w in basis:
+        img = phi(basis_vector(w, N), F, budget)
+        lead_ok = img[w.l].as_dict() == {w.c: 1}
+        below_ok = all(img[l].is_zero() for l in range(w.l))
+        records.append(
+            {"kind": "triangular", "omega": w.display(F), "ok": lead_ok and below_ok}
+        )
+    for l in range(N + 1):
+        for c in labels_with_alpha_up_to(l, F):
+            img = phi(phi_preimage(c, l, N, F), F, budget)
+            ok = all(
+                img[j].as_dict() == ({c: 1} if j == l else {})
+                for j in range(N + 1)
+            )
+            records.append(
+                {"kind": "preimage", "target": f"{c.display(F)}({l})", "ok": ok}
+            )
     return _suite_dict("phi", spec, N, records)
 
 
-# --- projection tower ---
-
-def _tower_pair(F: FiniteGroup, N: int, budget, pair) -> dict:
-    w1, w2 = pair
+def _tower_ok(
+    w1: OmegaLabel, w2: OmegaLabel, N: int, F: FiniteGroup, budget: int | None
+) -> bool:
     v = ik_product(basis_vector(w1, N), basis_vector(w2, N), F, budget)
-    ok = True
     for np in range(N + 1):
         pv = project(v, np)
-        e1 = (
-            basis_vector(w1, np)
-            if w1.l <= np
-            else AlgebraVector.make(np, {})
-        )
-        e2 = (
-            basis_vector(w2, np)
-            if w2.l <= np
-            else AlgebraVector.make(np, {})
-        )
+        e1 = basis_vector(w1, np) if w1.l <= np else AlgebraVector.make(np, {})
+        e2 = basis_vector(w2, np) if w2.l <= np else AlgebraVector.make(np, {})
         if pv != ik_product(e1, e2, F, budget):
-            ok = False
-            break
-        for npp in range(np + 1):
-            if project(pv, npp) != project(v, npp):
-                ok = False
-                break
-        if not ok:
-            break
-    return {"omega1": w1.display(F), "omega2": w2.display(F), "ok": ok}
+            return False
+        if any(project(pv, npp) != project(v, npp) for npp in range(np + 1)):
+            return False
+    return True
 
 
 def tower_suite(
-    spec: FamilySpec, N: int, jobs: int = 1, budget: int | None = None
+    spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Check that truncation projections commute with products and compose,
     over every pair of basis labels at level N."""
     F = spec.base
     basis = truncation_basis(N, F)
-    pairs = [(w1, w2) for w1 in basis for w2 in basis]
-    records = _map_tasks(partial(_tower_pair, F, N, budget), pairs, jobs)
+    records = [
+        {
+            "omega1": w1.display(F),
+            "omega2": w2.display(F),
+            "ok": _tower_ok(w1, w2, N, F, budget),
+        }
+        for w1 in basis
+        for w2 in basis
+    ]
     return _suite_dict("tower", spec, N, records)
 
 
@@ -324,7 +268,6 @@ def run_suites(
     names: list[str],
     spec: FamilySpec,
     N: int,
-    jobs: int = 1,
     seed: int = 0,
     budget: int | None = None,
 ) -> dict:
@@ -340,13 +283,13 @@ def run_suites(
         if name == "preflight":
             suites.append(preflight_suite(spec, N, seed))
         elif name == "main-lemma":
-            suites.append(main_lemma_suite(spec, N, jobs, budget))
+            suites.append(main_lemma_suite(spec, N, budget))
         elif name == "invert":
-            suites.append(inversion_suite(spec, N, jobs, budget))
+            suites.append(inversion_suite(spec, N, budget))
         elif name == "phi":
-            suites.append(phi_suite(spec, N, jobs, budget))
+            suites.append(phi_suite(spec, N, budget))
         elif name == "tower":
-            suites.append(tower_suite(spec, N, jobs, budget))
+            suites.append(tower_suite(spec, N, budget))
         elif name == "audit":
             suites.append(audit_suite(spec, N, budget))
     return {

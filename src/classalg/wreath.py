@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     WrongBaseGroup,
 )
-from .finite_group import FiniteGroup
+from .finite_group import FiniteGroup, cycle_str, cycles, orbit_partition
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 _TABLE_LIMIT = 2048
@@ -118,32 +118,8 @@ def support(a: GroupElement, F: FiniteGroup) -> int:
     return out
 
 
-def promote(a: GroupElement, m: int, F: FiniteGroup) -> GroupElement:
-    """Reinterpret a at a higher level, fixing and leaving blank the new points."""
-    if m < a.n:
-        raise LevelMismatch(f"cannot demote element from level {a.n} to {m}")
-    perm = a.perm + tuple(range(a.n, m))
-    deco = a.deco + (F.identity,) * (m - a.n)
-    return GroupElement(m, perm, deco)
-
-
 def element_str(a: GroupElement, F: FiniteGroup) -> str:
-    seen = [False] * a.n
-    parts = []
-    for start in range(a.n):
-        if seen[start] or a.perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = a.perm[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = a.perm[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    cycles = "".join(parts) or "e"
-    return f"({cycles}; {','.join(F.names[d] for d in a.deco)})"
+    return f"({cycle_str(a.perm, ' ')}; {','.join(F.names[d] for d in a.deco)})"
 
 
 def d_type_membership(a: GroupElement, F: FiniteGroup) -> bool:
@@ -154,6 +130,11 @@ def d_type_membership(a: GroupElement, F: FiniteGroup) -> bool:
 
 
 # --- conjugacy-class labels ---
+
+def _pair_order(pair: tuple[int, int]) -> tuple[int, int]:
+    """Canonical pair order: cycle length descending, then F-class."""
+    return (-pair[0], pair[1])
+
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -178,7 +159,7 @@ class ClassLabel:
                 raise InvalidLabel(f"F-class index {k} out of range")
             if (ln, k) != (1, 0):
                 kept.append((ln, k))
-        kept.sort(key=lambda p: (-p[0], p[1]))
+        kept.sort(key=_pair_order)
         return cls(tuple(kept))
 
     @classmethod
@@ -223,23 +204,19 @@ class ClassLabel:
 
 def class_label(a: GroupElement, F: FiniteGroup) -> ClassLabel:
     """Label of the conjugacy class of a in F wr S_n."""
-    seen = [False] * a.n
+    mult, deco, class_of = F.mult, a.deco, F.class_of
     pairs = []
-    for start in range(a.n):
-        if seen[start]:
-            continue
-        pts = [start]
-        seen[start] = True
-        j = a.perm[start]
-        while j != start:
-            pts.append(j)
-            seen[j] = True
-            j = a.perm[j]
-        acc = a.deco[pts[0]]
+    for pts in cycles(a.perm):
+        acc = deco[pts[0]]
         for p in pts[1:]:
-            acc = F.mult[a.deco[p]][acc]
-        pairs.append((len(pts), F.class_of[acc]))
-    return ClassLabel.from_pairs(pairs)
+            acc = mult[deco[p]][acc]
+        k = class_of[acc]
+        # undecorated fixed points are not part of the label
+        if k or len(pts) > 1:
+            pairs.append((len(pts), k))
+    # valid by construction, so from_pairs' checks are skipped
+    pairs.sort(key=_pair_order)
+    return ClassLabel(tuple(pairs))
 
 
 def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupElement:
@@ -365,22 +342,10 @@ def conjugation_orbits(
     the label invariant is tested against.
     """
     G = level_group(F, n, budget)
-    orbit_of = [-1] * G.order
-    orbits: list[tuple[int, ...]] = []
+    orbit_of = orbit_partition(
+        range(G.order), lambda y: [G.conj(g, y) for g in range(G.order)]
+    )
+    orbits: list[list[int]] = [[] for _ in range(max(orbit_of.values()) + 1)]
     for x in range(G.order):
-        if orbit_of[x] != -1:
-            continue
-        oid = len(orbits)
-        members = [x]
-        orbit_of[x] = oid
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in range(G.order):
-                z = G.conj(g, y)
-                if orbit_of[z] == -1:
-                    orbit_of[z] = oid
-                    members.append(z)
-                    stack.append(z)
-        orbits.append(tuple(sorted(members)))
-    return orbits
+        orbits[orbit_of[x]].append(x)
+    return [tuple(o) for o in orbits]

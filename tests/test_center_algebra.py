@@ -3,16 +3,14 @@
 import pytest
 
 from classalg import (
-    CenterBasisLabel,
+    AlgebraVector,
     ClassLabel,
     InvalidLabel,
     LevelMismatch,
     builtin_group,
-    center_basis,
     center_basis_vector,
     center_product,
     center_product_oracle,
-    center_unit,
     class_size,
     labels_with_alpha_up_to,
     level_group,
@@ -27,18 +25,23 @@ def CL(parts):
     return ClassLabel.from_pairs((p, 0) for p in parts)
 
 
+def unit(l):
+    return AlgebraVector.make(l, {ClassLabel(()): 1})
+
+
 def test_center_basis_counts():
-    assert [c.c for c in center_basis(0, TRIVIAL)] == [ClassLabel(())]
-    assert len(center_basis(3, TRIVIAL)) == 3
-    assert len(center_basis(2, Z2)) == 5
-    labels = [b.c.display(TRIVIAL) for b in center_basis(3, TRIVIAL)]
+    assert labels_with_alpha_up_to(0, TRIVIAL) == (ClassLabel(()),)
+    assert len(labels_with_alpha_up_to(3, TRIVIAL)) == 3
+    assert len(labels_with_alpha_up_to(2, Z2)) == 5
+    labels = [c.display(TRIVIAL) for c in labels_with_alpha_up_to(3, TRIVIAL)]
     assert labels == ["[]", "[2]", "[3]"]
 
 
 def test_center_basis_label_validation():
+    # a class sum c(l) exists only when c fits in l points
     with pytest.raises(InvalidLabel):
-        CenterBasisLabel(1, CL([2]))
-    assert CenterBasisLabel(3, CL([2])).display(TRIVIAL) == "[2](3)"
+        center_basis_vector(CL([2]), 1)
+    assert center_basis_vector(CL([2]), 3).as_dict() == {CL([2]): 1}
 
 
 def test_class_sizes():
@@ -102,10 +105,9 @@ def test_center_product_vectors():
         center_basis_vector(CL([2]), 3), center_basis_vector(CL([2]), 3), TRIVIAL
     )
     assert v.as_dict() == {CL([]): 3, CL([3]): 3}
-    u = center_unit(3)
-    assert center_product(u, v, TRIVIAL) == v
+    assert center_product(unit(3), v, TRIVIAL) == v
     with pytest.raises(LevelMismatch):
-        center_product(center_unit(2), center_unit(3), TRIVIAL)
+        center_product(unit(2), unit(3), TRIVIAL)
 
 
 def test_center_product_commutative_and_associative():

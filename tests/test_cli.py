@@ -162,12 +162,47 @@ def test_group_file_invalid(tmp_path, capsys):
         ("sconst", "--family", "sym", "--l", "2", "--c1", "[oops]", "--c2", "[]"),
         ("verify", "main-lemma", "--family", "dtype", "--level", "3"),
         ("classes", "--family", "wreath", "--level", "2"),
+        # negative levels
+        ("verify", "all", "--family", "sym", "--level", "-1"),
+        ("classes", "--family", "sym", "--level", "-2"),
+        ("sconst", "--family", "sym", "--l", "-1", "--c1", "[]", "--c2", "[]"),
+        ("xi", "--lprime", "-1", "--class", "[]", "--l", "-2"),
+        ("pconst", "--family", "sym", "--level", "-1", "--omega1", "0:[]", "--omega2", "0:[]"),
+        # labels that do not fit the level
+        ("pconst", "--family", "sym", "--level", "2", "--omega1", "2:[2]", "--omega2", "2:[2]", "--omega", "9:[]"),
+        ("pconst", "--family", "sym", "--level", "2", "--omega1", "3:[]", "--omega2", "1:[]"),
+        ("pconst", "--family", "sym", "--level", "2", "--omega1", "1:[]", "--omega2", "3:[3]"),
+        ("sconst", "--family", "sym", "--l", "2", "--c1", "[3]", "--c2", "[]"),
+        ("sconst", "--family", "sym", "--l", "2", "--c1", "[]", "--c2", "[2,2]"),
+        ("sconst", "--family", "sym", "--l", "2", "--c1", "[2]", "--c2", "[2]", "--c", "[3]"),
+        # --jobs and --budget-elements bounds
+        ("verify", "all", "--family", "sym", "--level", "2", "--jobs", "0"),
+        ("verify", "all", "--family", "sym", "--level", "2", "--jobs", "-3"),
+        ("classes", "--family", "sym", "--level", "2", "--budget-elements", "-5"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_fitting_label_with_zero_constant_prints_zero(capsys):
+    code, out, _ = run(
+        capsys, "pconst", "--family", "sym", "--level", "2",
+        "--omega1", "2:[2]", "--omega2", "2:[2]", "--omega", "1:[]",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "2:[2],2:[2],1:[],0"
+    code, out, _ = run(
+        capsys, "sconst", "--family", "sym", "--l", "2",
+        "--c1", "[2]", "--c2", "[2]", "--c", "[2]", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "[2],[2],[2],2,0"
 
 
 def test_budget_exit_3(capsys):

@@ -28,7 +28,6 @@ from classalg import (
     labels_with_alpha_up_to,
     level_group,
     multiply,
-    promote,
     support,
 )
 from classalg.finite_group import TRIVIAL
@@ -199,13 +198,11 @@ def test_representative_round_trip():
 
 
 def test_label_stable_under_promotion():
+    # adding fixed, undecorated points changes neither label nor support
     a = GroupElement(3, (1, 0, 2), (1, 0, 1))
-    b = promote(a, 6, Z2)
-    assert b.n == 6
+    b = GroupElement(6, a.perm + (3, 4, 5), a.deco + (Z2.identity,) * 3)
     assert class_label(b, Z2) == class_label(a, Z2)
     assert support(b, Z2) == support(a, Z2)
-    with pytest.raises(LevelMismatch):
-        promote(a, 2, Z2)
 
 
 # --- enumeration and label completeness ---
