@@ -52,8 +52,13 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
 
 def _emit(args: argparse.Namespace, content: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise ParseError(
+                f"cannot write {args.out}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(content)
 

@@ -346,7 +346,14 @@ class AuditWitness:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of the finite-level admissibility audit of a family."""
+    """Outcome of the finite-level admissibility audit of a family.
+
+    pairs_checked is the number of pairs of partial elements that the fusion
+    check covers: for each window in canonical order, every unordered pair
+    of partial elements whose window lies inside it, taken in canonical
+    order, up to and including the first violating pair, after which no
+    further window is examined.
+    """
 
     family: str
     kind: str
@@ -377,7 +384,8 @@ def admissibility_audit(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> AuditReport:
     """Check the unit, closure, and class-fusion conditions for the family
-    at level N by explicit orbit enumeration.
+    at level N by orbit enumeration under a generating set of each window
+    group.
 
     Fusion means: partial elements with the same window that are conjugate
     under the top-level group must already be conjugate under the window's
@@ -396,18 +404,25 @@ def admissibility_audit(
 
     unit_ok = members[0] == [G.identity]
 
+    # A generating set of <members[w]>: keep each member not yet in the
+    # subgroup generated so far.  The generated subgroup contains the
+    # identity and members[w], and a finite set closed under products is a
+    # subgroup, so members[w] holds the identity and is closed exactly when
+    # the two have the same size.
+    gens: dict[int, list[int]] = {}
     closure_ok = True
     for w in windows:
-        ms = members[w]
-        mset = set(ms)
-        if G.identity not in mset:
+        gs: list[int] = []
+        generated: dict = {G.identity: 0}
+        for i in members[w]:
+            if i not in generated:
+                gs.append(i)
+                generated = orbit_partition(
+                    [G.identity], lambda x: [G.mul(x, g) for g in gs]
+                )
+        gens[w] = gs
+        if len(generated) != len(members[w]):
             closure_ok = False
-            break
-        if any(G.inv[i] not in mset for i in ms) or any(
-            G.mul(i, j) not in mset for i in ms for j in ms
-        ):
-            closure_ok = False
-            break
 
     # partial elements of the family, canonical order
     pes: list[tuple[int, int]] = [
@@ -415,43 +430,56 @@ def admissibility_audit(
     ]
     pe_index = {p: k for k, p in enumerate(pes)}
 
-    def orbits_under(group: list[int], starts) -> dict[int, int]:
+    def orbits_under(gs: list[int], starts) -> dict[int, int]:
         """Orbits of the partial elements reached from `starts` (indices
-        into pes) under simultaneous conjugation by `group`."""
+        into pes) under simultaneous conjugation by the group generated by
+        gs: closing under the generators of a finite group gives the orbit
+        under the whole group."""
         def successors(k: int) -> list[int]:
             d, i = pes[k]
             return [
                 pe_index[(apply_perm_to_mask(G.elements[g].perm, d), G.conj(g, i))]
-                for g in group
+                for g in gs
             ]
         return orbit_partition(starts, successors)
 
-    top = members[full]
-    orbit_of = orbits_under(top, range(len(pes)))
+    orbit_of = orbits_under(gens[full], range(len(pes)))
 
+    # Pairs (a, b), a < b, of positions in `inside` are taken window by
+    # window in canonical order.  The first pair conjugate at the top but
+    # not inside the window has a the first member of the earliest top orbit
+    # that meets several window orbits, b the first later member of that
+    # orbit in another window orbit.  pairs_checked counts the pairs up to
+    # and including it, as a pair-by-pair scan would visit them.
     fusion_ok = True
     witness = None
     pairs_checked = 0
     for w in windows:
-        if not fusion_ok:
-            break
         inside = [k for k, (d, _) in enumerate(pes) if d & ~w == 0]
-        sub_of = orbits_under(members[w], inside)
-        for a_pos, k1 in enumerate(inside):
-            if not fusion_ok:
-                break
-            for k2 in inside[a_pos + 1:]:
-                pairs_checked += 1
-                if orbit_of[k1] == orbit_of[k2] and sub_of[k1] != sub_of[k2]:
-                    d1, i1 = pes[k1]
-                    d2, i2 = pes[k2]
-                    witness = AuditWitness(
-                        w,
-                        PartialElement(d1, G.elements[i1]),
-                        PartialElement(d2, G.elements[i2]),
-                    )
-                    fusion_ok = False
-                    break
+        n = len(inside)
+        sub_of = orbit_of if w == full else orbits_under(gens[w], inside)
+        first: dict[int, tuple[int, int]] = {}
+        split: dict[int, int] = {}
+        for pos, k in enumerate(inside):
+            t = orbit_of[k]
+            if t not in first:
+                first[t] = (pos, sub_of[k])
+            elif t not in split and sub_of[k] != first[t][1]:
+                split[t] = pos
+        if not split:
+            pairs_checked += n * (n - 1) // 2
+            continue
+        a, b = min((first[t][0], pos) for t, pos in split.items())
+        pairs_checked += a * (n - 1) - a * (a - 1) // 2 + (b - a)
+        d1, i1 = pes[inside[a]]
+        d2, i2 = pes[inside[b]]
+        witness = AuditWitness(
+            w,
+            PartialElement(d1, G.elements[i1]),
+            PartialElement(d2, G.elements[i2]),
+        )
+        fusion_ok = False
+        break
 
     return AuditReport(
         family=spec.name,
@@ -461,7 +489,7 @@ def admissibility_audit(
         closure_ok=closure_ok,
         fusion_ok=fusion_ok,
         witness=witness,
-        group_size=len(top),
+        group_size=len(members[full]),
         partial_count=len(pes),
         windows_checked=len(windows),
         pairs_checked=pairs_checked,

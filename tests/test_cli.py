@@ -179,6 +179,8 @@ def test_group_file_invalid(tmp_path, capsys):
         ("verify", "all", "--family", "sym", "--level", "2", "--jobs", "0"),
         ("verify", "all", "--family", "sym", "--level", "2", "--jobs", "-3"),
         ("classes", "--family", "sym", "--level", "2", "--budget-elements", "-5"),
+        # an --out path that cannot be written
+        ("classes", "--family", "sym", "--level", "2", "--out", "/nonexistent/dir/x"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -249,6 +251,16 @@ def test_verify_dtype_audit_expected_failure(capsys):
     assert code == 0
     assert "fusion=VIOLATION -> FAIL (expected FAIL)" in out
     assert "witness: window {1,2}:" in out
+
+
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+def test_verify_dtype_audit_passes_below_three_points(capsys, level):
+    code, out, _ = run(
+        capsys, "verify", "audit", "--family", "dtype", "--level", level
+    )
+    assert code == 0
+    assert "fusion=ok -> PASS (expected PASS)" in out
+    assert out.strip().endswith("RESULT: OK")
 
 
 def test_verify_dtype_all_skips_class_suites(capsys):

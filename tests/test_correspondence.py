@@ -32,7 +32,14 @@ from classalg import (
     xi_closed_form,
     xi_count_oracle,
 )
-from classalg.finite_group import TRIVIAL
+from classalg.correspondence import (
+    _AUDIT_NOTES,
+    AuditReport,
+    AuditWitness,
+)
+from classalg.finite_group import TRIVIAL, load_group, orbit_partition
+from classalg.partial_algebra import PartialElement
+from classalg.wreath import apply_perm_to_mask
 
 Z2 = builtin_group("cyclic2")
 
@@ -282,3 +289,148 @@ def test_audit_d_type_defect_needs_three_points():
     rep2 = admissibility_audit(FamilySpec.d_type(), 2)
     assert rep2.group_size == 4
     assert rep2.passed
+
+
+def _audit_oracle(spec, N, budget=None):
+    """The audit by brute force: orbits under every element of each window
+    group, every pair inside each window, every product of two members."""
+    F = spec.base
+    G = level_group(F, N, budget)
+    admits = [spec.admits(a) for a in G.elements]
+    full = (1 << N) - 1
+    windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
+
+    members = {
+        w: [i for i in range(G.order) if admits[i] and G.sup[i] & ~w == 0]
+        for w in windows
+    }
+
+    unit_ok = members[0] == [G.identity]
+
+    closure_ok = True
+    for w in windows:
+        ms = members[w]
+        mset = set(ms)
+        if G.identity not in mset:
+            closure_ok = False
+            break
+        if any(G.inv[i] not in mset for i in ms) or any(
+            G.mul(i, j) not in mset for i in ms for j in ms
+        ):
+            closure_ok = False
+            break
+
+    pes = [(w, i) for w in windows for i in members[w]]
+    pe_index = {p: k for k, p in enumerate(pes)}
+
+    def orbits_under(group, starts):
+        def successors(k):
+            d, i = pes[k]
+            return [
+                pe_index[(apply_perm_to_mask(G.elements[g].perm, d), G.conj(g, i))]
+                for g in group
+            ]
+        return orbit_partition(starts, successors)
+
+    top = members[full]
+    orbit_of = orbits_under(top, range(len(pes)))
+
+    fusion_ok = True
+    witness = None
+    pairs_checked = 0
+    for w in windows:
+        if not fusion_ok:
+            break
+        inside = [k for k, (d, _) in enumerate(pes) if d & ~w == 0]
+        sub_of = orbits_under(members[w], inside)
+        for a_pos, k1 in enumerate(inside):
+            if not fusion_ok:
+                break
+            for k2 in inside[a_pos + 1:]:
+                pairs_checked += 1
+                if orbit_of[k1] == orbit_of[k2] and sub_of[k1] != sub_of[k2]:
+                    d1, i1 = pes[k1]
+                    d2, i2 = pes[k2]
+                    witness = AuditWitness(
+                        w,
+                        PartialElement(d1, G.elements[i1]),
+                        PartialElement(d2, G.elements[i2]),
+                    )
+                    fusion_ok = False
+                    break
+
+    return AuditReport(
+        family=spec.name,
+        kind=spec.kind,
+        level=N,
+        unit_ok=unit_ok,
+        closure_ok=closure_ok,
+        fusion_ok=fusion_ok,
+        witness=witness,
+        group_size=len(top),
+        partial_count=len(pes),
+        windows_checked=len(windows),
+        pairs_checked=pairs_checked,
+        notes=_AUDIT_NOTES,
+    )
+
+
+class _TranspositionsOnly(FamilySpec):
+    """Admits the identity and undecorated transpositions: a subgroup up to
+    two points, not closed under products from three points on."""
+
+    def admits(self, a):
+        moved = sum(1 for j, pj in enumerate(a.perm) if pj != j)
+        undecorated = all(d == self.base.identity for d in a.deco)
+        return undecorated and moved in (0, 2)
+
+
+class _EvenDecorationSum(FamilySpec):
+    """Cyclic(4) decorations summing to an even value: like d_type, fusion
+    fails, and the split top orbit meets its window orbits alternately."""
+
+    def admits(self, a):
+        return sum(a.deco) % 2 == 0
+
+
+# sym(3) relabelled so that element 0 is not the identity
+_S3 = builtin_group("sym3")
+_S3_SHIFTED = load_group({
+    "order": 6,
+    "mult": [
+        [(_S3.mult[(a - 3) % 6][(b - 3) % 6] + 3) % 6 for b in range(6)]
+        for a in range(6)
+    ],
+})
+
+_AUDIT_CASES = (
+    [(FamilySpec.symmetric(), n) for n in range(6)]
+    + [(FamilySpec.wreath(Z2, "wreath:cyclic2"), n) for n in range(4)]
+    + [(parse_family("wreath:cyclic3"), n) for n in range(4)]
+    + [(parse_family("wreath:sym3"), n) for n in range(3)]
+    + [(FamilySpec.d_type(), n) for n in range(5)]
+    + [(FamilySpec.wreath(_S3_SHIFTED, "wreath:file"), n) for n in range(3)]
+    + [(_TranspositionsOnly("symmetric", TRIVIAL, "transpositions"), n)
+       for n in range(5)]
+    + [(_TranspositionsOnly("wreath", Z2, "transpositions"), n)
+       for n in range(4)]
+    + [(_EvenDecorationSum("wreath", builtin_group("cyclic4"), "even-sum"), n)
+       for n in range(4)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,n", _AUDIT_CASES, ids=[f"{s.name}-{n}" for s, n in _AUDIT_CASES]
+)
+def test_audit_matches_brute_force_oracle(spec, n):
+    rep = admissibility_audit(spec, n)
+    assert rep == _audit_oracle(spec, n)
+    if isinstance(spec, _TranspositionsOnly):
+        assert rep.closure_ok == (n < 3)
+
+
+def test_audit_symmetric_level_seven():
+    rep = admissibility_audit(FamilySpec.symmetric(), 7)
+    assert rep.passed
+    assert rep.partial_count == 13700
+    assert rep.pairs_checked == 108425464
