@@ -79,6 +79,7 @@ from .wreath import (
     GroupElement,
     class_label,
     class_label_representative,
+    class_members,
     conjugate,
     conjugation_orbits,
     d_type_membership,

@@ -1,9 +1,11 @@
 """Centers of the group algebras of F wr S_l: class sums and their products.
 
 The center at level l has the class sums as a basis, indexed by class
-labels with alpha <= l.  Structure constants S are computed by fixing one
-element of the target class and counting ordered factorizations into the
-two given classes; correctness against literal class-sum multiplication is
+labels with alpha <= l.  A structure constant S(c1, c2, c; l) counts the x
+in class c1 with x^-1 h in class c2, for one fixed h in class c: the
+members of c1 are generated straight from their label and each is
+multiplied against h once, so no level group is enumerated and no product
+table is built.  Correctness against literal class-sum multiplication is
 part of the test suite.
 """
 
@@ -17,9 +19,9 @@ from .partial_algebra import AlgebraVector
 from .wreath import (
     ClassLabel,
     check_budget,
-    group_order,
     labels_with_alpha_up_to,
     level_group,
+    representative_factors,
 )
 
 
@@ -36,17 +38,8 @@ def class_size(c: ClassLabel, l: int, F: FiniteGroup,
 def _s_constant(
     c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
 ) -> int:
-    G = level_group(F, l, budget=group_order(F, l))
-    ids = G.by_label.get(c)
-    if not ids:
-        return 0
-    h = ids[0]
-    ids1 = G.by_label.get(c1, ())
-    total = 0
-    for i in ids1:
-        if G.label[G.mul(G.inv[i], h)] == c2:
-            total += 1
-    return total
+    # budget was checked by the caller before entering the cache
+    return len(representative_factors(c1, c, l, F).get(c2, ()))
 
 
 def s_constant(

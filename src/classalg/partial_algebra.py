@@ -5,7 +5,9 @@ group element h supported inside d.  Its class under simultaneous
 conjugation is labeled by omega = (l, c) where l = |d| and c is the class
 label of h.  The product of class sums expands with nonnegative integer
 structure constants P; p_constant computes them by direct pair counting
-over a fixed representative.
+over a fixed representative h, window by window, against the members of
+the first class generated from its label (each multiplied by h once), so
+no level group is enumerated and no product table is built.
 """
 
 from __future__ import annotations
@@ -21,17 +23,18 @@ from .finite_group import FiniteGroup, orbit_partition
 from .wreath import (
     ClassLabel,
     GroupElement,
-    LevelGroup,
     apply_perm_to_mask,
     check_budget,
     class_label,
+    class_members,
     element_str,
-    group_order,
+    factor_supports,
     labels_with_alpha_up_to,
     level_group,
     mask_points,
     mask_str,
     multiply,
+    representative_factors,
     support,
 )
 
@@ -245,25 +248,25 @@ def enumerate_omega_class(
     return out
 
 
-def _pair_count(G: LevelGroup, o1: OmegaLabel, o2: OmegaLabel, h: int) -> int:
-    """Factorizations of the partial element ({1..l}, h) at level l = G.n
-    into a product from classes o1 and o2."""
-    l = G.n
+def _pair_count(
+    l: int, o1: OmegaLabel, o2: OmegaLabel,
+    factors: dict[ClassLabel, tuple[int, ...]],
+) -> int:
+    """Factorizations of the partial element ({1..l}, h) at level l into a
+    product from classes o1 and o2, where factors = factor_supports(o1.c, h).
+    """
     full = (1 << l) - 1
-    ids1 = G.by_label.get(o1.c, ())
     total = 0
     for combo in itertools.combinations(range(l), o1.l):
         d1 = 0
         for j in combo:
             d1 |= 1 << j
         rest = full & ~d1
-        for i in ids1:
-            if G.sup[i] & ~d1:
+        for packed in factors.get(o2.c, ()):
+            # support(x) must lie in the first window
+            if packed & rest:
                 continue
-            k = G.mul(G.inv[i], h)
-            if G.label[k] != o2.c:
-                continue
-            need = rest | G.sup[k]
+            need = rest | packed >> l
             nb = bin(need).count("1")
             if nb > o2.l:
                 continue
@@ -278,9 +281,7 @@ def _p_constant(
     o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
 ) -> int:
     # budget was checked by the caller before entering the cache
-    G = level_group(F, o.l, budget=group_order(F, o.l))
-    # a label with alpha <= l is always realized at level l
-    return _pair_count(G, o1, o2, G.by_label[o.c][0])
+    return _pair_count(o.l, o1, o2, representative_factors(o1.c, o.c, o.l, F))
 
 
 def p_constant(
@@ -306,8 +307,11 @@ def p_constant_all_representatives(
     canonical representative.  Used to test representative independence."""
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return []
-    G = level_group(F, o.l, budget)
-    return [_pair_count(G, o1, o2, h) for h in G.by_label.get(o.c, ())]
+    check_budget(F, o.l, budget)
+    return [
+        _pair_count(o.l, o1, o2, factor_supports(o1.c, h, F))
+        for h in class_members(o.c, F, o.l)
+    ]
 
 
 def ik_product(

@@ -1,4 +1,5 @@
-"""Wreath products F wr S_n: elements, conjugacy-class labels, level groups.
+"""Wreath products F wr S_n: elements, conjugacy-class labels, class members
+generated from a label, and fully enumerated level groups.
 
 An element is a permutation of {0..n-1} together with one F-element per
 point.  The product convention is fixed once here and used everywhere:
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
 from .finite_group import FiniteGroup, cycle_str, cycles, orbit_partition
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
-_TABLE_LIMIT = 2048
 
 
 def group_order(F: FiniteGroup, n: int) -> int:
@@ -166,7 +165,7 @@ class ClassLabel:
     def from_partition(cls, parts) -> "ClassLabel":
         return cls.from_pairs((p, 0) for p in parts)
 
-    @property
+    @cached_property
     def alpha(self) -> int:
         return sum(ln for ln, _ in self.pairs)
 
@@ -259,6 +258,86 @@ def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
     return tuple(sorted(set(out), key=ClassLabel.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _cycle_decorations(
+    ln: int, k: int, F: FiniteGroup
+) -> tuple[tuple[int, ...], ...]:
+    """Decorations d_0..d_{ln-1} of a cycle listed from its least point whose
+    cycle product d_{ln-1} ... d_1 d_0, taken in class_label's order, lies
+    in F-class k.  The first ln-1 are free and fix the last one."""
+    mult, inv = F.mult, F.inv
+    targets = [y for y in range(F.order) if F.class_of[y] == k]
+    out = []
+    for head in itertools.product(range(F.order), repeat=ln - 1):
+        acc = F.identity
+        for d in head:
+            acc = mult[d][acc]
+        out.extend(head + (mult[y][inv[acc]],) for y in targets)
+    return tuple(out)
+
+
+def class_members(c: ClassLabel, F: FiniteGroup, n: int):
+    """Yield every element of F wr S_n with label c exactly once, built from
+    the label padded with (1, 0) pairs up to n points: the least free point
+    opens each cycle, and each distinct (length, F-class) pair still owed
+    is tried there once."""
+    if c.alpha > n:
+        raise InvalidLabel(f"label needs {c.alpha} points, level is {n}")
+    owed: dict[tuple[int, int], int] = {}
+    for pair in c.pairs + ((1, 0),) * (n - c.alpha):
+        owed[pair] = owed.get(pair, 0) + 1
+    kinds = sorted(owed, key=_pair_order)
+    perm = list(range(n))
+    deco = [F.identity] * n
+
+    def rec(free: tuple[int, ...]):
+        if not free:
+            yield GroupElement(n, tuple(perm), tuple(deco))
+            return
+        p, rest = free[0], free[1:]
+        for kind in kinds:
+            if not owed[kind]:
+                continue
+            ln, k = kind
+            owed[kind] -= 1
+            for others in itertools.permutations(rest, ln - 1):
+                pts = (p,) + others
+                for a, b in zip(pts, others + (p,)):
+                    perm[a] = b
+                left = tuple(q for q in rest if q not in others)
+                for ds in _cycle_decorations(ln, k, F):
+                    for q, d in zip(pts, ds):
+                        deco[q] = d
+                    yield from rec(left)
+            owed[kind] += 1
+
+    yield from rec(tuple(range(n)))
+
+
+def factor_supports(
+    c1: ClassLabel, h: GroupElement, F: FiniteGroup
+) -> dict[ClassLabel, tuple[int, ...]]:
+    """The members x of class c1 at level n = h.n, grouped by the label of
+    x^-1 h.  Each member is kept as support(x) | support(x^-1 h) << n."""
+    n = h.n
+    groups: dict[ClassLabel, list[int]] = {}
+    for x in class_members(c1, F, n):
+        y = multiply(inverse(x, F), h, F)
+        groups.setdefault(class_label(y, F), []).append(
+            support(x, F) | support(y, F) << n
+        )
+    return {lab: tuple(v) for lab, v in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def representative_factors(
+    c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
+) -> dict[ClassLabel, tuple[int, ...]]:
+    """factor_supports at class_label_representative(c, F, l), cached: S for
+    every c2 and P for every pair of windows are read off this grouping."""
+    return factor_supports(c1, class_label_representative(c, F, l), F)
+
+
 def enumerate_elements(F: FiniteGroup, n: int, budget: int | None = None):
     """Yield all of F wr S_n in canonical order: perm lex, then deco lex."""
     check_budget(F, n, budget)
@@ -271,8 +350,9 @@ class LevelGroup:
     """F wr S_n fully enumerated, with index-based products and class data.
 
     elements is the canonical ordering; index maps each element back.  A
-    flat multiplication table is built lazily and only for small orders,
-    so label-only uses never pay for it.
+    product multiplies the two elements and looks the result up in index;
+    no product table is kept.  The structure constants never build one of
+    these: the audit and the test oracles do.
     """
 
     def __init__(self, F: FiniteGroup, n: int):
@@ -299,23 +379,8 @@ class LevelGroup:
         self.by_label: dict[ClassLabel, tuple[int, ...]] = {
             lab: tuple(ids) for lab, ids in by.items()
         }
-        self._table: array | None = None
-
-    def _ensure_table(self) -> None:
-        if self._table is None and self.order <= _TABLE_LIMIT:
-            m = self.order
-            tab = array("i", bytes(4 * m * m))
-            F, idx, els = self.F, self.index, self.elements
-            for i, a in enumerate(els):
-                row = i * m
-                for j, b in enumerate(els):
-                    tab[row + j] = idx[multiply(a, b, F)]
-            self._table = tab
 
     def mul(self, i: int, j: int) -> int:
-        self._ensure_table()
-        if self._table is not None:
-            return self._table[i * self.order + j]
         return self.index[multiply(self.elements[i], self.elements[j], self.F)]
 
     def conj(self, g: int, x: int) -> int:
@@ -333,17 +398,37 @@ def level_group(F: FiniteGroup, n: int, budget: int | None = None) -> LevelGroup
     return _level_group_cached(F, n)
 
 
+def _wreath_generators(F: FiniteGroup, n: int) -> list[GroupElement]:
+    """A generating set of F wr S_n: the transposition (1 2), the n-cycle
+    (1 2 ... n), and every element of F decorating point 1."""
+    e = identity_element(F, n)
+    gens = []
+    if n >= 2:
+        swap = (1, 0) + e.perm[2:]
+        gens.append(GroupElement(n, swap, e.deco))
+        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
+    if n >= 1:
+        gens.extend(
+            GroupElement(n, e.perm, (f,) + e.deco[1:])
+            for f in range(F.order)
+            if f != F.identity
+        )
+    return gens
+
+
 def conjugation_orbits(
     F: FiniteGroup, n: int, budget: int | None = None
 ) -> list[tuple[int, ...]]:
     """Conjugacy classes of F wr S_n as orbits of element indices.
 
     Pure orbit enumeration, independent of class_label; this is the oracle
-    the label invariant is tested against.
+    the label invariant is tested against.  Closing under conjugation by a
+    generating set of a finite group gives the orbits under the whole group.
     """
     G = level_group(F, n, budget)
+    gens = [G.index[g] for g in _wreath_generators(F, n)]
     orbit_of = orbit_partition(
-        range(G.order), lambda y: [G.conj(g, y) for g in range(G.order)]
+        range(G.order), lambda y: [G.conj(g, y) for g in gens]
     )
     orbits: list[list[int]] = [[] for _ in range(max(orbit_of.values()) + 1)]
     for x in range(G.order):

@@ -17,6 +17,7 @@ from classalg import (
     s_constant,
 )
 from classalg.finite_group import TRIVIAL
+from user_groups import DIHEDRAL8, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -98,6 +99,25 @@ def test_s_matches_literal_class_sum_products(F, l):
                 if s_constant(c1, c2, c, l, F)
             }
             assert oracle == direct, (c1, c2)
+
+
+@pytest.mark.parametrize(
+    "F,l,max_alpha",
+    [(SYM3_SHIFTED, 2, 2), (SYM3_SHIFTED, 3, 1),
+     (DIHEDRAL8, 2, 2), (DIHEDRAL8, 3, 1)],
+    ids=["sym3-shifted-2", "sym3-shifted-3", "dihedral8-2", "dihedral8-3"],
+)
+def test_s_matches_literal_products_on_user_bases(F, l, max_alpha):
+    """Non-abelian bases from user tables, one with element 0 not the
+    identity; at level 3 only small classes, to keep the oracle cheap."""
+    labels = labels_with_alpha_up_to(l, F)
+    small = labels_with_alpha_up_to(max_alpha, F)
+    for c1 in small:
+        for c2 in small:
+            direct = {
+                c: v for c in labels if (v := s_constant(c1, c2, c, l, F))
+            }
+            assert center_product_oracle(c1, c2, l, F) == direct, (c1, c2)
 
 
 def test_center_product_vectors():

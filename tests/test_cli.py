@@ -6,7 +6,7 @@ import pytest
 
 from classalg.cli import main
 from classalg.correspondence import MainLemmaRecord
-from classalg.wreath import ClassLabel
+from classalg.wreath import _level_group_cached
 
 Z3_FILE = {
     "order": 3,
@@ -101,6 +101,25 @@ def test_sconst(capsys):
         "[2],[2],[],3,3",
         "[2],[2],[3],3,3",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sconst", "--family", "sym", "--l", "9", "--c1", "[2]", "--c2", "[3]"),
+        ("pconst", "--family", "sym", "--level", "7",
+         "--omega1", "4:[3]", "--omega2", "3:[2]"),
+        ("sconst", "--family", "wreath:sym3", "--l", "3",
+         "--c1", "[(2,1)]", "--c2", "[(1,2)]"),
+    ],
+)
+def test_constant_queries_build_no_level_group(capsys, argv):
+    """S and P are counted over class members generated from labels; a
+    query never enumerates a whole level."""
+    _level_group_cached.cache_clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert _level_group_cached.cache_info().currsize == 0
 
 
 def test_xi_with_oracle(capsys):

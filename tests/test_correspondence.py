@@ -37,9 +37,10 @@ from classalg.correspondence import (
     AuditReport,
     AuditWitness,
 )
-from classalg.finite_group import TRIVIAL, load_group, orbit_partition
+from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.partial_algebra import PartialElement
 from classalg.wreath import apply_perm_to_mask
+from user_groups import SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -393,23 +394,13 @@ class _EvenDecorationSum(FamilySpec):
         return sum(a.deco) % 2 == 0
 
 
-# sym(3) relabelled so that element 0 is not the identity
-_S3 = builtin_group("sym3")
-_S3_SHIFTED = load_group({
-    "order": 6,
-    "mult": [
-        [(_S3.mult[(a - 3) % 6][(b - 3) % 6] + 3) % 6 for b in range(6)]
-        for a in range(6)
-    ],
-})
-
 _AUDIT_CASES = (
     [(FamilySpec.symmetric(), n) for n in range(6)]
     + [(FamilySpec.wreath(Z2, "wreath:cyclic2"), n) for n in range(4)]
     + [(parse_family("wreath:cyclic3"), n) for n in range(4)]
     + [(parse_family("wreath:sym3"), n) for n in range(3)]
     + [(FamilySpec.d_type(), n) for n in range(5)]
-    + [(FamilySpec.wreath(_S3_SHIFTED, "wreath:file"), n) for n in range(3)]
+    + [(FamilySpec.wreath(SYM3_SHIFTED, "wreath:file"), n) for n in range(3)]
     + [(_TranspositionsOnly("symmetric", TRIVIAL, "transpositions"), n)
        for n in range(5)]
     + [(_TranspositionsOnly("wreath", Z2, "transpositions"), n)

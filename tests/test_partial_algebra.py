@@ -31,6 +31,7 @@ from classalg import (
     unit_vector,
 )
 from classalg.finite_group import TRIVIAL
+from user_groups import DIHEDRAL8, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -212,6 +213,27 @@ def test_products_agree_with_pairwise_oracle(F, N):
             direct = ik_product(
                 basis_vector(w1, N), basis_vector(w2, N), F
             ).as_dict()
+            assert product_oracle(w1, w2, F, N) == direct, (w1, w2)
+
+
+@pytest.mark.parametrize(
+    "F,N,max_l1,max_l2",
+    [(SYM3_SHIFTED, 2, 2, 2), (SYM3_SHIFTED, 3, 2, 1),
+     (DIHEDRAL8, 2, 2, 2), (DIHEDRAL8, 3, 2, 1)],
+    ids=["sym3-shifted-2", "sym3-shifted-3", "dihedral8-2", "dihedral8-3"],
+)
+def test_p_matches_pairwise_oracle_on_user_bases(F, N, max_l1, max_l2):
+    """Non-abelian bases from user tables, one with element 0 not the
+    identity; at level 3 the factors have windows of at most two and one
+    points (products still reach all three), to keep the oracle cheap."""
+    basis = truncation_basis(N, F)
+    for w1 in basis:
+        for w2 in basis:
+            if w1.l > max_l1 or w2.l > max_l2:
+                continue
+            direct = {
+                w: v for w in basis if (v := p_constant(w1, w2, w, F))
+            }
             assert product_oracle(w1, w2, F, N) == direct, (w1, w2)
 
 

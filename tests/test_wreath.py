@@ -17,6 +17,7 @@ from classalg import (
     builtin_group,
     class_label,
     class_label_representative,
+    class_members,
     conjugate,
     conjugation_orbits,
     d_type_membership,
@@ -30,8 +31,9 @@ from classalg import (
     multiply,
     support,
 )
-from classalg.finite_group import TRIVIAL
+from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.wreath import apply_perm_to_mask, mask_points, mask_str
+from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 Z3 = builtin_group("cyclic3")
@@ -235,6 +237,48 @@ def test_labels_are_complete_invariant(F, n):
     orbits = {frozenset(o) for o in conjugation_orbits(F, n)}
     fibers = {frozenset(ids) for ids in G.by_label.values()}
     assert orbits == fibers
+
+
+@pytest.mark.parametrize(
+    "F,n", [(TRIVIAL, n) for n in range(5)] + [(Z2, n) for n in range(4)]
+)
+def test_generator_orbits_match_all_element_orbits(F, n):
+    """conjugation_orbits closes under a generating set; closing under
+    every element of the group gives the same partition."""
+    G = level_group(F, n)
+    orbit_of = orbit_partition(
+        range(G.order), lambda y: [G.conj(g, y) for g in range(G.order)]
+    )
+    by_all: dict = {}
+    for x in range(G.order):
+        by_all.setdefault(orbit_of[x], set()).add(x)
+    by_gens = {frozenset(o) for o in conjugation_orbits(F, n)}
+    assert by_gens == {frozenset(o) for o in by_all.values()}
+
+
+_MEMBER_BASES = {
+    "sym": (TRIVIAL, 6), "cyclic2": (Z2, 4), "cyclic3": (Z3, 3), "sym3": (S3F, 3),
+    "sym3-shifted": (SYM3_SHIFTED, 3), "dihedral8": (DIHEDRAL8, 3),
+    "quaternion": (QUATERNION, 3),
+}
+_MEMBER_CASES = [
+    (name, F, n) for name, (F, top) in _MEMBER_BASES.items() for n in range(top + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "name,F,n", _MEMBER_CASES, ids=[f"{name}-{n}" for name, _, n in _MEMBER_CASES]
+)
+def test_class_members_match_level_group(name, F, n):
+    """Members generated from a label are exactly the label's fiber in the
+    enumerated level group, each once."""
+    G = level_group(F, n)
+    for c in labels_with_alpha_up_to(n, F):
+        members = [G.index[x] for x in class_members(c, F, n)]
+        assert len(members) == len(set(members)), c
+        assert set(members) == set(G.by_label[c]), c
+    with pytest.raises(InvalidLabel):
+        next(class_members(ClassLabel.from_partition([n + 2]), F, n))
 
 
 def test_label_enumeration_matches_realized_classes():
