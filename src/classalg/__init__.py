@@ -1,16 +1,16 @@
 """Exact-arithmetic algebras of conjugacy classes of partial symmetries.
 
 The package builds finite truncations of the algebra spanned by classes of
-partial elements of (possibly decorated) symmetric groups, computes all
-structure constants by enumeration over explicit finite groups, and checks
-the identities tying them to centers of group algebras as exact integer
-equalities.
+partial elements of (possibly decorated) symmetric groups, counts all
+structure constants over class members generated from their labels, and
+checks the identities tying them to centers of group algebras as exact
+integer equalities.  The brute-force references that enumerate whole
+levels live in classalg.oracles.
 """
 
 from .center_algebra import (
     center_basis_vector,
     center_product,
-    center_product_oracle,
     class_size,
     s_constant,
 )
@@ -24,13 +24,11 @@ from .correspondence import (
     build_r_system,
     parse_family,
     phi,
-    phi_oracle,
     phi_preimage,
     solve_p_from_s,
     verify_inversion,
     verify_main_lemma,
     xi_closed_form,
-    xi_count_oracle,
 )
 from .errors import (
     BudgetExceeded,
@@ -54,25 +52,30 @@ from .finite_group import (
     load_group,
     load_group_file,
 )
+from .oracles import (
+    center_product_oracle,
+    conjugation_orbits,
+    enumerate_omega_class,
+    enumerate_partial_elements,
+    omega_of,
+    p_constant_all_representatives,
+    partial_orbit_oracle,
+    phi_oracle,
+    pmultiply,
+    product_oracle,
+    xi_count_oracle,
+)
 from .partial_algebra import (
     AlgebraVector,
     OmegaLabel,
     PartialElement,
     basis_vector,
-    enumerate_omega_class,
-    enumerate_partial_elements,
     ik_product,
-    omega_of,
     p_constant,
-    p_constant_all_representatives,
     partial_element,
-    partial_orbit_oracle,
     partial_str,
-    pmultiply,
-    product_oracle,
     project,
     truncation_basis,
-    unit_vector,
 )
 from .wreath import (
     ClassLabel,
@@ -81,7 +84,6 @@ from .wreath import (
     class_label_representative,
     class_members,
     conjugate,
-    conjugation_orbits,
     d_type_membership,
     element_str,
     enumerate_elements,

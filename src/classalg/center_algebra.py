@@ -5,13 +5,16 @@ labels with alpha <= l.  A structure constant S(c1, c2, c; l) counts the x
 in class c1 with x^-1 h in class c2, for one fixed h in class c: the
 members of c1 are generated straight from their label and each is
 multiplied against h once, so no level group is enumerated and no product
-table is built.  Correctness against literal class-sum multiplication is
-part of the test suite.
+table is built.  Class sizes come from the centralizer order in closed
+form.  Correctness against literal class-sum multiplication and against
+enumerated classes is part of the test suite.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial
 
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup
@@ -19,19 +22,28 @@ from .partial_algebra import AlgebraVector
 from .wreath import (
     ClassLabel,
     check_budget,
+    group_order,
     labels_with_alpha_up_to,
-    level_group,
     representative_factors,
 )
 
 
 def class_size(c: ClassLabel, l: int, F: FiniteGroup,
                budget: int | None = None) -> int:
-    """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l)."""
+    """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l).
+
+    The group order over the centralizer order: with m the multiplicity of
+    each pair (r, k) in c padded by (1, 0) pairs to l points, and K_k the
+    k-th class of F, the centralizer has prod m! (r |F| / |K_k|)^m elements.
+    """
     if c.alpha > l:
         return 0
-    G = level_group(F, l, budget)
-    return len(G.by_label.get(c, ()))
+    check_budget(F, l, budget)
+    base_class_size = Counter(F.class_of)
+    centralizer = 1
+    for (r, k), m in Counter(c.pairs + ((1, 0),) * (l - c.alpha)).items():
+        centralizer *= factorial(m) * (r * F.order // base_class_size[k]) ** m
+    return group_order(F, l) // centralizer
 
 
 @lru_cache(maxsize=None)
@@ -76,29 +88,3 @@ def center_product(
                 if S:
                     out[c] = out.get(c, 0) + x * y * S
     return AlgebraVector.make(l, out)
-
-
-def center_product_oracle(
-    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None,
-) -> dict[ClassLabel, int]:
-    """Literal class-sum multiplication in the group algebra at level l,
-    tallied elementwise and reduced to per-class coefficients."""
-    G = level_group(F, l, budget)
-    ids1 = G.by_label.get(c1, ())
-    ids2 = G.by_label.get(c2, ())
-    tally = [0] * G.order
-    for i in ids1:
-        for j in ids2:
-            tally[G.mul(i, j)] += 1
-    out: dict[ClassLabel, int] = {}
-    for lab, ids in G.by_label.items():
-        vals = {tally[i] for i in ids}
-        if len(vals) != 1:
-            raise ArithmeticError(
-                f"class-sum product is not constant on class {lab}"
-            )
-        v = vals.pop()
-        if v:
-            out[lab] = v
-    return out

@@ -14,7 +14,6 @@ conditions that the whole construction rests on, by orbit enumeration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -25,7 +24,6 @@ from .partial_algebra import (
     AlgebraVector,
     OmegaLabel,
     PartialElement,
-    enumerate_omega_class,
     p_constant,
     partial_str,
 )
@@ -34,11 +32,8 @@ from .wreath import (
     GroupElement,
     apply_perm_to_mask,
     check_budget,
-    class_label_representative,
     d_type_membership,
-    level_group,
     mask_str,
-    support,
 )
 
 
@@ -49,38 +44,6 @@ def xi_closed_form(lp: int, c: ClassLabel, l: int) -> int:
     if not a <= lp <= l:
         return 0
     return comb(l - a, lp - a)
-
-
-def xi_count_oracle(
-    lp: int, c: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None, all_members: bool = False,
-) -> int:
-    """Count the windows by literal subset enumeration.
-
-    With all_members=True the count is recomputed at every element of the
-    class in F wr S_l (requires enumerating the level) and must agree.
-    """
-    if c.alpha > l or not 0 <= lp <= l:
-        return 0
-
-    def count_for(h: GroupElement) -> int:
-        sup = support(h, F)
-        total = 0
-        for combo in itertools.combinations(range(l), lp):
-            d = 0
-            for j in combo:
-                d |= 1 << j
-            if sup & ~d == 0:
-                total += 1
-        return total
-
-    if not all_members:
-        return count_for(class_label_representative(c, F, l))
-    G = level_group(F, l, budget)
-    counts = {count_for(G.elements[i]) for i in G.by_label.get(c, ())}
-    if len(counts) != 1:
-        raise ArithmeticError(f"window count is not constant on class {c}")
-    return counts.pop()
 
 
 @dataclass(frozen=True)
@@ -125,26 +88,17 @@ def verify_main_lemma(
 class RSystem:
     """The unipotent triangular system (1 + R) P = S on levels m..M.
 
-    Row i corresponds to level levels[i]; r[i][j] = xi(levels[j], c; levels[i])
-    below the diagonal and 0 elsewhere; svec[i] =
-    xi(l1,c1;levels[i]) xi(l2,c2;levels[i]) S(c1,c2,c;levels[i]).
+    Row i corresponds to level levels[i]; R holds xi(levels[j], c; levels[i])
+    below the diagonal, read in closed form when the system is solved;
+    svec[i] = xi(l1,c1;levels[i]) xi(l2,c2;levels[i]) S(c1,c2,c;levels[i]).
     """
 
     omega1: OmegaLabel
     omega2: OmegaLabel
     c: ClassLabel
     levels: tuple[int, ...]
-    r: tuple[tuple[int, ...], ...]
     svec: tuple[int, ...]
     pvec: tuple[int, ...] | None = None
-
-    @property
-    def m(self) -> int:
-        return self.levels[0]
-
-    @property
-    def M(self) -> int:
-        return self.levels[-1]
 
 
 def build_r_system(
@@ -155,30 +109,24 @@ def build_r_system(
     M = omega1.l + omega2.l
     check_budget(F, M, budget)
     levels = tuple(range(m, M + 1))
-    r = tuple(
-        tuple(
-            xi_closed_form(levels[j], c, levels[i]) if j < i else 0
-            for j in range(len(levels))
-        )
-        for i in range(len(levels))
-    )
     svec = tuple(
         xi_closed_form(omega1.l, omega1.c, l)
         * xi_closed_form(omega2.l, omega2.c, l)
         * s_constant(omega1.c, omega2.c, c, l, F, budget)
         for l in levels
     )
-    return RSystem(omega1, omega2, c, levels, r, svec)
+    return RSystem(omega1, omega2, c, levels, svec)
 
 
 def solve_p_from_s(system: RSystem) -> RSystem:
     """Forward substitution: unipotent lower-triangular systems over the
     integers have a unique integer solution."""
+    levels = system.levels
     p: list[int] = []
-    for i in range(len(system.levels)):
+    for i in range(len(levels)):
         acc = system.svec[i]
         for j in range(i):
-            acc -= system.r[i][j] * p[j]
+            acc -= xi_closed_form(levels[j], system.c, levels[i]) * p[j]
         p.append(acc)
     return replace(system, pvec=tuple(p))
 
@@ -230,19 +178,6 @@ def phi(
     return {l: AlgebraVector.make(l, out[l]) for l in range(N + 1)}
 
 
-def phi_oracle(
-    omega: OmegaLabel, l: int, F: FiniteGroup, budget: int | None = None
-) -> list[int]:
-    """Literal image of the class sum of omega in the group algebra at level
-    l: sum every partial element of the class with window inside {1..l},
-    forgetting windows.  Returns the per-element tally."""
-    G = level_group(F, l, budget)
-    tally = [0] * G.order
-    for p in enumerate_omega_class(omega, (1 << l) - 1, F, l, budget):
-        tally[G.index[p.h]] += 1
-    return tally
-
-
 def phi_preimage(
     target_c: ClassLabel, target_l: int, N: int, F: FiniteGroup,
 ) -> AlgebraVector:
@@ -269,9 +204,6 @@ def phi_preimage(
 
 
 # --- families and the admissibility audit ---
-
-FAMILY_KINDS = ("symmetric", "wreath", "d_type")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -391,6 +323,9 @@ def admissibility_audit(
     under the top-level group must already be conjugate under the window's
     own group.  The first violating pair in canonical order is reported.
     """
+    # the one production path that enumerates a whole level
+    from .wreath import level_group
+
     F = spec.base
     G = level_group(F, N, budget)
     admits = [spec.admits(a) for a in G.elements]

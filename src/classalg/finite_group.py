@@ -48,19 +48,6 @@ class FiniteGroup:
     def num_classes(self) -> int:
         return len(self.class_reps)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def invert(self, a: int) -> int:
-        return self.inv[a]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mult[self.mult[g][x]][self.inv[g]]
-
-    def name_of(self, x: int) -> str:
-        return self.names[x]
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, classes={self.num_classes})"
 

@@ -1,0 +1,278 @@
+"""Brute-force references that the tests check the production paths against.
+
+Every function here enumerates a whole level (or every window of one) and
+so costs time and memory that grow like |F|^n n!.  None of them reads a
+class's members through class_members: members come from a fully
+enumerated LevelGroup, products are made elementwise, and orbits are
+closed under conjugation.  The structure constants, class sizes and the
+CLI apart from `xi --oracle` never call into this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import LevelMismatch
+from .finite_group import FiniteGroup, orbit_partition
+from .partial_algebra import OmegaLabel, PartialElement, _pair_count
+from .wreath import (
+    ClassLabel,
+    GroupElement,
+    apply_perm_to_mask,
+    check_budget,
+    class_label,
+    class_label_representative,
+    factor_supports,
+    identity_element,
+    level_group,
+    mask_points,
+    multiply,
+    support,
+)
+
+
+# --- wreath products ---
+
+def _wreath_generators(F: FiniteGroup, n: int) -> list[GroupElement]:
+    """A generating set of F wr S_n: the transposition (1 2), the n-cycle
+    (1 2 ... n), and every element of F decorating point 1."""
+    e = identity_element(F, n)
+    gens = []
+    if n >= 2:
+        swap = (1, 0) + e.perm[2:]
+        gens.append(GroupElement(n, swap, e.deco))
+        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
+    if n >= 1:
+        gens.extend(
+            GroupElement(n, e.perm, (f,) + e.deco[1:])
+            for f in range(F.order)
+            if f != F.identity
+        )
+    return gens
+
+
+def conjugation_orbits(
+    F: FiniteGroup, n: int, budget: int | None = None
+) -> list[tuple[int, ...]]:
+    """Conjugacy classes of F wr S_n as orbits of element indices.
+
+    Pure orbit enumeration, independent of class_label; this is the oracle
+    the label invariant is tested against.  Closing under conjugation by a
+    generating set of a finite group gives the orbits under the whole group.
+    """
+    G = level_group(F, n, budget)
+    gens = [G.index[g] for g in _wreath_generators(F, n)]
+    orbit_of = orbit_partition(
+        range(G.order), lambda y: [G.conj(g, y) for g in gens]
+    )
+    orbits: list[list[int]] = [[] for _ in range(max(orbit_of.values()) + 1)]
+    for x in range(G.order):
+        orbits[orbit_of[x]].append(x)
+    return [tuple(o) for o in orbits]
+
+
+# --- centers ---
+
+def center_product_oracle(
+    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup,
+    budget: int | None = None,
+) -> dict[ClassLabel, int]:
+    """Literal class-sum multiplication in the group algebra at level l,
+    tallied elementwise and reduced to per-class coefficients."""
+    G = level_group(F, l, budget)
+    ids1 = G.by_label.get(c1, ())
+    ids2 = G.by_label.get(c2, ())
+    tally = [0] * G.order
+    for i in ids1:
+        for j in ids2:
+            tally[G.mul(i, j)] += 1
+    out: dict[ClassLabel, int] = {}
+    for lab, ids in G.by_label.items():
+        vals = {tally[i] for i in ids}
+        if len(vals) != 1:
+            raise ArithmeticError(
+                f"class-sum product is not constant on class {lab}"
+            )
+        v = vals.pop()
+        if v:
+            out[lab] = v
+    return out
+
+
+# --- partial elements ---
+
+def pmultiply(a: PartialElement, b: PartialElement, F: FiniteGroup) -> PartialElement:
+    """(d', h') * (d'', h'') = (d' | d'', h'h''); windows join in the subset order."""
+    if a.h.n != b.h.n:
+        raise LevelMismatch(f"levels differ: {a.h.n} != {b.h.n}")
+    return PartialElement(a.d | b.d, multiply(a.h, b.h, F))
+
+
+def omega_of(p: PartialElement, F: FiniteGroup) -> OmegaLabel:
+    return OmegaLabel(bin(p.d).count("1"), class_label(p.h, F))
+
+
+def enumerate_partial_elements(
+    F: FiniteGroup, N: int, budget: int | None = None
+) -> list[PartialElement]:
+    """All partial elements at level N, in canonical order
+    (window size, window bits, element order)."""
+    G = level_group(F, N, budget)
+    masks = sorted(range(1 << N), key=lambda m: (bin(m).count("1"), m))
+    return [
+        PartialElement(d, G.elements[i])
+        for d in masks
+        for i in range(G.order)
+        if G.sup[i] & ~d == 0
+    ]
+
+
+def enumerate_omega_class(
+    omega: OmegaLabel, within: int, F: FiniteGroup, N: int,
+    budget: int | None = None,
+) -> list[PartialElement]:
+    """The partial elements of class omega whose window lies inside `within`."""
+    G = level_group(F, N, budget)
+    ids = G.by_label.get(omega.c, ())
+    pts = mask_points(within)
+    out = []
+    for combo in itertools.combinations(pts, omega.l):
+        d = 0
+        for j in combo:
+            d |= 1 << j
+        for i in ids:
+            if G.sup[i] & ~d == 0:
+                out.append(PartialElement(d, G.elements[i]))
+    out.sort(key=PartialElement.sort_key)
+    return out
+
+
+def product_oracle(
+    o1: OmegaLabel, o2: OmegaLabel, F: FiniteGroup, N: int,
+    budget: int | None = None,
+) -> dict[OmegaLabel, int]:
+    """Brute-force class-sum product: multiply every pair from the two
+    classes at level N and tally results by class.  The tally must be
+    constant on classes; returns the per-class coefficients."""
+    cls1 = enumerate_omega_class(o1, (1 << N) - 1, F, N, budget)
+    cls2 = enumerate_omega_class(o2, (1 << N) - 1, F, N, budget)
+    tally: dict[PartialElement, int] = {}
+    for p1 in cls1:
+        for p2 in cls2:
+            q = pmultiply(p1, p2, F)
+            tally[q] = tally.get(q, 0) + 1
+    out: dict[OmegaLabel, int] = {}
+    sizes: dict[OmegaLabel, int] = {}
+    for q, cnt in tally.items():
+        w = omega_of(q, F)
+        out[w] = out.get(w, 0) + cnt
+        sizes[w] = sizes.get(w, 0) + 1
+    coeffs: dict[OmegaLabel, int] = {}
+    for w, total in out.items():
+        size = len(enumerate_omega_class(w, (1 << N) - 1, F, N, budget))
+        if total % size:
+            raise ArithmeticError(
+                f"product of class sums is not a class function at {w}"
+            )
+        # every member of the class must appear, with a uniform count
+        if sizes[w] != size:
+            raise ArithmeticError(
+                f"class {w} only partially covered by the product"
+            )
+        coeffs[w] = total // size
+    return coeffs
+
+
+def partial_orbit_oracle(
+    F: FiniteGroup, N: int, budget: int | None = None
+) -> list[tuple[PartialElement, ...]]:
+    """Orbits of partial elements at level N under simultaneous conjugation
+    g.(d, h) = (g d, g h g^-1).  Independent of omega labels; this is the
+    oracle the omega invariant is tested against."""
+    G = level_group(F, N, budget)
+    pes = enumerate_partial_elements(F, N, budget)
+    index = {p: i for i, p in enumerate(pes)}
+
+    def successors(y: int) -> list[int]:
+        p = pes[y]
+        hi = G.index[p.h]
+        return [
+            index[PartialElement(
+                apply_perm_to_mask(G.elements[g].perm, p.d),
+                G.elements[G.conj(g, hi)],
+            )]
+            for g in range(G.order)
+        ]
+
+    orbit_of = orbit_partition(range(len(pes)), successors)
+    orbits: list[list[PartialElement]] = [
+        [] for _ in range(max(orbit_of.values()) + 1)
+    ]
+    for y, p in enumerate(pes):
+        orbits[orbit_of[y]].append(p)
+    return [tuple(o) for o in orbits]
+
+
+def p_constant_all_representatives(
+    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup,
+    budget: int | None = None,
+) -> list[int]:
+    """The pair count computed at every member of class o, taken from the
+    enumerated level, not just at the canonical representative.  Used to
+    test representative independence."""
+    if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
+        return []
+    G = level_group(F, o.l, budget)
+    return [
+        _pair_count(o.l, o1, o2, factor_supports(o1.c, G.elements[i], F))
+        for i in G.by_label.get(o.c, ())
+    ]
+
+
+# --- the correspondence ---
+
+def xi_count_oracle(
+    lp: int, c: ClassLabel, l: int, F: FiniteGroup,
+    budget: int | None = None, all_members: bool = False,
+) -> int:
+    """Count the windows of size lp holding a fixed element of class c
+    inside {1..l} by literal subset enumeration.
+
+    With all_members=True the count is recomputed at every element of the
+    class in F wr S_l (requires enumerating the level) and must agree.
+    """
+    if c.alpha > l or not 0 <= lp <= l:
+        return 0
+    check_budget(F, l, budget)
+
+    def count_for(h: GroupElement) -> int:
+        sup = support(h, F)
+        total = 0
+        for combo in itertools.combinations(range(l), lp):
+            d = 0
+            for j in combo:
+                d |= 1 << j
+            if sup & ~d == 0:
+                total += 1
+        return total
+
+    if not all_members:
+        return count_for(class_label_representative(c, F, l))
+    G = level_group(F, l, budget)
+    counts = {count_for(G.elements[i]) for i in G.by_label.get(c, ())}
+    if len(counts) != 1:
+        raise ArithmeticError(f"window count is not constant on class {c}")
+    return counts.pop()
+
+
+def phi_oracle(
+    omega: OmegaLabel, l: int, F: FiniteGroup, budget: int | None = None
+) -> list[int]:
+    """Literal image of the class sum of omega in the group algebra at level
+    l: sum every partial element of the class with window inside {1..l},
+    forgetting windows.  Returns the per-element tally."""
+    G = level_group(F, l, budget)
+    tally = [0] * G.order
+    for p in enumerate_omega_class(omega, (1 << l) - 1, F, l, budget):
+        tally[G.index[p.h]] += 1
+    return tally

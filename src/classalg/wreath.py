@@ -9,8 +9,8 @@ point.  The product convention is fixed once here and used everywhere:
 
 Conjugacy classes are labeled by the multiset of (cycle length, F-class of
 the cycle product), with (1, identity-class) pairs dropped.  That this is a
-complete invariant is checked against brute-force conjugation orbits in the
-test suite, never assumed.
+complete invariant is checked against brute-force conjugation orbits
+(classalg.oracles) in the test suite, never assumed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     WrongBaseGroup,
 )
-from .finite_group import FiniteGroup, cycle_str, cycles, orbit_partition
+from .finite_group import FiniteGroup, cycle_str, cycles
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -351,8 +351,8 @@ class LevelGroup:
 
     elements is the canonical ordering; index maps each element back.  A
     product multiplies the two elements and looks the result up in index;
-    no product table is kept.  The structure constants never build one of
-    these: the audit and the test oracles do.
+    no product table is kept.  The structure constants and class sizes
+    never build one of these: the audit and classalg.oracles do.
     """
 
     def __init__(self, F: FiniteGroup, n: int):
@@ -396,41 +396,3 @@ def _level_group_cached(F: FiniteGroup, n: int) -> LevelGroup:
 def level_group(F: FiniteGroup, n: int, budget: int | None = None) -> LevelGroup:
     check_budget(F, n, budget)
     return _level_group_cached(F, n)
-
-
-def _wreath_generators(F: FiniteGroup, n: int) -> list[GroupElement]:
-    """A generating set of F wr S_n: the transposition (1 2), the n-cycle
-    (1 2 ... n), and every element of F decorating point 1."""
-    e = identity_element(F, n)
-    gens = []
-    if n >= 2:
-        swap = (1, 0) + e.perm[2:]
-        gens.append(GroupElement(n, swap, e.deco))
-        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
-    if n >= 1:
-        gens.extend(
-            GroupElement(n, e.perm, (f,) + e.deco[1:])
-            for f in range(F.order)
-            if f != F.identity
-        )
-    return gens
-
-
-def conjugation_orbits(
-    F: FiniteGroup, n: int, budget: int | None = None
-) -> list[tuple[int, ...]]:
-    """Conjugacy classes of F wr S_n as orbits of element indices.
-
-    Pure orbit enumeration, independent of class_label; this is the oracle
-    the label invariant is tested against.  Closing under conjugation by a
-    generating set of a finite group gives the orbits under the whole group.
-    """
-    G = level_group(F, n, budget)
-    gens = [G.index[g] for g in _wreath_generators(F, n)]
-    orbit_of = orbit_partition(
-        range(G.order), lambda y: [G.conj(g, y) for g in gens]
-    )
-    orbits: list[list[int]] = [[] for _ in range(max(orbit_of.values()) + 1)]
-    for x in range(G.order):
-        orbits[orbit_of[x]].append(x)
-    return [tuple(o) for o in orbits]

@@ -16,17 +16,20 @@ from classalg.correspondence import (
     FamilySpec,
     admissibility_audit,
     xi_closed_form,
-    xi_count_oracle,
 )
 from classalg.finite_group import TRIVIAL, builtin_group
+from classalg.oracles import (
+    conjugation_orbits,
+    enumerate_partial_elements,
+    omega_of,
+    partial_orbit_oracle,
+    xi_count_oracle,
+)
 from classalg.partial_algebra import (
     OmegaLabel,
     basis_vector,
-    enumerate_partial_elements,
     ik_product,
-    omega_of,
     p_constant,
-    partial_orbit_oracle,
 )
 from classalg.suites import (
     audit_suite,
@@ -35,12 +38,7 @@ from classalg.suites import (
     phi_suite,
     tower_suite,
 )
-from classalg.wreath import (
-    ClassLabel,
-    conjugation_orbits,
-    labels_with_alpha_up_to,
-    level_group,
-)
+from classalg.wreath import ClassLabel, labels_with_alpha_up_to, level_group
 
 Z2 = builtin_group("cyclic(2)")
 

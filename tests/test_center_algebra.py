@@ -17,7 +17,7 @@ from classalg import (
     s_constant,
 )
 from classalg.finite_group import TRIVIAL
-from user_groups import DIHEDRAL8, SYM3_SHIFTED
+from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -53,6 +53,31 @@ def test_class_sizes():
     for F, l in ((TRIVIAL, 4), (Z2, 3)):
         total = sum(class_size(c, l, F) for c in labels_with_alpha_up_to(l, F))
         assert total == level_group(F, l).order
+
+
+_SIZE_BASES = {
+    "sym": (TRIVIAL, 6),
+    "cyclic2": (Z2, 4),
+    "cyclic3": (builtin_group("cyclic3"), 3),
+    "sym3": (builtin_group("sym3"), 3),
+    "sym3-shifted": (SYM3_SHIFTED, 3),
+    "dihedral8": (DIHEDRAL8, 3),
+    "quaternion": (QUATERNION, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "name,l",
+    [(name, l) for name, (_, top) in _SIZE_BASES.items() for l in range(top + 1)],
+)
+def test_class_size_matches_enumeration(name, l):
+    """The closed-form class size equals the size of the class in the
+    enumerated level, for every label, including labels the level has no
+    room for."""
+    F = _SIZE_BASES[name][0]
+    G = level_group(F, l)
+    for c in labels_with_alpha_up_to(l + 1, F):
+        assert class_size(c, l, F) == len(G.by_label.get(c, ())), (c, l)
 
 
 def test_s_constant_symmetric_group_example():

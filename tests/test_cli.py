@@ -111,11 +111,13 @@ def test_sconst(capsys):
          "--omega1", "4:[3]", "--omega2", "3:[2]"),
         ("sconst", "--family", "wreath:sym3", "--l", "3",
          "--c1", "[(2,1)]", "--c2", "[(1,2)]"),
+        ("classes", "--family", "sym", "--level", "9"),
     ],
 )
 def test_constant_queries_build_no_level_group(capsys, argv):
-    """S and P are counted over class members generated from labels; a
-    query never enumerates a whole level."""
+    """S and P are counted over class members generated from labels, and
+    class sizes come in closed form; a query never enumerates a whole
+    level."""
     _level_group_cached.cache_clear()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
@@ -235,6 +237,13 @@ def test_budget_exit_3(capsys):
         "--budget-elements", "5",
     )
     assert code == 3
+    # the subset recount is bounded like sconst at the same level
+    code, out, err = run(
+        capsys, "xi", "--lprime", "10", "--class", "[]", "--l", "26",
+        "--oracle", "--budget-elements", "100",
+    )
+    assert code == 3
+    assert err.startswith("error:") and out == ""
 
 
 def test_verify_all_text(capsys):

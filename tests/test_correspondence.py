@@ -133,7 +133,8 @@ def test_main_lemma_diagonal_reduces_to_s_equals_p():
 def test_r_system_frozen_example():
     system = solve_p_from_s(build_r_system(OM(1, []), OM(1, []), CL([]), TRIVIAL))
     assert system.levels == (1, 2)
-    assert system.r == ((0, 0), (2, 0))
+    # the one entry of R below the diagonal: two windows of size 1 at level 2
+    assert xi_closed_form(1, CL([]), 2) == 2
     assert system.svec == (1, 4)
     assert system.pvec == (1, 2)
 
@@ -146,11 +147,16 @@ def test_r_system_with_gap():
 
 
 def test_r_system_strictly_lower_triangular():
+    """1 + R is unipotent lower triangular: xi(levels[j], c; levels[i]) is
+    1 on the diagonal and 0 above it, so forward substitution reads only
+    the entries below."""
     system = build_r_system(OM(2, [2]), OM(1, []), CL([2]), TRIVIAL)
-    k = len(system.levels)
-    for i in range(k):
-        for j in range(i, k):
-            assert system.r[i][j] == 0
+    levels = system.levels
+    assert levels == (2, 3)
+    for i in range(len(levels)):
+        assert xi_closed_form(levels[i], CL([2]), levels[i]) == 1
+        for j in range(i + 1, len(levels)):
+            assert xi_closed_form(levels[j], CL([2]), levels[i]) == 0
 
 
 def test_inversion_record():
