@@ -5,9 +5,11 @@ labels with alpha <= l.  A structure constant S(c1, c2, c; l) counts the x
 in class c1 with x^-1 h in class c2, for one fixed h in class c: the
 members of c1 are generated straight from their label and each is
 multiplied against h once, so no level group is enumerated and no product
-table is built.  Class sizes come from the centralizer order in closed
-form.  Correctness against literal class-sum multiplication and against
-enumerated classes is part of the test suite.
+table is built.  Grouping the members by the label of x^-1 h gives the
+whole S row of (c1, c), one count for every c2, stored by label id.  Class
+sizes come from the centralizer order in closed form.  Correctness
+against literal class-sum multiplication and against enumerated classes
+is part of the test suite.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .wreath import (
     ClassLabel,
     check_budget,
     group_order,
+    label_ids,
     labels_with_alpha_up_to,
     representative_factors,
 )
@@ -47,11 +50,15 @@ def class_size(c: ClassLabel, l: int, F: FiniteGroup,
 
 
 @lru_cache(maxsize=None)
-def _s_constant(
-    c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
-) -> int:
-    # budget was checked by the caller before entering the cache
-    return len(representative_factors(c1, c, l, F).get(c2, ()))
+def s_row(c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup) -> tuple[int, ...]:
+    """S(c1, c2, c; l) for every label c2 with alpha <= l, by label id: the
+    sizes of the groups of representative_factors(c1, c, l).  The caller
+    checks the budget."""
+    row = [0] * len(labels_with_alpha_up_to(l, F))
+    ids = label_ids(l, F)
+    for c2, members in representative_factors(c1, c, l, F).items():
+        row[ids[c2]] = len(members)
+    return tuple(row)
 
 
 def s_constant(
@@ -65,7 +72,7 @@ def s_constant(
     if c1.alpha > l or c2.alpha > l or c.alpha > l:
         return 0
     check_budget(F, l, budget)
-    return _s_constant(c1, c2, c, l, F)
+    return s_row(c1, c, l, F)[label_ids(l, F)[c2]]
 
 
 def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:
@@ -80,11 +87,15 @@ def center_product(
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     l = a.level
-    out: dict[ClassLabel, int] = {}
+    labels = labels_with_alpha_up_to(l, F)
+    if a.terms and b.terms:
+        check_budget(F, l, budget)
+    ids = label_ids(l, F)
+    second = [(ids[c2], y) for c2, y in b.terms]
+    acc = [0] * len(labels)
     for c1, x in a.terms:
-        for c2, y in b.terms:
-            for c in labels_with_alpha_up_to(l, F):
-                S = s_constant(c1, c2, c, l, F, budget)
-                if S:
-                    out[c] = out.get(c, 0) + x * y * S
-    return AlgebraVector.make(l, out)
+        for i, c in enumerate(labels):
+            row = s_row(c1, c, l, F)
+            acc[i] += x * sum(y * row[j] for j, y in second)
+    # label order is the vectors' sort order
+    return AlgebraVector(l, tuple((c, v) for c, v in zip(labels, acc) if v))

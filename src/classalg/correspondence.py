@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .center_algebra import s_constant
+from .center_algebra import s_constant, s_row
 from .errors import InvalidLabel, LevelMismatch, ParseError
 from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
@@ -25,6 +25,7 @@ from .partial_algebra import (
     OmegaLabel,
     PartialElement,
     p_constant,
+    p_row,
     partial_str,
 )
 from .wreath import (
@@ -33,6 +34,8 @@ from .wreath import (
     apply_perm_to_mask,
     check_budget,
     d_type_membership,
+    label_ids,
+    labels_with_alpha_up_to,
     mask_str,
 )
 
@@ -64,23 +67,50 @@ class MainLemmaRecord:
         return self.lhs == self.rhs
 
 
+def main_lemma_row(
+    w1: OmegaLabel, l: int, c: ClassLabel, F: FiniteGroup,
+) -> list[list[tuple[int, int]]]:
+    """Both sides of the diagonal identity for the first class w1 and the
+    target c(l), for every second class (l2, c2) with l2 <= l, as
+    row[l2][id of c2] = (lhs, rhs).
+
+    One S row and one P row per window size lt serve every second class.
+    The caller checks the budget at level l.
+    """
+    labels = labels_with_alpha_up_to(l, F)
+    x1 = xi_closed_form(w1.l, w1.c, l)
+    S = s_row(w1.c, c, l, F) if x1 else None
+    # P((l1,c1), (l2,c2), (lt,c)) vanishes unless l2 <= lt <= l1 + l2, and
+    # the row reads 0 where lt > l1 + l2
+    prows = [
+        (lt, xi_closed_form(lt, c, l), p_row(w1, OmegaLabel(lt, c), F))
+        for lt in range(max(w1.l, c.alpha), l + 1)
+    ]
+    out = []
+    for l2 in range(l + 1):
+        cells = []
+        for j in range(len(labels_with_alpha_up_to(l2, F))):
+            x2 = xi_closed_form(l2, labels[j], l) if x1 else 0
+            lhs = x1 * x2 * S[j] if x2 else 0
+            rhs = sum(x * row[j][l2] for lt, x, row in prows if lt >= l2)
+            cells.append((lhs, rhs))
+        out.append(cells)
+    return out
+
+
 def verify_main_lemma(
     l1: int, c1: ClassLabel, l2: int, c2: ClassLabel,
     l: int, c: ClassLabel, F: FiniteGroup, budget: int | None = None,
 ) -> MainLemmaRecord:
     """Check xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l) =
-    sum over lt of xi(lt,c;l) P((l1,c1),(l2,c2),(lt,c)) as exact integers."""
-    x1 = xi_closed_form(l1, c1, l)
-    x2 = xi_closed_form(l2, c2, l)
-    lhs = x1 * x2 * s_constant(c1, c2, c, l, F, budget) if x1 and x2 else 0
-    rhs = 0
-    if c1.alpha <= l1 and c2.alpha <= l2:
-        w1 = OmegaLabel(l1, c1)
-        w2 = OmegaLabel(l2, c2)
-        for lt in range(max(l1, l2, c.alpha), min(l, l1 + l2) + 1):
-            x = xi_closed_form(lt, c, l)
-            if x:
-                rhs += x * p_constant(w1, w2, OmegaLabel(lt, c), F, budget)
+    sum over lt of xi(lt,c;l) P((l1,c1),(l2,c2),(lt,c)) as exact integers,
+    read from main_lemma_row.  Both sides are 0 when a label does not fit
+    its window or the second window does not fit level l."""
+    lhs = rhs = 0
+    if c1.alpha <= l1 and c2.alpha <= l2 <= l and c.alpha <= l:
+        check_budget(F, l, budget)
+        row = main_lemma_row(OmegaLabel(l1, c1), l, c, F)
+        lhs, rhs = row[l2][label_ids(l2, F)[c2]]
     return MainLemmaRecord(l1, c1, l2, c2, l, c, lhs, rhs)
 
 

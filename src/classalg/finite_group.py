@@ -27,13 +27,17 @@ from .errors import (
 DEFAULT_MAX_ORDER = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A validated finite group on element indices 0..order-1.
 
     class_of[x] is the conjugacy-class index of x; class 0 is the class of
     the identity, and the remaining classes are ordered by their minimal
     element index.  names holds one display string per element.
+
+    Groups compare and hash by identity, so the caches keyed on a group
+    never hash its multiplication table.  Two separately loaded copies of
+    the same table are therefore distinct keys and fill their own caches.
     """
 
     order: int

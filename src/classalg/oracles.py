@@ -4,17 +4,21 @@ Every function here enumerates a whole level (or every window of one) and
 so costs time and memory that grow like |F|^n n!.  None of them reads a
 class's members through class_members: members come from a fully
 enumerated LevelGroup, products are made elementwise, and orbits are
-closed under conjugation.  The structure constants, class sizes and the
-CLI apart from `xi --oracle` never call into this module.
+closed under conjugation.  The one exception is _pair_count, the
+window-by-window P count over a grouping that factor_supports made, kept
+as the reference for the row count in partial_algebra.p_row.  The
+structure constants, class sizes and the CLI apart from `xi --oracle`
+never call into this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup, orbit_partition
-from .partial_algebra import OmegaLabel, PartialElement, _pair_count
+from .partial_algebra import OmegaLabel, PartialElement
 from .wreath import (
     ClassLabel,
     GroupElement,
@@ -211,6 +215,34 @@ def partial_orbit_oracle(
     for y, p in enumerate(pes):
         orbits[orbit_of[y]].append(p)
     return [tuple(o) for o in orbits]
+
+
+def _pair_count(
+    l: int, o1: OmegaLabel, o2: OmegaLabel,
+    factors: dict[ClassLabel, tuple[int, ...]],
+) -> int:
+    """Factorizations of the partial element ({1..l}, h) at level l into a
+    product from classes o1 and o2, where factors = factor_supports(o1.c, h).
+    """
+    full = (1 << l) - 1
+    total = 0
+    for combo in itertools.combinations(range(l), o1.l):
+        d1 = 0
+        for j in combo:
+            d1 |= 1 << j
+        rest = full & ~d1
+        for packed in factors.get(o2.c, ()):
+            # support(x) must lie in the first window
+            if packed & rest:
+                continue
+            need = rest | packed >> l
+            nb = bin(need).count("1")
+            if nb > o2.l:
+                continue
+            # any window of size l'' containing `need` works; the free
+            # points may sit anywhere in the l available ones
+            total += comb(l - nb, o2.l - nb)
+    return total
 
 
 def p_constant_all_representatives(

@@ -4,17 +4,25 @@ A partial element is a pair (d, h): a window d (bitmask of points) and a
 group element h supported inside d.  Its class under simultaneous
 conjugation is labeled by omega = (l, c) where l = |d| and c is the class
 label of h.  The product of class sums expands with nonnegative integer
-structure constants P; p_constant computes them by direct pair counting
-over a fixed representative h, window by window, against the members of
-the first class generated from its label (each multiplied by h once), so
-no level group is enumerated and no product table is built.  Enumerating
-partial elements and multiplying them pairwise is left to classalg.oracles.
+structure constants P, which do not depend on the truncation level.
+
+P is counted a row at a time.  For a first class omega1 and a target
+omega, p_row fixes one representative h of omega and makes one pass over
+the windows of size l1 and the members x of the first class (generated
+from its label, each multiplied by h once), grouped by the label of
+x^-1 h; that pass gives P(omega1, omega2, omega) for every omega2 at once.
+Rows are stored by label id, a label's position in
+labels_with_alpha_up_to, so sweeps index lists instead of hashing labels.
+No level group is enumerated and no product table is built; enumerating
+partial elements and multiplying them pairwise is left to
+classalg.oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -26,6 +34,7 @@ from .wreath import (
     GroupElement,
     check_budget,
     element_str,
+    label_ids,
     labels_with_alpha_up_to,
     mask_str,
     representative_factors,
@@ -161,45 +170,58 @@ def project(a: AlgebraVector, new_level: int) -> AlgebraVector:
         raise LevelMismatch(
             f"cannot project from level {a.level} up to {new_level}"
         )
-    return AlgebraVector.make(
-        new_level, {k: v for k, v in a.terms if k.l <= new_level}
+    # a sorted vector stays sorted when terms are dropped
+    return AlgebraVector(
+        new_level, tuple(t for t in a.terms if t[0].l <= new_level)
     )
 
 
-def _pair_count(
-    l: int, o1: OmegaLabel, o2: OmegaLabel,
-    factors: dict[ClassLabel, tuple[int, ...]],
-) -> int:
-    """Factorizations of the partial element ({1..l}, h) at level l into a
-    product from classes o1 and o2, where factors = factor_supports(o1.c, h).
+@lru_cache(maxsize=None)
+def p_row(
+    o1: OmegaLabel, o: OmegaLabel, F: FiniteGroup
+) -> tuple[tuple[int, ...], ...]:
+    """P(o1, (l2, c2), o) for every second class, as row[id of c2][l2] for
+    each label c2 with alpha <= o.l and each l2 <= o.l.
+
+    One pass over the windows of size o1.l in {1..o.l} and over the
+    grouping representative_factors(o1.c, o.c, o.l): a member x of c1 whose
+    support fits the window leaves nb = |rest | support(x^-1 h)| points,
+    rest the window's complement, that the second window must hold, and
+    its other l2 - nb points may sit anywhere, so that P is the sum over
+    nb of hist[nb] C(o.l - nb, l2 - nb).  The caller checks the budget.
     """
+    l = o.l
     full = (1 << l) - 1
-    total = 0
-    for combo in itertools.combinations(range(l), o1.l):
-        d1 = 0
-        for j in combo:
-            d1 |= 1 << j
-        rest = full & ~d1
-        for packed in factors.get(o2.c, ()):
-            # support(x) must lie in the first window
-            if packed & rest:
-                continue
-            need = rest | packed >> l
-            nb = bin(need).count("1")
-            if nb > o2.l:
-                continue
-            # any window of size l'' containing `need` works; the free
-            # points may sit anywhere in the l available ones
-            total += comb(l - nb, o2.l - nb)
-    return total
+    rests = [
+        full & ~sum(1 << j for j in combo)
+        for combo in itertools.combinations(range(l), o1.l)
+    ]
+    row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
+    ids = label_ids(l, F)
+    for c2, packed in representative_factors(o1.c, o.c, l, F).items():
+        hist = [0] * (l + 1)
+        # members with the same pair of supports count alike
+        for p, mult in Counter(packed).items():
+            sx, sy = p & full, p >> l
+            for rest in rests:
+                if not sx & rest:
+                    hist[(rest | sy).bit_count()] += mult
+        row[ids[c2]] = tuple(
+            sum(hist[nb] * comb(l - nb, l2 - nb) for nb in range(l2 + 1))
+            for l2 in range(l + 1)
+        )
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
-def _p_constant(
-    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
-) -> int:
-    # budget was checked by the caller before entering the cache
-    return _pair_count(o.l, o1, o2, representative_factors(o1.c, o.c, o.l, F))
+def p_rows(
+    o1: OmegaLabel, l: int, F: FiniteGroup
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The p_row of o1 into every target at level l >= o1.l, by the
+    target's label id.  The caller checks the budget."""
+    return tuple(
+        p_row(o1, OmegaLabel(l, c), F) for c in labels_with_alpha_up_to(l, F)
+    )
 
 
 def p_constant(
@@ -214,26 +236,39 @@ def p_constant(
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return 0
     check_budget(F, o.l, budget)
-    return _p_constant(o1, o2, o, F)
+    return p_row(o1, o, F)[label_ids(o.l, F)[o2.c]][o2.l]
 
 
 def ik_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup,
     budget: int | None = None,
 ) -> AlgebraVector:
-    """Product in the truncated class algebra at level N = a.level."""
+    """Product in the truncated class algebra at level N = a.level.
+
+    Level by level: the budget is checked once for each level l that some
+    pair of terms reaches, and each first factor reads the P rows of all
+    targets at that level at once.
+    """
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     N = a.level
-    out: dict[OmegaLabel, int] = {}
-    for w1, x in a.terms:
-        for w2, y in b.terms:
-            lo = max(w1.l, w2.l)
-            hi = min(N, w1.l + w2.l)
-            for l in range(lo, hi + 1):
-                for c in labels_with_alpha_up_to(l, F):
-                    P = p_constant(w1, w2, OmegaLabel(l, c), F, budget)
-                    if P:
-                        key = OmegaLabel(l, c)
-                        out[key] = out.get(key, 0) + x * y * P
-    return AlgebraVector.make(N, out)
+    terms = []
+    for l in range(N + 1):
+        pairs = [
+            (w1, w2, x * y)
+            for w1, x in a.terms
+            for w2, y in b.terms
+            if max(w1.l, w2.l) <= l <= w1.l + w2.l
+        ]
+        if not pairs:
+            continue
+        check_budget(F, l, budget)
+        labels = labels_with_alpha_up_to(l, F)
+        ids = label_ids(l, F)
+        acc = [0] * len(labels)
+        for w1, w2, xy in pairs:
+            j, l2 = ids[w2.c], w2.l
+            acc = [v + xy * row[j][l2] for v, row in zip(acc, p_rows(w1, l, F))]
+        # label order within a level is the vectors' sort order
+        terms.extend((OmegaLabel(l, c), v) for c, v in zip(labels, acc) if v)
+    return AlgebraVector(N, tuple(terms))

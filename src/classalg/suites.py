@@ -2,7 +2,11 @@
 
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a JSON-ready dict:
-summary counts plus one record per check.
+summary counts plus one record per check.  The sweeps read structure
+constants a row at a time: one S row of (c1, c) and one P row of
+(omega1, omega) serve every second class, indexed by label id (a label's
+position in labels_with_alpha_up_to), and the element budget is checked
+once per level rather than once per constant.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from .center_algebra import center_product
 from .correspondence import (
     FamilySpec,
     admissibility_audit,
+    main_lemma_row,
     phi,
     phi_preimage,
     verify_inversion,
-    verify_main_lemma,
 )
 from .finite_group import FiniteGroup
 from .partial_algebra import (
@@ -29,6 +33,7 @@ from .partial_algebra import (
 )
 from .wreath import (
     GroupElement,
+    check_budget,
     class_label,
     conjugate,
     labels_with_alpha_up_to,
@@ -56,29 +61,41 @@ def main_lemma_suite(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Check xi' xi'' S = sum xi P for every pair of class labels at level N
-    and every target class at every level l <= N."""
+    and every target class at every level l <= N.
+
+    For each first class and target, one main_lemma_row holds both sides
+    for every second class; the records come out in (first, second,
+    target) order."""
     F = spec.base
-    basis = truncation_basis(N, F)
+    for l in range(N + 1):
+        check_budget(F, l, budget)
+    labels = labels_with_alpha_up_to(N, F)
     # one display string per class label, shared by all records: the sweep
     # holds tens of thousands of them, and fresh strings dominate its memory
-    shown = {c: c.display(F) for c in labels_with_alpha_up_to(N, F)}
-    targets = [(l, c) for l in range(N + 1) for c in labels_with_alpha_up_to(l, F)]
+    shown = [c.display(F) for c in labels]
+    # (level, label id) of every class label at every level l <= N
+    basis = [
+        (l, j) for l in range(N + 1)
+        for j in range(len(labels_with_alpha_up_to(l, F)))
+    ]
     records = []
-    for w1 in basis:
-        for w2 in basis:
-            for l, c in targets:
-                rec = verify_main_lemma(w1.l, w1.c, w2.l, w2.c, l, c, F, budget)
+    for l1, i1 in basis:
+        w1 = OmegaLabel(l1, labels[i1])
+        rows = [main_lemma_row(w1, l, labels[i], F) for l, i in basis]
+        for l2, i2 in basis:
+            for (l, i), row in zip(basis, rows):
+                lhs, rhs = row[l2][i2] if l2 <= l else (0, 0)
                 records.append(
                     {
-                        "l1": w1.l,
-                        "c1": shown[w1.c],
-                        "l2": w2.l,
-                        "c2": shown[w2.c],
+                        "l1": l1,
+                        "c1": shown[i1],
+                        "l2": l2,
+                        "c2": shown[i2],
                         "l": l,
-                        "c": shown[c],
-                        "lhs": rec.lhs,
-                        "rhs": rec.rhs,
-                        "ok": rec.ok,
+                        "c": shown[i],
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "ok": lhs == rhs,
                     }
                 )
     return _suite_dict("main-lemma", spec, N, records)

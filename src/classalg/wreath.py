@@ -259,6 +259,14 @@ def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
 
 
 @lru_cache(maxsize=None)
+def label_ids(m: int, F: FiniteGroup) -> dict[ClassLabel, int]:
+    """The id of each label with alpha <= m: its position in
+    labels_with_alpha_up_to(m, F).  That list is sorted by (alpha, pairs),
+    so a label has the same id at every m >= alpha."""
+    return {c: i for i, c in enumerate(labels_with_alpha_up_to(m, F))}
+
+
+@lru_cache(maxsize=None)
 def _cycle_decorations(
     ln: int, k: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
@@ -333,8 +341,9 @@ def factor_supports(
 def representative_factors(
     c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
 ) -> dict[ClassLabel, tuple[int, ...]]:
-    """factor_supports at class_label_representative(c, F, l), cached: S for
-    every c2 and P for every pair of windows are read off this grouping."""
+    """factor_supports at class_label_representative(c, F, l), cached: the
+    S row of (c1, c) and the P rows of every (l1, c1) into (l, c) are read
+    off this grouping."""
     return factor_supports(c1, class_label_representative(c, F, l), F)
 
 

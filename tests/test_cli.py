@@ -5,7 +5,6 @@ import json
 import pytest
 
 from classalg.cli import main
-from classalg.correspondence import MainLemmaRecord
 from classalg.wreath import _level_group_cached
 
 Z3_FILE = {
@@ -302,10 +301,13 @@ def test_verify_dtype_all_skips_class_suites(capsys):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import classalg.suites as suites_mod
 
-    def broken(l1, c1, l2, c2, l, c, F, budget=None):
-        return MainLemmaRecord(l1, c1, l2, c2, l, c, 0, 1)
+    real = suites_mod.main_lemma_row
 
-    monkeypatch.setattr(suites_mod, "verify_main_lemma", broken)
+    # every right-hand side off by one, so every record the rows feed fails
+    def broken(w1, l, c, F):
+        return [[(lhs, rhs + 1) for lhs, rhs in cells] for cells in real(w1, l, c, F)]
+
+    monkeypatch.setattr(suites_mod, "main_lemma_row", broken)
     code, out, _ = run(
         capsys, "verify", "main-lemma", "--family", "sym", "--level", "2",
         "--jobs", "1",

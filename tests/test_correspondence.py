@@ -39,6 +39,7 @@ from classalg.correspondence import (
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.partial_algebra import PartialElement
+from classalg.suites import main_lemma_suite
 from classalg.wreath import apply_perm_to_mask
 from user_groups import SYM3_SHIFTED
 
@@ -111,6 +112,26 @@ def test_main_lemma_empty_class_inputs():
     assert rec.lhs == rec.rhs == 0
     rec = verify_main_lemma(2, CL([2]), 2, CL([2]), 1, CL([]), TRIVIAL)
     assert rec.lhs == rec.rhs == 0
+
+
+@pytest.mark.parametrize("family,N", [("sym", 4), ("wreath:cyclic2", 3)])
+def test_main_lemma_suite_matches_single_records(family, N):
+    """The row-driven suite emits, record for record and in (first,
+    second, target) order, what the one-record reader gives."""
+    spec = parse_family(family)
+    F = spec.base
+    basis = truncation_basis(N, F)
+    records = main_lemma_suite(spec, N)["records"]
+    triples = [(w1, w2, w) for w1 in basis for w2 in basis for w in basis]
+    assert len(records) == len(triples)
+    for got, (w1, w2, w) in zip(records, triples):
+        one = verify_main_lemma(w1.l, w1.c, w2.l, w2.c, w.l, w.c, F)
+        assert got == {
+            "l1": w1.l, "c1": w1.c.display(F),
+            "l2": w2.l, "c2": w2.c.display(F),
+            "l": w.l, "c": w.c.display(F),
+            "lhs": one.lhs, "rhs": one.rhs, "ok": one.ok,
+        }
 
 
 def test_main_lemma_diagonal_reduces_to_s_equals_p():

@@ -30,7 +30,13 @@ from classalg import (
     truncation_basis,
 )
 from classalg.finite_group import TRIVIAL
-from user_groups import DIHEDRAL8, SYM3_SHIFTED
+from classalg.oracles import _pair_count
+from classalg.wreath import (
+    class_label_representative,
+    factor_supports,
+    representative_factors,
+)
+from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -236,6 +242,61 @@ def test_p_constant_representative_independent(F, N):
                     counts = p_constant_all_representatives(w1, w2, w, F)
                     assert len(set(counts)) == 1, (w1, w2, w, counts)
                     assert counts[0] == p_constant(w1, w2, w, F)
+
+
+ROW_BASES = {
+    "sym": (TRIVIAL, 5),
+    "cyclic2": (Z2, 4),
+    "sym3": (builtin_group("sym3"), 3),
+    "sym3-shifted": (SYM3_SHIFTED, 3),
+    "dihedral8": (DIHEDRAL8, 3),
+    "quaternion": (QUATERNION, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "F,N",
+    [(F, N) for F, top in ROW_BASES.values() for N in range(top + 1)],
+    ids=[f"{name}-{N}" for name, (_, top) in ROW_BASES.items()
+         for N in range(top + 1)],
+)
+def test_p_row_matches_pair_count(F, N):
+    """Every P read from a row equals the window-by-window pair count over
+    the grouping at the same representative, for all triples of labels at
+    level N.  The count reads the cached grouping the rows were built from
+    (representative_factors is factor_supports at the representative), so
+    this isolates the row count; the random test below regroups afresh.
+    Outside max(l1, l2) <= l <= l1 + l2 no pair of windows fits and
+    p_constant must read 0."""
+    basis = truncation_basis(N, F)
+    wrong = []
+    for o in basis:
+        for o1 in basis:
+            factors = {}
+            if o1.l <= o.l:
+                factors = representative_factors(o1.c, o.c, o.l, F)
+            for o2 in basis:
+                expected = 0
+                if max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
+                    expected = _pair_count(o.l, o1, o2, factors)
+                if p_constant(o1, o2, o, F) != expected:
+                    wrong.append((o1, o2, o))
+    assert not wrong, wrong[:5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), F=st.sampled_from([DIHEDRAL8, QUATERNION]),
+       N=st.integers(0, 4))
+def test_p_row_matches_pair_count_random_labels(data, F, N):
+    """Random triples on the non-abelian order-8 bases, up to level 4,
+    against a grouping made afresh by factor_supports."""
+    basis = truncation_basis(N, F)
+    o1, o2, o = (data.draw(st.sampled_from(basis)) for _ in range(3))
+    expected = 0
+    if o1.c.alpha <= o.l:
+        h = class_label_representative(o.c, F, o.l)
+        expected = _pair_count(o.l, o1, o2, factor_supports(o1.c, h, F))
+    assert p_constant(o1, o2, o, F) == expected
 
 
 def test_product_is_commutative():
