@@ -83,9 +83,12 @@ from .wreath import (
     class_label,
     class_label_representative,
     class_members,
+    compose,
     conjugate,
     d_type_membership,
+    decode,
     element_str,
+    encode,
     enumerate_elements,
     group_order,
     identity_element,

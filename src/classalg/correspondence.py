@@ -31,9 +31,9 @@ from .partial_algebra import (
 from .wreath import (
     ClassLabel,
     GroupElement,
-    apply_perm_to_mask,
     check_budget,
     d_type_membership,
+    decode,
     label_ids,
     labels_with_alpha_up_to,
     mask_str,
@@ -342,6 +342,16 @@ _AUDIT_NOTES = (
 )
 
 
+def _mask_images(perm: list[int], N: int) -> list[int]:
+    """The image of every window d < 2^N under a permutation of the points,
+    each built from the image of d without its lowest point."""
+    out = [0] * (1 << N)
+    for d in range(1, 1 << N):
+        low = d & -d
+        out[d] = out[d ^ low] | 1 << perm[low.bit_length() - 1]
+    return out
+
+
 def admissibility_audit(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> AuditReport:
@@ -358,7 +368,8 @@ def admissibility_audit(
 
     F = spec.base
     G = level_group(F, N, budget)
-    admits = [spec.admits(a) for a in G.elements]
+    codes, conj = G.codes, G.conj
+    admits = [spec.admits(decode(a, F)) for a in codes]
     full = (1 << N) - 1
     windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
 
@@ -389,28 +400,40 @@ def admissibility_audit(
         if len(generated) != len(members[w]):
             closure_ok = False
 
-    # partial elements of the family, canonical order
-    pes: list[tuple[int, int]] = [
-        (w, i) for w in windows for i in members[w]
-    ]
-    pe_index = {p: k for k, p in enumerate(pes)}
+    # A partial element (d, i) is the int i << N | d.  The partial elements
+    # of the family by window, each window's in canonical element order.
+    pes_in = {w: [i << N | w for i in members[w]] for w in windows}
+    point_images: dict[int, list[int]] = {}
+
+    def mask_images(g: int) -> list[int]:
+        if g not in point_images:
+            m = F.order
+            point_images[g] = _mask_images(
+                [codes[g][j * m] // m for j in range(N)], N
+            )
+        return point_images[g]
 
     def orbits_under(gs: list[int], starts) -> dict[int, int]:
-        """Orbits of the partial elements reached from `starts` (indices
-        into pes) under simultaneous conjugation by the group generated by
-        gs: closing under the generators of a finite group gives the orbit
-        under the whole group."""
-        def successors(k: int) -> list[int]:
-            d, i = pes[k]
-            return [
-                pe_index[(apply_perm_to_mask(G.elements[g].perm, d), G.conj(g, i))]
-                for g in gs
-            ]
+        """Orbits of the partial elements reached from `starts` under
+        simultaneous conjugation by the group generated by gs: closing
+        under the generators of a finite group gives the orbit under the
+        whole group."""
+        moves = [(g, mask_images(g)) for g in gs]
+
+        def successors(p: int) -> list[int]:
+            d, i = p & full, p >> N
+            return [conj(g, i) << N | images[d] for g, images in moves]
+
         return orbit_partition(starts, successors)
 
-    orbit_of = orbits_under(gens[full], range(len(pes)))
+    def inside(w: int) -> list[int]:
+        """The partial elements whose window lies inside w, canonical order."""
+        return [p for d in windows if d & ~w == 0 for p in pes_in[d]]
 
-    # Pairs (a, b), a < b, of positions in `inside` are taken window by
+    every = inside(full)
+    orbit_of = orbits_under(gens[full], every)
+
+    # Pairs (a, b), a < b, of positions in inside(w) are taken window by
     # window in canonical order.  The first pair conjugate at the top but
     # not inside the window has a the first member of the earliest top orbit
     # that meets several window orbits, b the first later member of that
@@ -420,28 +443,27 @@ def admissibility_audit(
     witness = None
     pairs_checked = 0
     for w in windows:
-        inside = [k for k, (d, _) in enumerate(pes) if d & ~w == 0]
-        n = len(inside)
-        sub_of = orbit_of if w == full else orbits_under(gens[w], inside)
+        pes = inside(w)
+        n = len(pes)
+        sub_of = orbit_of if w == full else orbits_under(gens[w], pes)
         first: dict[int, tuple[int, int]] = {}
         split: dict[int, int] = {}
-        for pos, k in enumerate(inside):
-            t = orbit_of[k]
+        for pos, p in enumerate(pes):
+            t = orbit_of[p]
             if t not in first:
-                first[t] = (pos, sub_of[k])
-            elif t not in split and sub_of[k] != first[t][1]:
+                first[t] = (pos, sub_of[p])
+            elif t not in split and sub_of[p] != first[t][1]:
                 split[t] = pos
         if not split:
             pairs_checked += n * (n - 1) // 2
             continue
         a, b = min((first[t][0], pos) for t, pos in split.items())
         pairs_checked += a * (n - 1) - a * (a - 1) // 2 + (b - a)
-        d1, i1 = pes[inside[a]]
-        d2, i2 = pes[inside[b]]
+        p1, p2 = pes[a], pes[b]
         witness = AuditWitness(
             w,
-            PartialElement(d1, G.elements[i1]),
-            PartialElement(d2, G.elements[i2]),
+            PartialElement(p1 & full, decode(codes[p1 >> N], F)),
+            PartialElement(p2 & full, decode(codes[p2 >> N], F)),
         )
         fusion_ok = False
         break
@@ -455,7 +477,7 @@ def admissibility_audit(
         fusion_ok=fusion_ok,
         witness=witness,
         group_size=len(members[full]),
-        partial_count=len(pes),
+        partial_count=len(every),
         windows_checked=len(windows),
         pairs_checked=pairs_checked,
         notes=_AUDIT_NOTES,

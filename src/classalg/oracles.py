@@ -4,7 +4,9 @@ Every function here enumerates a whole level (or every window of one) and
 so costs time and memory that grow like |F|^n n!.  None of them reads a
 class's members through class_members: members come from a fully
 enumerated LevelGroup, products are made elementwise, and orbits are
-closed under conjugation.  The one exception is _pair_count, the
+closed under conjugation.  factor_supports_oracle is the grouping of
+wreath.factor_supports made with GroupElement products over a class
+taken from the enumerated level.  The one exception is _pair_count, the
 window-by-window P count over a grouping that factor_supports made, kept
 as the reference for the row count in partial_algebra.p_row.  The
 structure constants, class sizes and the CLI apart from `xi --oracle`
@@ -26,8 +28,10 @@ from .wreath import (
     check_budget,
     class_label,
     class_label_representative,
+    encode,
     factor_supports,
     identity_element,
+    inverse,
     level_group,
     mask_points,
     multiply,
@@ -65,7 +69,7 @@ def conjugation_orbits(
     generating set of a finite group gives the orbits under the whole group.
     """
     G = level_group(F, n, budget)
-    gens = [G.index[g] for g in _wreath_generators(F, n)]
+    gens = [G.index[encode(g, F)] for g in _wreath_generators(F, n)]
     orbit_of = orbit_partition(
         range(G.order), lambda y: [G.conj(g, y) for g in gens]
     )
@@ -199,7 +203,7 @@ def partial_orbit_oracle(
 
     def successors(y: int) -> list[int]:
         p = pes[y]
-        hi = G.index[p.h]
+        hi = G.index[encode(p.h, F)]
         return [
             index[PartialElement(
                 apply_perm_to_mask(G.elements[g].perm, p.d),
@@ -215,6 +219,25 @@ def partial_orbit_oracle(
     for y, p in enumerate(pes):
         orbits[orbit_of[y]].append(p)
     return [tuple(o) for o in orbits]
+
+
+def factor_supports_oracle(
+    c1: ClassLabel, h: GroupElement, F: FiniteGroup,
+    budget: int | None = None,
+) -> dict[ClassLabel, tuple[int, ...]]:
+    """The members x of class c1 at level n = h.n, grouped by the label of
+    x^-1 h, each kept as support(x) | support(x^-1 h) << n: the reference
+    for wreath.factor_supports, by GroupElement products over the members
+    of c1 in the enumerated level."""
+    n = h.n
+    G = level_group(F, n, budget)
+    groups: dict[ClassLabel, list[int]] = {}
+    for x in (G.elements[i] for i in G.by_label.get(c1, ())):
+        y = multiply(inverse(x, F), h, F)
+        groups.setdefault(class_label(y, F), []).append(
+            support(x, F) | support(y, F) << n
+        )
+    return {lab: tuple(v) for lab, v in groups.items()}
 
 
 def _pair_count(
@@ -306,5 +329,5 @@ def phi_oracle(
     G = level_group(F, l, budget)
     tally = [0] * G.order
     for p in enumerate_omega_class(omega, (1 << l) - 1, F, l, budget):
-        tally[G.index[p.h]] += 1
+        tally[G.index[encode(p.h, F)]] += 1
     return tally

@@ -155,13 +155,15 @@ def basis_vector(omega: OmegaLabel, N: int) -> AlgebraVector:
     return AlgebraVector.make(N, {omega: 1})
 
 
+@lru_cache(maxsize=None)
+def level_omegas(l: int, F: FiniteGroup) -> tuple[OmegaLabel, ...]:
+    """(l, c) for every label c with alpha <= l, by label id."""
+    return tuple(OmegaLabel(l, c) for c in labels_with_alpha_up_to(l, F))
+
+
 def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
     """All class labels alive at truncation level N, in canonical order."""
-    return [
-        OmegaLabel(l, c)
-        for l in range(N + 1)
-        for c in labels_with_alpha_up_to(l, F)
-    ]
+    return [w for l in range(N + 1) for w in level_omegas(l, F)]
 
 
 def project(a: AlgebraVector, new_level: int) -> AlgebraVector:
@@ -219,9 +221,7 @@ def p_rows(
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The p_row of o1 into every target at level l >= o1.l, by the
     target's label id.  The caller checks the budget."""
-    return tuple(
-        p_row(o1, OmegaLabel(l, c), F) for c in labels_with_alpha_up_to(l, F)
-    )
+    return tuple(p_row(o1, o, F) for o in level_omegas(l, F))
 
 
 def p_constant(
@@ -263,12 +263,12 @@ def ik_product(
         if not pairs:
             continue
         check_budget(F, l, budget)
-        labels = labels_with_alpha_up_to(l, F)
+        omegas = level_omegas(l, F)
         ids = label_ids(l, F)
-        acc = [0] * len(labels)
+        acc = [0] * len(omegas)
         for w1, w2, xy in pairs:
             j, l2 = ids[w2.c], w2.l
             acc = [v + xy * row[j][l2] for v, row in zip(acc, p_rows(w1, l, F))]
         # label order within a level is the vectors' sort order
-        terms.extend((OmegaLabel(l, c), v) for c, v in zip(labels, acc) if v)
+        terms.extend((w, v) for w, v in zip(omegas, acc) if v)
     return AlgebraVector(N, tuple(terms))

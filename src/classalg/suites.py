@@ -35,7 +35,10 @@ from .wreath import (
     GroupElement,
     check_budget,
     class_label,
+    compose,
     conjugate,
+    encode,
+    inverse,
     labels_with_alpha_up_to,
     multiply,
     support,
@@ -181,13 +184,13 @@ def _tower_ok(
     w1: OmegaLabel, w2: OmegaLabel, N: int, F: FiniteGroup, budget: int | None
 ) -> bool:
     v = ik_product(basis_vector(w1, N), basis_vector(w2, N), F, budget)
-    for np in range(N + 1):
-        pv = project(v, np)
-        e1 = basis_vector(w1, np) if w1.l <= np else AlgebraVector.make(np, {})
-        e2 = basis_vector(w2, np) if w2.l <= np else AlgebraVector.make(np, {})
+    below = [project(v, np) for np in range(N + 1)]
+    for np, pv in enumerate(below):
+        e1 = basis_vector(w1, np) if w1.l <= np else AlgebraVector(np, ())
+        e2 = basis_vector(w2, np) if w2.l <= np else AlgebraVector(np, ())
         if pv != ik_product(e1, e2, F, budget):
             return False
-        if any(project(pv, npp) != project(v, npp) for npp in range(np + 1)):
+        if any(project(pv, npp) != below[npp] for npp in range(np + 1)):
             return False
     return True
 
@@ -254,9 +257,12 @@ def preflight_suite(
     spec: FamilySpec, N: int, seed: int, triples: int = 200
 ) -> dict:
     """Seeded random spot checks of the element arithmetic: associativity,
-    support of products, label invariance under conjugation."""
+    support of products, label invariance under conjugation, and the
+    encoding: the composed codes of x and y are the code of x y, and the
+    code of x^-1 inverts the code of x."""
     F = spec.base
     n = min(N, 3) if N else 0
+    identity = tuple(range(n * F.order))
     rng = random.Random(seed)
     ok = True
     for _ in range(triples):
@@ -264,6 +270,13 @@ def preflight_suite(
         y = _random_element(rng, F, n)
         z = _random_element(rng, F, n)
         if multiply(multiply(x, y, F), z, F) != multiply(x, multiply(y, z, F), F):
+            ok = False
+            break
+        cx = encode(x, F)
+        if compose(cx, encode(y, F)) != encode(multiply(x, y, F), F):
+            ok = False
+            break
+        if compose(encode(inverse(x, F), F), cx) != identity:
             ok = False
             break
         if support(multiply(x, y, F), F) & ~(support(x, F) | support(y, F)):

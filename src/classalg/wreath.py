@@ -7,6 +7,20 @@ point.  The product convention is fixed once here and used everywhere:
     (a * b).perm = a.perm o b.perm          (apply b first)
     (a * b).deco[i] = a.deco[i] * b.deco[a.perm^-1(i)]
 
+GroupElement holds that form for parsing, display and the oracles.  The
+counting paths use an encoding instead: F wr S_n acts on the n |F| points
+(j, f), numbered j |F| + f, by
+
+    (j, f) -> (perm[j], deco[perm[j]] * f),
+
+and an element is encoded as the tuple of images of those points.  The
+action of a * b is the action of b followed by that of a, so a product is
+one composition of tuples, compose(a, b)[p] = a[b[p]], made in C by
+tuple(map(a.__getitem__, b)); the inverse is the inverse permutation, and
+the identity is tuple(range(n |F|)).  A cycle of perm through the point
+(j, identity) comes back to (j, g) with g a cycle product of the cycle, so
+labels and supports are read off the code without decoding it.
+
 Conjugacy classes are labeled by the multiset of (cycle length, F-class of
 the cycle product), with (1, identity-class) pairs dropped.  That this is a
 complete invariant is checked against brute-force conjugation orbits
@@ -218,6 +232,86 @@ def class_label(a: GroupElement, F: FiniteGroup) -> ClassLabel:
     return ClassLabel(tuple(pairs))
 
 
+# --- the encoding as a permutation of n |F| points (see the module docstring) ---
+
+def encode(a: GroupElement, F: FiniteGroup) -> tuple[int, ...]:
+    """The images of the points j |F| + f under a."""
+    m, mult, deco = F.order, F.mult, a.deco
+    out: list[int] = []
+    for i in a.perm:
+        out.extend([i * m + x for x in mult[deco[i]]])
+    return tuple(out)
+
+
+def decode(code: tuple[int, ...], F: FiniteGroup) -> GroupElement:
+    """The element that encode maps to code."""
+    m = F.order
+    n = len(code) // m
+    deco = [F.identity] * n
+    for j in range(n):
+        # (j, identity) goes to (perm[j], deco[perm[j]])
+        i, deco_i = divmod(code[j * m + F.identity], m)
+        deco[i] = deco_i
+    return GroupElement(n, tuple(code[j * m] // m for j in range(n)), tuple(deco))
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The code of the product of the elements encoded by a and b."""
+    return tuple(map(a.__getitem__, b))
+
+
+def code_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The code of the inverse: the points sorted by their images."""
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _cycle_key(
+    code: tuple[int, ...], F: FiniteGroup
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The label pairs of an encoded element as sorted (-length, F-class)
+    pairs, and its support, from one walk of each cycle through its least
+    point j: starting at (j, identity), the walk is back in j's block at
+    (j, g), g a cycle product of the cycle."""
+    m, class_of = F.order, F.class_of
+    seen = 0
+    key = []
+    sup = 0
+    for j in range(len(code) // m):
+        if seen >> j & 1:
+            continue
+        q = code[j * m + F.identity]
+        pts = 1 << j
+        ln = 1
+        while q // m != j:
+            pts |= 1 << q // m
+            q = code[q]
+            ln += 1
+        seen |= pts
+        k = class_of[q % m]
+        # undecorated fixed points are neither in the label nor the support
+        if k or ln > 1:
+            key.append((-ln, k))
+            sup |= pts
+    key.sort()
+    return tuple(key), sup
+
+
+def _key_label(key: tuple[tuple[int, int], ...]) -> ClassLabel:
+    return ClassLabel(tuple((-neg_ln, k) for neg_ln, k in key))
+
+
+def code_class(code: tuple[int, ...], F: FiniteGroup) -> tuple[ClassLabel, int]:
+    """The label and the support of the element encoded by code."""
+    key, sup = _cycle_key(code, F)
+    return _key_label(key), sup
+
+
+def inverse_label(c: ClassLabel, F: FiniteGroup) -> ClassLabel:
+    """The label of the inverses of the members of c: each F-class inverted."""
+    inv_class = [F.class_of[F.inv[r]] for r in F.class_reps]
+    return ClassLabel.from_pairs((ln, inv_class[k]) for ln, k in c.pairs)
+
+
 def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupElement:
     """An element of F wr S_n with label c: packed cycles on the lowest points,
     one class representative decorating each cycle's minimal point."""
@@ -272,7 +366,9 @@ def _cycle_decorations(
 ) -> tuple[tuple[int, ...], ...]:
     """Decorations d_0..d_{ln-1} of a cycle listed from its least point whose
     cycle product d_{ln-1} ... d_1 d_0, taken in class_label's order, lies
-    in F-class k.  The first ln-1 are free and fix the last one."""
+    in F-class k.  The first ln-1 are free and fix the last one.  Each is
+    given rotated, as (d_1, ..., d_{ln-1}, d_0): entry i decorates the point
+    that the i-th point of the cycle goes to."""
     mult, inv = F.mult, F.inv
     targets = [y for y in range(F.order) if F.class_of[y] == k]
     out = []
@@ -280,61 +376,91 @@ def _cycle_decorations(
         acc = F.identity
         for d in head:
             acc = mult[d][acc]
-        out.extend(head + (mult[y][inv[acc]],) for y in targets)
+        out.extend(head[1:] + (mult[y][inv[acc]],) + head[:1] for y in targets)
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _block_images(n: int, F: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """[b][d]: the code entries of the points (j, f), f in F, when j goes
+    to b and b is decorated d."""
+    m = F.order
+    return tuple(
+        tuple(tuple(b * m + x for x in F.mult[d]) for d in range(m))
+        for b in range(n)
+    )
+
+
 def class_members(c: ClassLabel, F: FiniteGroup, n: int):
-    """Yield every element of F wr S_n with label c exactly once, built from
-    the label padded with (1, 0) pairs up to n points: the least free point
-    opens each cycle, and each distinct (length, F-class) pair still owed
-    is tried there once."""
+    """Yield (code, support) for every element of F wr S_n with label c,
+    each exactly once, built from the label padded with (1, 0) pairs up to
+    n points: the least free point opens each cycle, and each distinct
+    (length, F-class) pair still owed is tried there once."""
     if c.alpha > n:
         raise InvalidLabel(f"label needs {c.alpha} points, level is {n}")
     owed: dict[tuple[int, int], int] = {}
     for pair in c.pairs + ((1, 0),) * (n - c.alpha):
         owed[pair] = owed.get(pair, 0) + 1
     kinds = sorted(owed, key=_pair_order)
-    perm = list(range(n))
-    deco = [F.identity] * n
+    m = F.order
+    images = _block_images(n, F)
+    fixed = [images[q][F.identity] for q in range(n)]
+    code = list(range(n * m))
+    # cycles still owed, (1, 0) pairs not counted
+    todo = [len(c.pairs)]
 
-    def rec(free: tuple[int, ...]):
-        if not free:
-            yield GroupElement(n, tuple(perm), tuple(deco))
-            return
+    def rec(free: tuple[int, ...], sup: int):
         p, rest = free[0], free[1:]
         for kind in kinds:
             if not owed[kind]:
                 continue
-            ln, k = kind
+            ln = kind[0]
+            cycle = kind != (1, 0)
             owed[kind] -= 1
+            todo[0] -= cycle
             for others in itertools.permutations(rest, ln - 1):
                 pts = (p,) + others
-                for a, b in zip(pts, others + (p,)):
-                    perm[a] = b
                 left = tuple(q for q in rest if q not in others)
-                for ds in _cycle_decorations(ln, k, F):
-                    for q, d in zip(pts, ds):
-                        deco[q] = d
-                    yield from rec(left)
+                s = sup
+                if cycle:
+                    for q in pts:
+                        s |= 1 << q
+                if not todo[0]:
+                    # every point left is an undecorated fixed point
+                    for q in left:
+                        code[q * m:q * m + m] = fixed[q]
+                for ds in _cycle_decorations(*kind, F):
+                    for a, b, d in zip(pts, others + (p,), ds):
+                        code[a * m:a * m + m] = images[b][d]
+                    if todo[0]:
+                        yield from rec(left, s)
+                    else:
+                        yield tuple(code), s
             owed[kind] += 1
+            todo[0] += cycle
 
-    yield from rec(tuple(range(n)))
+    if c.pairs:
+        yield from rec(tuple(range(n)), 0)
+    else:
+        yield tuple(code), 0
 
 
 def factor_supports(
     c1: ClassLabel, h: GroupElement, F: FiniteGroup
 ) -> dict[ClassLabel, tuple[int, ...]]:
     """The members x of class c1 at level n = h.n, grouped by the label of
-    x^-1 h.  Each member is kept as support(x) | support(x^-1 h) << n."""
+    x^-1 h.  Each member is kept as support(x) | support(x^-1 h) << n.
+
+    The inverses z = x^-1 are what is generated: they are the members of
+    inverse_label(c1), and support(z) = support(x).  Each costs one
+    composition z h of codes and one cycle walk of the result."""
     n = h.n
-    groups: dict[ClassLabel, list[int]] = {}
-    for x in class_members(c1, F, n):
-        y = multiply(inverse(x, F), h, F)
-        groups.setdefault(class_label(y, F), []).append(
-            support(x, F) | support(y, F) << n
-        )
-    return {lab: tuple(v) for lab, v in groups.items()}
+    hc = encode(h, F)
+    groups: dict[tuple, list[int]] = {}
+    for z, sz in class_members(inverse_label(c1, F), F, n):
+        key, sy = _cycle_key(compose(z, hc), F)
+        groups.setdefault(key, []).append(sz | sy << n)
+    return {_key_label(key): tuple(v) for key, v in groups.items()}
 
 
 @lru_cache(maxsize=None)
@@ -358,30 +484,31 @@ def enumerate_elements(F: FiniteGroup, n: int, budget: int | None = None):
 class LevelGroup:
     """F wr S_n fully enumerated, with index-based products and class data.
 
-    elements is the canonical ordering; index maps each element back.  A
-    product multiplies the two elements and looks the result up in index;
-    no product table is kept.  The structure constants and class sizes
-    never build one of these: the audit and classalg.oracles do.
+    codes holds the encoded elements in the canonical order of
+    enumerate_elements, and index maps each code back to its position.  A
+    product composes two codes and looks the result up in index; no
+    product table is kept.  elements decodes them once, on first use, for
+    the oracles.  The structure constants and class sizes never build one
+    of these: the audit and classalg.oracles do.
     """
 
     def __init__(self, F: FiniteGroup, n: int):
         self.F = F
         self.n = n
-        self.elements: tuple[GroupElement, ...] = tuple(
-            enumerate_elements(F, n, budget=group_order(F, n))
+        self.codes: tuple[tuple[int, ...], ...] = tuple(
+            encode(a, F) for a in enumerate_elements(F, n, budget=group_order(F, n))
         )
-        self.order = len(self.elements)
-        self.index: dict[GroupElement, int] = {
-            a: i for i, a in enumerate(self.elements)
+        self.order = len(self.codes)
+        self.index: dict[tuple[int, ...], int] = {
+            a: i for i, a in enumerate(self.codes)
         }
-        self.identity = self.index[identity_element(F, n)]
+        self.identity = self.index[tuple(range(n * F.order))]
         self.inv: tuple[int, ...] = tuple(
-            self.index[inverse(a, F)] for a in self.elements
+            self.index[code_inverse(a)] for a in self.codes
         )
-        self.sup: tuple[int, ...] = tuple(support(a, F) for a in self.elements)
-        self.label: tuple[ClassLabel, ...] = tuple(
-            class_label(a, F) for a in self.elements
-        )
+        classes = [code_class(a, F) for a in self.codes]
+        self.sup: tuple[int, ...] = tuple(sup for _, sup in classes)
+        self.label: tuple[ClassLabel, ...] = tuple(lab for lab, _ in classes)
         by: dict[ClassLabel, list[int]] = {}
         for i, lab in enumerate(self.label):
             by.setdefault(lab, []).append(i)
@@ -389,12 +516,19 @@ class LevelGroup:
             lab: tuple(ids) for lab, ids in by.items()
         }
 
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(decode(a, self.F) for a in self.codes)
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[multiply(self.elements[i], self.elements[j], self.F)]
+        return self.index[compose(self.codes[i], self.codes[j])]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1 by index."""
-        return self.mul(self.mul(g, x), self.inv[g])
+        codes = self.codes
+        return self.index[tuple(
+            map(codes[g].__getitem__, map(codes[x].__getitem__, codes[self.inv[g]]))
+        )]
 
 
 @lru_cache(maxsize=None)

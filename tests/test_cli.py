@@ -1,5 +1,6 @@
 """Command-line interface: output formats, flags, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -359,3 +360,34 @@ def test_seed_changes_preflight_only(capsys):
     )
     assert "preflight: seed=7" in out1
     assert "RESULT: OK" in out1
+
+
+# sha256 of the stdout of `verify all --format json`, pinned from the
+# implementation that multiplied GroupElement objects
+VERIFY_JSON_SHA256 = {
+    ("sym", 0): "0055d5ddccf6b482ab10565c4b67ec27577a09a982f4ec915b6ff49e291178d8",
+    ("sym", 1): "49efc81bb733ad4adf724a88e2eef6295242733ac523fdb4f9e95c375121bc5e",
+    ("sym", 2): "afa3a0de818467ef952830c5901545c09177d5d088f725c58418d30557382627",
+    ("sym", 3): "e75a6d3cb32dd5eb0e452771b530e512ae8051ca0a1b52681cfa7b01e74fa2f6",
+    ("sym", 4): "6e194201d4873b445d597908aa48fa9435070a83bc049325a051d9d85e504c72",
+    ("sym", 5): "c0473c8516b84a31e21fc771ff1fdc5928067c42b026f2753bad9eadb9927ae6",
+    ("wreath:cyclic2", 2): "7cb4b9eb1599b76efec914608b5b8133cadb8633231a3fe298631b8310f34290",
+    ("wreath:cyclic2", 3): "a9d9aee971902902b799f740a632098a1ea6fda92d0fde1c15dd7c9b2eee7579",
+    ("wreath:sym3", 2): "9c1f50b01113424fdcf1378d93e1f124ae9443baa8238cc1b2c1192785881b1f",
+    ("dtype", 3): "4d1747f9a848aa585ee8acc8bfdd8423ac49bf455306c4ba6eac345fc0ad2c05",
+    ("dtype", 4): "dc1ec34a3bff308d85dec3f1305e3b7fcdcd8af9eb2e7c4c1b215cb33291c110",
+}
+
+
+@pytest.mark.parametrize(
+    "family,level", list(VERIFY_JSON_SHA256),
+    ids=[f"{f}-{l}" for f, l in VERIFY_JSON_SHA256],
+)
+def test_verify_all_json_digest(capsys, family, level):
+    code, out, _ = run(
+        capsys, "verify", "all", "--family", family, "--level", str(level),
+        "--format", "json",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_JSON_SHA256[(family, level)]

@@ -39,9 +39,9 @@ from classalg.correspondence import (
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.partial_algebra import PartialElement
-from classalg.suites import main_lemma_suite
+from classalg.suites import audit_suite, main_lemma_suite
 from classalg.wreath import apply_perm_to_mask
-from user_groups import SYM3_SHIFTED
+from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -445,6 +445,32 @@ def test_audit_matches_brute_force_oracle(spec, n):
     assert rep == _audit_oracle(spec, n)
     if isinstance(spec, _TranspositionsOnly):
         assert rep.closure_ok == (n < 3)
+
+
+_NON_ABELIAN_CASES = [
+    (name, F, N)
+    for name, F in (("dihedral8", DIHEDRAL8), ("quaternion", QUATERNION))
+    for N in (2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "name,F,N", _NON_ABELIAN_CASES,
+    ids=[f"{name}-{N}" for name, _, N in _NON_ABELIAN_CASES],
+)
+def test_suites_over_non_abelian_bases(name, F, N):
+    """The main lemma holds for every triple of labels and the wreath family
+    passes its audit over the two non-abelian bases of order 8; at two
+    points the audit equals the brute-force oracle."""
+    spec = FamilySpec.wreath(F, "wreath:file")
+    main = main_lemma_suite(spec, N)
+    assert main["ok"]
+    assert main["checks"] == len(truncation_basis(N, F)) ** 3
+    audit = audit_suite(spec, N)
+    assert audit["ok"] and audit["passed"]
+    assert audit["group_size"] == F.order ** N * [1, 1, 2, 6][N]
+    if N == 2:
+        assert admissibility_audit(spec, N) == _audit_oracle(spec, N)
 
 
 def test_audit_symmetric_level_seven():

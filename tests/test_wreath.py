@@ -1,6 +1,7 @@
 """Wreath-product elements, class labels, and the orbit oracles."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,18 @@ from classalg import (
     support,
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
-from classalg.wreath import apply_perm_to_mask, mask_points, mask_str
+from classalg.oracles import factor_supports_oracle
+from classalg.wreath import (
+    apply_perm_to_mask,
+    code_class,
+    code_inverse,
+    compose,
+    decode,
+    encode,
+    factor_supports,
+    mask_points,
+    mask_str,
+)
 from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -112,6 +124,60 @@ def test_random_associativity_thousand_triples(F, n):
     for _ in range(1000):
         x, y, z = rand_el(), rand_el(), rand_el()
         assert multiply(multiply(x, y, F), z, F) == multiply(x, multiply(y, z, F), F)
+
+
+# --- the encoding as a permutation of n |F| points ---
+
+_CODE_BASES = {
+    "trivial": TRIVIAL, "cyclic2": Z2, "cyclic3": Z3, "sym3": S3F,
+    "sym3-shifted": SYM3_SHIFTED, "dihedral8": DIHEDRAL8,
+    "quaternion": QUATERNION,
+}
+
+
+def test_encoding_example():
+    # (12; -,+) over cyclic(2): (1, f) -> (2, f), (2, f) -> (1, -f)
+    a = GroupElement(2, (1, 0), (1, 0))
+    assert encode(a, Z2) == (2, 3, 1, 0)
+    assert encode(identity_element(SYM3_SHIFTED, 2), SYM3_SHIFTED) == tuple(range(12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), F=st.sampled_from(list(_CODE_BASES.values())),
+       n=st.integers(0, 4))
+def test_encoding_matches_element_arithmetic(data, F, n):
+    """Products, inverses, labels and supports read from codes agree with
+    the GroupElement arithmetic, and decode undoes encode."""
+    x, y = data.draw(elements_strategy(F, n)), data.draw(elements_strategy(F, n))
+    cx, cy = encode(x, F), encode(y, F)
+    assert sorted(cx) == list(range(n * F.order))
+    assert decode(cx, F) == x
+    assert compose(cx, cy) == encode(multiply(x, y, F), F)
+    assert code_inverse(cx) == encode(inverse(x, F), F)
+    assert code_class(cx, F) == (class_label(x, F), support(x, F))
+
+
+_GROUPING_CASES = [
+    (name, F, n) for name, F in _CODE_BASES.items() for n in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "name,F,n", _GROUPING_CASES, ids=[f"{name}-{n}" for name, _, n in _GROUPING_CASES]
+)
+def test_factor_supports_match_reference(name, F, n):
+    """The grouping made from codes over the inverse class equals the
+    GroupElement reference over the enumerated class, as multisets of
+    packed supports per label, for every first class and target at level n."""
+    labels = labels_with_alpha_up_to(n, F)
+    for c in labels:
+        h = class_label_representative(c, F, n)
+        for c1 in labels:
+            got = factor_supports(c1, h, F)
+            want = factor_supports_oracle(c1, h, F)
+            assert {lab: Counter(v) for lab, v in got.items()} == {
+                lab: Counter(v) for lab, v in want.items()
+            }, (c1, c)
 
 
 # --- support ---
@@ -271,12 +337,14 @@ _MEMBER_CASES = [
 )
 def test_class_members_match_level_group(name, F, n):
     """Members generated from a label are exactly the label's fiber in the
-    enumerated level group, each once."""
+    enumerated level group, each once, and each comes with its support."""
     G = level_group(F, n)
     for c in labels_with_alpha_up_to(n, F):
-        members = [G.index[x] for x in class_members(c, F, n)]
+        generated = list(class_members(c, F, n))
+        members = [G.index[x] for x, _ in generated]
         assert len(members) == len(set(members)), c
         assert set(members) == set(G.by_label[c]), c
+        assert [G.sup[i] for i in members] == [s for _, s in generated], c
     with pytest.raises(InvalidLabel):
         next(class_members(ClassLabel.from_partition([n + 2]), F, n))
 
