@@ -2,10 +2,10 @@
 
 The package builds finite truncations of the algebra spanned by classes of
 partial elements of (possibly decorated) symmetric groups, counts all
-structure constants over class members generated from their labels, and
-checks the identities tying them to centers of group algebras as exact
-integer equalities.  The brute-force references that enumerate whole
-levels live in classalg.oracles.
+structure constants over class members, each class the conjugation orbit
+of its label's representative, and checks the identities tying them to
+centers of group algebras as exact integer equalities.  The brute-force
+references that enumerate whole levels live in classalg.oracles.
 """
 
 from .center_algebra import (

@@ -3,13 +3,13 @@
 The center at level l has the class sums as a basis, indexed by class
 labels with alpha <= l.  A structure constant S(c1, c2, c; l) counts the x
 in class c1 with x^-1 h in class c2, for one fixed h in class c: the
-members of c1 are generated straight from their label and each is
-multiplied against h once, so no level group is enumerated and no product
-table is built.  Grouping the members by the label of x^-1 h gives the
-whole S row of (c1, c), one count for every c2, stored by label id.  Class
-sizes come from the centralizer order in closed form.  Correctness
-against literal class-sum multiplication and against enumerated classes
-is part of the test suite.
+members of c1 are the cached conjugation orbit of one representative of
+its label (wreath.class_members), and each is multiplied against h once,
+so no level group is enumerated and no product table is built.  Grouping
+the members by the label of x^-1 h gives the whole S row of (c1, c), one
+count for every c2, stored by label id.  Class sizes come from the
+centralizer order in closed form.  Correctness against literal class-sum
+multiplication and against enumerated classes is part of the test suite.
 """
 
 from __future__ import annotations

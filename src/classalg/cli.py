@@ -240,19 +240,11 @@ def _render_verify_text(result: dict) -> str:
                 f"{s['suite']}: checks={s['checks']} failures={s['failures']} "
                 f"{'ok' if s['ok'] else 'FAILED'}"
             )
-            if s["failures"]:
-                shown = 0
-                for r in s["records"]:
-                    if not r["ok"]:
-                        fields = " ".join(
-                            f"{k}={r[k]}" for k in r if k != "ok"
-                        )
-                        lines.append(f"  FAIL {fields}")
-                        shown += 1
-                        if shown == 5:
-                            break
-                if s["failures"] > 5:
-                    lines.append(f"  ... and {s['failures'] - 5} more")
+            for r in [r for r in s["records"] if not r["ok"]][:5]:
+                fields = " ".join(f"{k}={r[k]}" for k in r if k != "ok")
+                lines.append(f"  FAIL {fields}")
+            if s["failures"] > 5:
+                lines.append(f"  ... and {s['failures'] - 5} more")
     if result["skipped"]:
         lines.append(
             "skipped (family admits no class machinery): "

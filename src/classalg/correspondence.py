@@ -193,9 +193,7 @@ def verify_inversion(
     )
 
 
-def phi(
-    a: AlgebraVector, F: FiniteGroup, budget: int | None = None
-) -> dict[int, AlgebraVector]:
+def phi(a: AlgebraVector, F: FiniteGroup) -> dict[int, AlgebraVector]:
     """Image of a truncated class-algebra vector: one center vector per
     level l <= a.level, with e[(l',c)] contributing xi(l',c;l) e[c(l)]."""
     N = a.level

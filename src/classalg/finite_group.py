@@ -13,6 +13,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -233,7 +234,9 @@ _BUILTIN_RE = re.compile(r"^(trivial|cyclic|sym)\s*(?:\(\s*(\d+)\s*\)|(\d+))?$")
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Builtins: trivial, cyclic(m) (also written cyclicM), sym(3)."""
+    """Builtins: trivial, cyclic(m) (also written cyclicM), sym(3).  Each is
+    built once: every spelling of the same builtin returns the same group,
+    so the caches keyed on it are shared."""
     m = _BUILTIN_RE.match(name.strip().lower())
     if not m:
         raise UnknownBuiltin(f"unknown builtin group {name!r}")
@@ -242,17 +245,20 @@ def builtin_group(name: str) -> FiniteGroup:
     if kind == "trivial":
         if arg is not None:
             raise UnknownBuiltin(f"trivial takes no parameter: {name!r}")
-        return load_group({"order": 1, "mult": [[0]], "names": ["e"]})
-    if arg is None:
+    elif arg is None:
         raise UnknownBuiltin(f"{kind} needs a parameter, e.g. {kind}(2): {name!r}")
-    k = int(arg)
-    if kind == "cyclic":
-        if not 1 <= k <= 12:
-            raise UnknownBuiltin(f"cyclic order out of range 1..12: {name!r}")
-        return load_group(_cyclic_spec(k))
-    if k != 3:
+    elif kind == "cyclic" and not 1 <= int(arg) <= 12:
+        raise UnknownBuiltin(f"cyclic order out of range 1..12: {name!r}")
+    elif kind == "sym" and int(arg) != 3:
         raise UnknownBuiltin(f"only sym(3) is builtin: {name!r}")
-    return load_group(_symmetric_spec(3))
+    return _builtin(kind, int(arg or 1))
+
+
+@lru_cache(maxsize=None)
+def _builtin(kind: str, k: int) -> FiniteGroup:
+    if kind == "trivial":
+        return load_group({"order": 1, "mult": [[0]], "names": ["e"]})
+    return load_group(_cyclic_spec(k) if kind == "cyclic" else _symmetric_spec(k))
 
 
 TRIVIAL = builtin_group("trivial")

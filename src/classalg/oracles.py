@@ -4,11 +4,14 @@ Every function here enumerates a whole level (or every window of one) and
 so costs time and memory that grow like |F|^n n!.  None of them reads a
 class's members through class_members: members come from a fully
 enumerated LevelGroup, products are made elementwise, and orbits are
-closed under conjugation.  factor_supports_oracle is the grouping of
-wreath.factor_supports made with GroupElement products over a class
-taken from the enumerated level.  The one exception is _pair_count, the
-window-by-window P count over a grouping that factor_supports made, kept
-as the reference for the row count in partial_algebra.p_row.  The
+closed under conjugation by wreath.generating_set, the set class_members
+closes under; the tests check that set against closure under every
+element of the level, and compare the orbits with labels read by
+code_class, which shares nothing with it.  factor_supports_oracle is the
+grouping of wreath.factor_supports made with GroupElement products over a
+class taken from the enumerated level.  The one exception is _pair_count,
+the window-by-window P count over a grouping that factor_supports made,
+kept as the reference for the row count in partial_algebra.p_row.  The
 structure constants, class sizes and the CLI apart from `xi --oracle`
 never call into this module.
 """
@@ -26,11 +29,12 @@ from .wreath import (
     GroupElement,
     apply_perm_to_mask,
     check_budget,
+    check_count,
     class_label,
     class_label_representative,
     encode,
     factor_supports,
-    identity_element,
+    generating_set,
     inverse,
     level_group,
     mask_points,
@@ -41,24 +45,6 @@ from .wreath import (
 
 # --- wreath products ---
 
-def _wreath_generators(F: FiniteGroup, n: int) -> list[GroupElement]:
-    """A generating set of F wr S_n: the transposition (1 2), the n-cycle
-    (1 2 ... n), and every element of F decorating point 1."""
-    e = identity_element(F, n)
-    gens = []
-    if n >= 2:
-        swap = (1, 0) + e.perm[2:]
-        gens.append(GroupElement(n, swap, e.deco))
-        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
-    if n >= 1:
-        gens.extend(
-            GroupElement(n, e.perm, (f,) + e.deco[1:])
-            for f in range(F.order)
-            if f != F.identity
-        )
-    return gens
-
-
 def conjugation_orbits(
     F: FiniteGroup, n: int, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -66,10 +52,11 @@ def conjugation_orbits(
 
     Pure orbit enumeration, independent of class_label; this is the oracle
     the label invariant is tested against.  Closing under conjugation by a
-    generating set of a finite group gives the orbits under the whole group.
+    generating set of a finite group gives the orbits under the whole group;
+    the set is wreath.generating_set, the one class_members closes under.
     """
     G = level_group(F, n, budget)
-    gens = [G.index[encode(g, F)] for g in _wreath_generators(F, n)]
+    gens = [G.index[g] for g, _ in generating_set(F, n)]
     orbit_of = orbit_partition(
         range(G.order), lambda y: [G.conj(g, y) for g in gens]
     )
@@ -145,9 +132,7 @@ def enumerate_omega_class(
     pts = mask_points(within)
     out = []
     for combo in itertools.combinations(pts, omega.l):
-        d = 0
-        for j in combo:
-            d |= 1 << j
+        d = sum(1 << j for j in combo)
         for i in ids:
             if G.sup[i] & ~d == 0:
                 out.append(PartialElement(d, G.elements[i]))
@@ -250,10 +235,7 @@ def _pair_count(
     full = (1 << l) - 1
     total = 0
     for combo in itertools.combinations(range(l), o1.l):
-        d1 = 0
-        for j in combo:
-            d1 |= 1 << j
-        rest = full & ~d1
+        rest = full & ~sum(1 << j for j in combo)
         for packed in factors.get(o2.c, ()):
             # support(x) must lie in the first window
             if packed & rest:
@@ -293,23 +275,25 @@ def xi_count_oracle(
     """Count the windows of size lp holding a fixed element of class c
     inside {1..l} by literal subset enumeration.
 
-    With all_members=True the count is recomputed at every element of the
-    class in F wr S_l (requires enumerating the level) and must agree.
+    The budget bounds the C(l, lp) windows counted.  With all_members=True
+    the count is recomputed at every element of the class in F wr S_l, and
+    the budget bounds the level, which is enumerated; the results must
+    agree.
     """
     if c.alpha > l or not 0 <= lp <= l:
         return 0
-    check_budget(F, l, budget)
+    if all_members:
+        check_budget(F, l, budget)
+    else:
+        what = f"the set of windows of size {lp} in {{1..{l}}}"
+        check_count(comb(l, lp), what, budget)
 
     def count_for(h: GroupElement) -> int:
         sup = support(h, F)
-        total = 0
-        for combo in itertools.combinations(range(l), lp):
-            d = 0
-            for j in combo:
-                d |= 1 << j
-            if sup & ~d == 0:
-                total += 1
-        return total
+        return sum(
+            1 for combo in itertools.combinations(range(l), lp)
+            if sup & ~sum(1 << j for j in combo) == 0
+        )
 
     if not all_members:
         return count_for(class_label_representative(c, F, l))

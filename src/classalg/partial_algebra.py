@@ -8,8 +8,8 @@ structure constants P, which do not depend on the truncation level.
 
 P is counted a row at a time.  For a first class omega1 and a target
 omega, p_row fixes one representative h of omega and makes one pass over
-the windows of size l1 and the members x of the first class (generated
-from its label, each multiplied by h once), grouped by the label of
+the windows of size l1 and the members x of the first class (its cached
+conjugation orbit, each multiplied by h once), grouped by the label of
 x^-1 h; that pass gives P(omega1, omega2, omega) for every omega2 at once.
 Rows are stored by label id, a label's position in
 labels_with_alpha_up_to, so sweeps index lists instead of hashing labels.

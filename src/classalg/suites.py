@@ -46,6 +46,9 @@ from .wreath import (
 
 SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
 
+# random (x, y, z) triples that the preflight checks
+PREFLIGHT_TRIPLES = 200
+
 
 def _suite_dict(name: str, spec: FamilySpec, level: int, records: list[dict]) -> dict:
     failures = sum(1 for r in records if not r["ok"])
@@ -146,12 +149,12 @@ def phi_suite(
             if w1.l + w2.l > N:
                 continue
             e1, e2 = basis_vector(w1, N), basis_vector(w2, N)
-            img1, img2 = phi(e1, F, budget), phi(e2, F, budget)
+            img1, img2 = phi(e1, F), phi(e2, F)
             lhs = {
                 l: center_product(img1[l], img2[l], F, budget)
                 for l in range(N + 1)
             }
-            rhs = phi(ik_product(e1, e2, F, budget), F, budget)
+            rhs = phi(ik_product(e1, e2, F, budget), F)
             records.append(
                 {
                     "kind": "product",
@@ -161,7 +164,7 @@ def phi_suite(
                 }
             )
     for w in basis:
-        img = phi(basis_vector(w, N), F, budget)
+        img = phi(basis_vector(w, N), F)
         lead_ok = img[w.l].as_dict() == {w.c: 1}
         below_ok = all(img[l].is_zero() for l in range(w.l))
         records.append(
@@ -169,7 +172,7 @@ def phi_suite(
         )
     for l in range(N + 1):
         for c in labels_with_alpha_up_to(l, F):
-            img = phi(phi_preimage(c, l, N, F), F, budget)
+            img = phi(phi_preimage(c, l, N, F), F)
             ok = all(
                 img[j].as_dict() == ({c: 1} if j == l else {})
                 for j in range(N + 1)
@@ -253,9 +256,7 @@ def _random_element(rng: random.Random, F: FiniteGroup, n: int) -> GroupElement:
     return GroupElement(n, tuple(perm), deco)
 
 
-def preflight_suite(
-    spec: FamilySpec, N: int, seed: int, triples: int = 200
-) -> dict:
+def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     """Seeded random spot checks of the element arithmetic: associativity,
     support of products, label invariance under conjugation, and the
     encoding: the composed codes of x and y are the code of x y, and the
@@ -265,24 +266,16 @@ def preflight_suite(
     identity = tuple(range(n * F.order))
     rng = random.Random(seed)
     ok = True
-    for _ in range(triples):
-        x = _random_element(rng, F, n)
-        y = _random_element(rng, F, n)
-        z = _random_element(rng, F, n)
-        if multiply(multiply(x, y, F), z, F) != multiply(x, multiply(y, z, F), F):
-            ok = False
-            break
-        cx = encode(x, F)
-        if compose(cx, encode(y, F)) != encode(multiply(x, y, F), F):
-            ok = False
-            break
-        if compose(encode(inverse(x, F), F), cx) != identity:
-            ok = False
-            break
-        if support(multiply(x, y, F), F) & ~(support(x, F) | support(y, F)):
-            ok = False
-            break
-        if class_label(conjugate(x, y, F), F) != class_label(y, F):
+    for _ in range(PREFLIGHT_TRIPLES):
+        x, y, z = (_random_element(rng, F, n) for _ in range(3))
+        xy, cx = multiply(x, y, F), encode(x, F)
+        if (
+            multiply(xy, z, F) != multiply(x, multiply(y, z, F), F)
+            or compose(cx, encode(y, F)) != encode(xy, F)
+            or compose(encode(inverse(x, F), F), cx) != identity
+            or support(xy, F) & ~(support(x, F) | support(y, F))
+            or class_label(conjugate(x, y, F), F) != class_label(y, F)
+        ):
             ok = False
             break
     return {
@@ -290,7 +283,7 @@ def preflight_suite(
         "family": spec.name,
         "level": n,
         "seed": seed,
-        "checks": triples,
+        "checks": PREFLIGHT_TRIPLES,
         "failures": 0 if ok else 1,
         "ok": ok,
     }

@@ -1,5 +1,5 @@
 """Wreath products F wr S_n: elements, conjugacy-class labels, class members
-generated from a label, and fully enumerated level groups.
+as conjugation orbits, and fully enumerated level groups.
 
 An element is a permutation of {0..n-1} together with one F-element per
 point.  The product convention is fixed once here and used everywhere:
@@ -22,9 +22,12 @@ the identity is tuple(range(n |F|)).  A cycle of perm through the point
 labels and supports are read off the code without decoding it.
 
 Conjugacy classes are labeled by the multiset of (cycle length, F-class of
-the cycle product), with (1, identity-class) pairs dropped.  That this is a
-complete invariant is checked against brute-force conjugation orbits
-(classalg.oracles) in the test suite, never assumed.
+the cycle product), with (1, identity-class) pairs dropped.  The members of
+a class are the orbit of one representative under conjugation by
+generating_set(F, n), built once per class and level and cached.  That the
+label is a complete invariant is tested, never assumed, against the orbits
+of a fully enumerated level under the same set (classalg.oracles), and
+those against the orbits under every element.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
+from operator import itemgetter
 
 from .errors import (
     BudgetExceeded,
@@ -42,7 +46,7 @@ from .errors import (
     ParseError,
     WrongBaseGroup,
 )
-from .finite_group import FiniteGroup, cycle_str, cycles
+from .finite_group import FiniteGroup, cycle_str, cycles, orbit_partition
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -52,14 +56,18 @@ def group_order(F: FiniteGroup, n: int) -> int:
     return F.order**n * factorial(n)
 
 
-def check_budget(F: FiniteGroup, n: int, budget: int | None) -> None:
+def check_count(size: int, what: str, budget: int | None) -> None:
+    """Raise BudgetExceeded if enumerating `what`, of `size` elements, is
+    over the element budget."""
     limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
-    size = group_order(F, n)
     if size > limit:
-        raise BudgetExceeded(
-            f"level {n} over base of order {F.order} has {size} elements, "
-            f"budget is {limit}"
-        )
+        raise BudgetExceeded(f"{what} has {size} elements, budget is {limit}")
+
+
+def check_budget(F: FiniteGroup, n: int, budget: int | None) -> None:
+    check_count(
+        group_order(F, n), f"level {n} over base of order {F.order}", budget
+    )
 
 
 # --- support-set bitmask helpers (bit j <-> point j, displayed 1-based) ---
@@ -361,88 +369,44 @@ def label_ids(m: int, F: FiniteGroup) -> dict[ClassLabel, int]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_decorations(
-    ln: int, k: int, F: FiniteGroup
-) -> tuple[tuple[int, ...], ...]:
-    """Decorations d_0..d_{ln-1} of a cycle listed from its least point whose
-    cycle product d_{ln-1} ... d_1 d_0, taken in class_label's order, lies
-    in F-class k.  The first ln-1 are free and fix the last one.  Each is
-    given rotated, as (d_1, ..., d_{ln-1}, d_0): entry i decorates the point
-    that the i-th point of the cycle goes to."""
-    mult, inv = F.mult, F.inv
-    targets = [y for y in range(F.order) if F.class_of[y] == k]
-    out = []
-    for head in itertools.product(range(F.order), repeat=ln - 1):
-        acc = F.identity
-        for d in head:
-            acc = mult[d][acc]
-        out.extend(head[1:] + (mult[y][inv[acc]],) + head[:1] for y in targets)
-    return tuple(out)
+def generating_set(
+    F: FiniteGroup, n: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """A generating set of F wr S_n as (g, g^-1) codes: the transposition
+    (1 2), the n-cycle (1 2 ... n), and every non-identity element of F
+    decorating point 1."""
+    e = identity_element(F, n)
+    gens = []
+    if n >= 2:
+        gens.append(GroupElement(n, (1, 0) + e.perm[2:], e.deco))
+        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
+    if n >= 1:
+        gens += [
+            GroupElement(n, e.perm, (f,) + e.deco[1:])
+            for f in range(F.order) if f != F.identity
+        ]
+    return tuple((encode(g, F), encode(inverse(g, F), F)) for g in gens)
 
 
 @lru_cache(maxsize=None)
-def _block_images(n: int, F: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """[b][d]: the code entries of the points (j, f), f in F, when j goes
-    to b and b is decorated d."""
-    m = F.order
-    return tuple(
-        tuple(tuple(b * m + x for x in F.mult[d]) for d in range(m))
-        for b in range(n)
+def class_members(
+    c: ClassLabel, F: FiniteGroup, n: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(code, support) for every element of F wr S_n with label c, each
+    once: the orbit of the label's representative under conjugation by
+    generating_set(F, n), built once per (c, F, n) and cached.  A point j is
+    in the support when it does not fix (j, identity)."""
+    # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
+    # itemgetter; the set is empty unless n |F| >= 2, so they give tuples
+    moves = [(g, itemgetter(*g_inv)) for g, g_inv in generating_set(F, n)]
+    orbit = orbit_partition(
+        [encode(class_label_representative(c, F, n), F)],
+        lambda x: [itemgetter(*after_g_inv(x))(g) for g, after_g_inv in moves],
     )
-
-
-def class_members(c: ClassLabel, F: FiniteGroup, n: int):
-    """Yield (code, support) for every element of F wr S_n with label c,
-    each exactly once, built from the label padded with (1, 0) pairs up to
-    n points: the least free point opens each cycle, and each distinct
-    (length, F-class) pair still owed is tried there once."""
-    if c.alpha > n:
-        raise InvalidLabel(f"label needs {c.alpha} points, level is {n}")
-    owed: dict[tuple[int, int], int] = {}
-    for pair in c.pairs + ((1, 0),) * (n - c.alpha):
-        owed[pair] = owed.get(pair, 0) + 1
-    kinds = sorted(owed, key=_pair_order)
-    m = F.order
-    images = _block_images(n, F)
-    fixed = [images[q][F.identity] for q in range(n)]
-    code = list(range(n * m))
-    # cycles still owed, (1, 0) pairs not counted
-    todo = [len(c.pairs)]
-
-    def rec(free: tuple[int, ...], sup: int):
-        p, rest = free[0], free[1:]
-        for kind in kinds:
-            if not owed[kind]:
-                continue
-            ln = kind[0]
-            cycle = kind != (1, 0)
-            owed[kind] -= 1
-            todo[0] -= cycle
-            for others in itertools.permutations(rest, ln - 1):
-                pts = (p,) + others
-                left = tuple(q for q in rest if q not in others)
-                s = sup
-                if cycle:
-                    for q in pts:
-                        s |= 1 << q
-                if not todo[0]:
-                    # every point left is an undecorated fixed point
-                    for q in left:
-                        code[q * m:q * m + m] = fixed[q]
-                for ds in _cycle_decorations(*kind, F):
-                    for a, b, d in zip(pts, others + (p,), ds):
-                        code[a * m:a * m + m] = images[b][d]
-                    if todo[0]:
-                        yield from rec(left, s)
-                    else:
-                        yield tuple(code), s
-            owed[kind] += 1
-            todo[0] += cycle
-
-    if c.pairs:
-        yield from rec(tuple(range(n)), 0)
-    else:
-        yield tuple(code), 0
+    base = range(F.identity, n * F.order, F.order)
+    return tuple(
+        (x, sum(1 << j for j, p in enumerate(base) if x[p] != p)) for x in orbit
+    )
 
 
 def factor_supports(
@@ -451,7 +415,7 @@ def factor_supports(
     """The members x of class c1 at level n = h.n, grouped by the label of
     x^-1 h.  Each member is kept as support(x) | support(x^-1 h) << n.
 
-    The inverses z = x^-1 are what is generated: they are the members of
+    The inverses z = x^-1 are what is enumerated: they are the members of
     inverse_label(c1), and support(z) = support(x).  Each costs one
     composition z h of codes and one cycle walk of the result."""
     n = h.n

@@ -1,6 +1,8 @@
 """Class sums in the group algebras: sizes and S structure constants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classalg import (
     AlgebraVector,
@@ -143,6 +145,31 @@ def test_s_matches_literal_products_on_user_bases(F, l, max_alpha):
                 c: v for c in labels if (v := s_constant(c1, c2, c, l, F))
             }
             assert center_product_oracle(c1, c2, l, F) == direct, (c1, c2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), F=st.sampled_from([DIHEDRAL8, QUATERNION]),
+       l=st.integers(3, 4))
+def test_s_class_equation_random_labels(data, F, l):
+    """sum_c S(c1, c2, c; l) |c(l)| = |c1(l)| |c2(l)| for random c1, c2 with
+    alpha <= 2 on the non-abelian order-8 bases; level 4 lies past the
+    exhaustive member tests."""
+    small = labels_with_alpha_up_to(2, F)
+    c1, c2 = (data.draw(st.sampled_from(small)) for _ in range(2))
+    lhs = sum(
+        s_constant(c1, c2, c, l, F) * class_size(c, l, F)
+        for c in labels_with_alpha_up_to(l, F)
+    )
+    assert lhs == class_size(c1, l, F) * class_size(c2, l, F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), F=st.sampled_from([DIHEDRAL8, QUATERNION]))
+def test_s_matches_literal_products_random_labels(data, F):
+    labels = labels_with_alpha_up_to(2, F)
+    c1, c2, c = (data.draw(st.sampled_from(labels)) for _ in range(3))
+    oracle = center_product_oracle(c1, c2, 2, F)
+    assert s_constant(c1, c2, c, 2, F) == oracle.get(c, 0)
 
 
 def test_center_product_vectors():

@@ -115,7 +115,7 @@ def test_sconst(capsys):
     ],
 )
 def test_constant_queries_build_no_level_group(capsys, argv):
-    """S and P are counted over class members generated from labels, and
+    """S and P are counted over class members built from their labels, and
     class sizes come in closed form; a query never enumerates a whole
     level."""
     _level_group_cached.cache_clear()
@@ -134,6 +134,18 @@ def test_xi_with_oracle(capsys):
     assert row == {
         "lprime": 3, "c": "[2]", "l": 4, "xi": 2, "oracle": 2, "agree": True,
     }
+
+
+def test_xi_oracle_bounded_by_windows(capsys):
+    """The recount enumerates C(l, l') windows, not level l: C(30, 2) = 435
+    windows fit the default budget though |S_30| does not."""
+    code, out, _ = run(
+        capsys, "xi", "--lprime", "2", "--class", "[]", "--l", "30", "--oracle",
+        "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["xi"] == row["oracle"] == 435 and row["agree"] is True
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -237,7 +249,7 @@ def test_budget_exit_3(capsys):
         "--budget-elements", "5",
     )
     assert code == 3
-    # the subset recount is bounded like sconst at the same level
+    # the subset recount is bounded by the C(26, 10) windows it counts
     code, out, err = run(
         capsys, "xi", "--lprime", "10", "--class", "[]", "--l", "26",
         "--oracle", "--budget-elements", "100",

@@ -6,6 +6,7 @@ import pytest
 
 from classalg import (
     BudgetExceeded,
+    FamilySpec,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -16,6 +17,7 @@ from classalg import (
     conjugacy_classes,
     load_group,
     load_group_file,
+    parse_family,
 )
 from classalg.finite_group import TRIVIAL, validate_table
 
@@ -38,6 +40,18 @@ def test_builtin_spellings(name):
     F = builtin_group(name)
     assert F.order == 2
     assert F.names == ("+", "-")
+
+
+def test_builtins_are_shared():
+    """One group per builtin, whatever the spelling, so the caches keyed on
+    a group are shared; groups loaded from tables stay distinct."""
+    assert builtin_group("cyclic2") is builtin_group("cyclic(2)")
+    assert builtin_group(" SYM( 3 ) ") is builtin_group("sym3")
+    assert builtin_group("trivial") is TRIVIAL
+    assert FamilySpec.symmetric().base is TRIVIAL
+    assert parse_family("wreath:cyclic2").base is parse_family("dtype").base
+    assert builtin_group("cyclic1") is not TRIVIAL
+    assert load_group(KLEIN) is not load_group(KLEIN)
 
 
 def test_cyclic_structure():
