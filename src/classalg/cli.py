@@ -14,6 +14,9 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .center_algebra import class_size, s_constant
@@ -43,17 +46,18 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
     return parse_family(args.family, group)
 
 
-def _emit(args: argparse.Namespace, content: str) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write the chunks to --out, or to stdout, as they come."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ParseError(
                 f"cannot write {args.out}: {exc.strerror or exc}"
             ) from None
     else:
-        sys.stdout.write(content)
+        sys.stdout.writelines(chunks)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -77,8 +81,46 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+_SCALARS = (str, int, float, type(None))
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(inner: str) -> Callable[[object], str]:
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
+    """json.dumps(value, indent=2) in pieces, for dicts with string keys.
+    Containers are opened here and any other iterable is written as a list,
+    so records rendered on iteration are encoded one at a time, never held
+    whole.  A nonempty container of scalars is encoded in one call of the C
+    encoder, with the indentation carried by the item separator."""
+    if isinstance(value, _SCALARS):
+        yield json.dumps(value)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        opener, closer, items, values = "{", "}", value.items(), value.values()
+    else:
+        opener, closer, items = "[", "]", ((None, v) for v in value)
+        values = value if isinstance(value, (list, tuple)) else ()
+    if values and all(isinstance(v, _SCALARS) for v in values):
+        body = _flat_encoder(inner)(value)
+        yield opener + inner + body[1:-1] + pad + closer
+        return
+    written = False
+    for key, item in items:
+        yield ("," if written else opener) + inner
+        if key is not None:
+            yield json.dumps(key) + ": "
+        yield from _json_chunks(item, inner)
+        written = True
+    yield pad + closer if written else opener + closer
+
+
+def _json_doc(payload: dict) -> Iterator[str]:
+    yield from _json_chunks(payload)
+    yield "\n"
 
 
 def _render(
@@ -97,12 +139,12 @@ def _render(
         return
     cells = [[str(v) for v in row] for row in rows]
     if args.format == "csv":
-        _emit(args, _csv(headers, cells))
+        _emit(args, [_csv(headers, cells)])
         return
     title = "".join(f"  {k}={v}" for k, v in fields.items())
     if title:
         title = f"{args.command}  family={spec.name}{title}\n"
-    _emit(args, title + _table(headers, cells))
+    _emit(args, [title, _table(headers, cells)])
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
@@ -240,7 +282,9 @@ def _render_verify_text(result: dict) -> str:
                 f"{s['suite']}: checks={s['checks']} failures={s['failures']} "
                 f"{'ok' if s['ok'] else 'FAILED'}"
             )
-            for r in [r for r in s["records"] if not r["ok"]][:5]:
+            # the records are rendered only to show the first failures
+            failed = (r for r in s["records"] if not r["ok"]) if s["failures"] else ()
+            for r in islice(failed, 5):
                 fields = " ".join(f"{k}={r[k]}" for k in r if k != "ok")
                 lines.append(f"  FAIL {fields}")
             if s["failures"] > 5:
@@ -271,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(args, _json_doc(result))
     else:
-        _emit(args, _render_verify_text(result))
+        _emit(args, [_render_verify_text(result)])
     return 0 if result["ok"] else 1
 
 

@@ -15,6 +15,7 @@ conditions that the whole construction rests on, by orbit enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
 
 from .center_algebra import s_constant, s_row
@@ -67,6 +68,19 @@ class MainLemmaRecord:
         return self.lhs == self.rhs
 
 
+@lru_cache(maxsize=None)
+def _second_xis(l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """xi(l2, c2; l) as table[l2][id of c2], for every l2 <= l."""
+    labels = labels_with_alpha_up_to(l, F)
+    return tuple(
+        tuple(
+            xi_closed_form(l2, labels[j], l)
+            for j in range(len(labels_with_alpha_up_to(l2, F)))
+        )
+        for l2 in range(l + 1)
+    )
+
+
 def main_lemma_row(
     w1: OmegaLabel, l: int, c: ClassLabel, F: FiniteGroup,
 ) -> list[list[tuple[int, int]]]:
@@ -77,7 +91,6 @@ def main_lemma_row(
     One S row and one P row per window size lt serve every second class.
     The caller checks the budget at level l.
     """
-    labels = labels_with_alpha_up_to(l, F)
     x1 = xi_closed_form(w1.l, w1.c, l)
     S = s_row(w1.c, c, l, F) if x1 else None
     # P((l1,c1), (l2,c2), (lt,c)) vanishes unless l2 <= lt <= l1 + l2, and
@@ -87,12 +100,12 @@ def main_lemma_row(
         for lt in range(max(w1.l, c.alpha), l + 1)
     ]
     out = []
-    for l2 in range(l + 1):
+    for l2, x2s in enumerate(_second_xis(l, F)):
+        terms = [(x, row) for lt, x, row in prows if lt >= l2]
         cells = []
-        for j in range(len(labels_with_alpha_up_to(l2, F))):
-            x2 = xi_closed_form(l2, labels[j], l) if x1 else 0
-            lhs = x1 * x2 * S[j] if x2 else 0
-            rhs = sum(x * row[j][l2] for lt, x, row in prows if lt >= l2)
+        for j, x2 in enumerate(x2s):
+            lhs = x1 * x2 * S[j] if x1 and x2 else 0
+            rhs = sum(x * row[j][l2] for x, row in terms)
             cells.append((lhs, rhs))
         out.append(cells)
     return out

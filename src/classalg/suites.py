@@ -1,17 +1,22 @@
 """Exhaustive verification sweeps over a family at a truncation level.
 
 Each suite enumerates a canonical task list, checks exact integer
-identities in order in one process, and returns a JSON-ready dict:
-summary counts plus one record per check.  The sweeps read structure
+identities in order in one process, and returns a dict of summary counts
+and its records, one per check.  Main-lemma, with tens of thousands of
+checks, holds only both sides of each check as integers, and its records
+are rendered as dicts one at a time when iterated (MainLemmaRecords), so
+output is written without holding them.  The sweeps read structure
 constants a row at a time: one S row of (c1, c) and one P row of
 (omega1, omega) serve every second class, indexed by label id (a label's
 position in labels_with_alpha_up_to), and the element budget is checked
-once per level rather than once per constant.
-"""
+once per level rather than once per constant."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
+from dataclasses import dataclass
+from operator import ne
 
 from .center_algebra import center_product
 from .correspondence import (
@@ -50,8 +55,12 @@ SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
 PREFLIGHT_TRIPLES = 200
 
 
-def _suite_dict(name: str, spec: FamilySpec, level: int, records: list[dict]) -> dict:
-    failures = sum(1 for r in records if not r["ok"])
+def _suite_dict(
+    name: str, spec: FamilySpec, level: int,
+    records: list[dict] | MainLemmaRecords, failures: int | None = None,
+) -> dict:
+    if failures is None:
+        failures = sum(1 for r in records if not r["ok"])
     return {
         "suite": name,
         "family": spec.name,
@@ -63,36 +72,27 @@ def _suite_dict(name: str, spec: FamilySpec, level: int, records: list[dict]) ->
     }
 
 
-def main_lemma_suite(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> dict:
-    """Check xi' xi'' S = sum xi P for every pair of class labels at level N
-    and every target class at every level l <= N.
+@dataclass(frozen=True)
+class MainLemmaRecords:
+    """The main-lemma records in (first, second, target) order over basis,
+    kept as their lhs and rhs integers; iterating renders each record as
+    a dict, one at a time."""
 
-    For each first class and target, one main_lemma_row holds both sides
-    for every second class; the records come out in (first, second,
-    target) order."""
-    F = spec.base
-    for l in range(N + 1):
-        check_budget(F, l, budget)
-    labels = labels_with_alpha_up_to(N, F)
-    # one display string per class label, shared by all records: the sweep
-    # holds tens of thousands of them, and fresh strings dominate its memory
-    shown = [c.display(F) for c in labels]
-    # (level, label id) of every class label at every level l <= N
-    basis = [
-        (l, j) for l in range(N + 1)
-        for j in range(len(labels_with_alpha_up_to(l, F)))
-    ]
-    records = []
-    for l1, i1 in basis:
-        w1 = OmegaLabel(l1, labels[i1])
-        rows = [main_lemma_row(w1, l, labels[i], F) for l, i in basis]
-        for l2, i2 in basis:
-            for (l, i), row in zip(basis, rows):
-                lhs, rhs = row[l2][i2] if l2 <= l else (0, 0)
-                records.append(
-                    {
+    basis: list[tuple[int, int]]  # (level, label id) of every class label
+    shown: list[str]  # display of every label id
+    lhs: list[int]
+    rhs: list[int]
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def __iter__(self) -> Iterator[dict]:
+        basis, shown = self.basis, self.shown
+        sides = zip(self.lhs, self.rhs)
+        for l1, i1 in basis:
+            for l2, i2 in basis:
+                for (l, i), (lhs, rhs) in zip(basis, sides):
+                    yield {
                         "l1": l1,
                         "c1": shown[i1],
                         "l2": l2,
@@ -103,8 +103,38 @@ def main_lemma_suite(
                         "rhs": rhs,
                         "ok": lhs == rhs,
                     }
-                )
-    return _suite_dict("main-lemma", spec, N, records)
+
+
+def main_lemma_suite(
+    spec: FamilySpec, N: int, budget: int | None = None
+) -> dict:
+    """Check xi' xi'' S = sum xi P for every pair of class labels at level N
+    and every target class at every level l <= N.
+
+    For each first class and target, one main_lemma_row holds both sides
+    for every second class; the sides are kept in (first, second, target)
+    order and MainLemmaRecords renders them as records."""
+    F = spec.base
+    for l in range(N + 1):
+        check_budget(F, l, budget)
+    labels = labels_with_alpha_up_to(N, F)
+    basis = [
+        (l, j) for l in range(N + 1)
+        for j in range(len(labels_with_alpha_up_to(l, F)))
+    ]
+    lhs: list[int] = []
+    rhs: list[int] = []
+    for l1, i1 in basis:
+        w1 = OmegaLabel(l1, labels[i1])
+        rows = [main_lemma_row(w1, l, labels[i], F) for l, i in basis]
+        for l2, i2 in basis:
+            for (l, _), row in zip(basis, rows):
+                a, b = row[l2][i2] if l2 <= l else (0, 0)
+                lhs.append(a)
+                rhs.append(b)
+    shown = [c.display(F) for c in labels]
+    records = MainLemmaRecords(basis, shown, lhs, rhs)
+    return _suite_dict("main-lemma", spec, N, records, sum(map(ne, lhs, rhs)))
 
 
 def inversion_suite(

@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from classalg.cli import main
+from classalg.cli import _json_doc, main
 from classalg.wreath import _level_group_cached
 
 Z3_FILE = {
@@ -330,6 +332,38 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL " in out
 
 
+def test_verify_failure_rendering(capsys, monkeypatch):
+    """Table output shows the counts, the first five failing records in
+    record order and how many more failed; JSON counts every failure."""
+    import classalg.suites as suites_mod
+
+    real = suites_mod.main_lemma_row
+
+    def broken(w1, l, c, F):
+        return [[(lhs, rhs + 1) for lhs, rhs in cells] for cells in real(w1, l, c, F)]
+
+    monkeypatch.setattr(suites_mod, "main_lemma_row", broken)
+    argv = ("verify", "main-lemma", "--family", "sym", "--level", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "verify  family=sym  level=2\n"
+        "main-lemma: checks=64 failures=44 FAILED\n"
+        "  FAIL l1=0 c1=[] l2=0 c2=[] l=0 c=[] lhs=1 rhs=2\n"
+        "  FAIL l1=0 c1=[] l2=0 c2=[] l=1 c=[] lhs=1 rhs=2\n"
+        "  FAIL l1=0 c1=[] l2=0 c2=[] l=2 c=[] lhs=1 rhs=2\n"
+        "  FAIL l1=0 c1=[] l2=0 c2=[] l=2 c=[2] lhs=0 rhs=1\n"
+        "  FAIL l1=0 c1=[] l2=1 c2=[] l=1 c=[] lhs=1 rhs=2\n"
+        "  ... and 39 more\n"
+        "RESULT: FAILED\n"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    (suite,) = json.loads(out)["suites"]
+    assert suite["failures"] == 44
+    assert suite["failures"] == sum(not r["ok"] for r in suite["records"])
+
+
 def test_verify_audit_unexpected_pass_exits_1(capsys, monkeypatch):
     import classalg.suites as suites_mod
     from classalg.correspondence import AuditReport
@@ -403,3 +437,54 @@ def test_verify_all_json_digest(capsys, family, level):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == VERIFY_JSON_SHA256[(family, level)]
+
+
+@pytest.mark.parametrize("family,level", [("sym", 4), ("wreath:cyclic2", 3)])
+def test_verify_json_out_matches_pin(tmp_path, capsys, family, level):
+    target = tmp_path / "verify.json"
+    code, out, _ = run(
+        capsys, "verify", "all", "--family", family, "--level", str(level),
+        "--format", "json", "--out", str(target),
+    )
+    assert code == 0
+    assert out == ""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == VERIFY_JSON_SHA256[(family, level)]
+
+
+def test_verify_out_unwritable_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "main-lemma", "--family", "sym", "--level", "2",
+        "--out", "/nonexistent/dir/x",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_verify_over_budget_writes_no_out_file(tmp_path, capsys):
+    target = tmp_path / "verify.txt"
+    code, out, err = run(
+        capsys, "verify", "all", "--family", "sym", "--level", "4",
+        "--budget-elements", "10", "--out", str(target),
+    )
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+    assert not target.exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_doc_matches_json_dumps(value):
+    payload = {"value": value, "lazy": iter([value, {"k": value}])}
+    expected = json.dumps(
+        {"value": value, "lazy": [value, {"k": value}]}, indent=2
+    )
+    assert "".join(_json_doc(payload)) == expected + "\n"

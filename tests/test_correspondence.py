@@ -1,5 +1,7 @@
 """xi coefficients, the diagonal identity, triangular systems, phi, audits."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,21 @@ def test_main_lemma_suite_matches_single_records(family, N):
             "l": w.l, "c": w.c.display(F),
             "lhs": one.lhs, "rhs": one.rhs, "ok": one.ok,
         }
+
+
+def test_main_lemma_suite_holds_no_record_dicts():
+    """With the row caches warm, what the suite's result keeps is its two
+    integers per check (54,872 checks here), not one dict per check."""
+    spec = parse_family("wreath:cyclic2")
+    main_lemma_suite(spec, 4)
+    tracemalloc.start()
+    try:
+        rep = main_lemma_suite(spec, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["checks"] == 54872 and rep["failures"] == 0
+    assert held < 3 * 2**20
 
 
 def test_main_lemma_diagonal_reduces_to_s_equals_p():
