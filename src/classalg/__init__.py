@@ -21,11 +21,10 @@ from .correspondence import (
     InversionRecord,
     MainLemmaRecord,
     admissibility_audit,
-    build_r_system,
+    forward_substitute,
     parse_family,
     phi,
     phi_preimage,
-    solve_p_from_s,
     verify_inversion,
     verify_main_lemma,
     xi_closed_form,

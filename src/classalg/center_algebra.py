@@ -7,7 +7,8 @@ members of c1 are the cached conjugation orbit of one representative of
 its label (wreath.class_members), and each is multiplied against h once,
 so no level group is enumerated and no product table is built.  Grouping
 the members by the label of x^-1 h gives the whole S row of (c1, c), one
-count for every c2, stored by label id.  Class sizes come from the
+count for every c2, stored by label id; center_row reads c1(l) c2(l) off
+those rows as one row over the targets.  Class sizes come from the
 centralizer order in closed form.  Correctness against literal class-sum
 multiplication and against enumerated classes is part of the test suite.
 """
@@ -61,6 +62,24 @@ def s_row(c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup) -> tuple[int, .
     return tuple(row)
 
 
+@lru_cache(maxsize=None)
+def s_rows(c1: ClassLabel, l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The s_row of c1 into every target at level l >= alpha(c1), by the
+    target's label id.  The caller checks the budget."""
+    return tuple(s_row(c1, c, l, F) for c in labels_with_alpha_up_to(l, F))
+
+
+def center_row(
+    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup,
+    budget: int | None = None,
+) -> tuple[int, ...]:
+    """c1(l) c2(l) as a row: S(c1, c2, c; l) for every target c, by label
+    id; c1 and c2 must be realized at level l."""
+    check_budget(F, l, budget)
+    j = label_ids(l, F)[c2]
+    return tuple(row[j] for row in s_rows(c1, l, F))
+
+
 def s_constant(
     c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup,
     budget: int | None = None,
@@ -83,19 +102,16 @@ def center_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup,
     budget: int | None = None,
 ) -> AlgebraVector:
-    """Product of center vectors at a common level l, expanded in class sums."""
+    """Product of center vectors at a common level l, expanded in class
+    sums: the center_rows of the pairs of terms, summed."""
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     l = a.level
     labels = labels_with_alpha_up_to(l, F)
-    if a.terms and b.terms:
-        check_budget(F, l, budget)
-    ids = label_ids(l, F)
-    second = [(ids[c2], y) for c2, y in b.terms]
     acc = [0] * len(labels)
     for c1, x in a.terms:
-        for i, c in enumerate(labels):
-            row = s_row(c1, c, l, F)
-            acc[i] += x * sum(y * row[j] for j, y in second)
+        for c2, y in b.terms:
+            row = center_row(c1, c2, l, F, budget)
+            acc = [s + x * y * v for s, v in zip(acc, row)]
     # label order is the vectors' sort order
-    return AlgebraVector(l, tuple((c, v) for c, v in zip(labels, acc) if v))
+    return AlgebraVector.from_row(l, labels, acc)

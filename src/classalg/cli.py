@@ -14,12 +14,11 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable, Iterable, Iterator
-from functools import lru_cache
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb
 
-from .center_algebra import class_size, s_constant
+from .center_algebra import center_row, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
 from .errors import (
     BudgetExceeded,
@@ -32,8 +31,10 @@ from .errors import (
 )
 from .finite_group import FiniteGroup, load_group_file
 from .oracles import xi_count_oracle
-from .partial_algebra import OmegaLabel, p_constant, truncation_basis
-from .suites import SUITE_NAMES, run_suites
+from .partial_algebra import (
+    OmegaLabel, level_omegas, p_constant, product_rows, truncation_basis,
+)
+from .suites import SUITE_NAMES, Records, run_suites
 from .wreath import ClassLabel, labels_with_alpha_up_to
 
 VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
@@ -81,33 +82,21 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-_SCALARS = (str, int, float, type(None))
-
-
-@lru_cache(maxsize=None)
-def _flat_encoder(inner: str) -> Callable[[object], str]:
-    return json.JSONEncoder(separators=("," + inner, ": ")).encode
-
-
 def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
     """json.dumps(value, indent=2) in pieces, for dicts with string keys.
-    Containers are opened here and any other iterable is written as a list,
-    so records rendered on iteration are encoded one at a time, never held
-    whole.  A nonempty container of scalars is encoded in one call of the C
-    encoder, with the indentation carried by the item separator."""
-    if isinstance(value, _SCALARS):
+    Containers are opened here, any other iterable is written as a list,
+    and suite records are written one at a time, never held whole."""
+    if isinstance(value, (str, int, float, type(None))):
         yield json.dumps(value)
         return
     inner = pad + "  "
+    if isinstance(value, Records):
+        yield from _record_chunks(value, inner)
+        return
     if isinstance(value, dict):
-        opener, closer, items, values = "{", "}", value.items(), value.values()
+        opener, closer, items = "{", "}", value.items()
     else:
         opener, closer, items = "[", "]", ((None, v) for v in value)
-        values = value if isinstance(value, (list, tuple)) else ()
-    if values and all(isinstance(v, _SCALARS) for v in values):
-        body = _flat_encoder(inner)(value)
-        yield opener + inner + body[1:-1] + pad + closer
-        return
     written = False
     for key, item in items:
         yield ("," if written else opener) + inner
@@ -116,6 +105,19 @@ def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
         yield from _json_chunks(item, inner)
         written = True
     yield pad + closer if written else opener + closer
+
+
+def _record_chunks(records: Records, inner: str) -> Iterator[str]:
+    """The records as a list of dicts, each filled into one template for
+    their fields; labels, lists and verdicts are encoded by _json_chunks."""
+    item = inner + "  "
+    fields = "".join(f",{item}{json.dumps(k)}: %s" for k in records.fields)
+    template = inner + "{" + fields[1:] + inner + "}"
+    opener = "["
+    for row in records.rows(lambda v: "".join(_json_chunks(v, item))):
+        yield opener + template % row
+        opener = ","
+    yield "[]" if opener == "[" else inner[:-2] + "]"
 
 
 def _json_doc(payload: dict) -> Iterator[str]:
@@ -187,20 +189,15 @@ def cmd_pconst(args: argparse.Namespace) -> int:
                 f"{flag} {w.display(F)} has a window larger than --level {N}"
             )
     w1, w2 = labels["--omega1"], labels["--omega2"]
-    single = "--omega" in labels
-    if single:
-        targets = [labels["--omega"]]
+    if "--omega" in labels:
+        w = labels["--omega"]
+        found = [(w, p_constant(w1, w2, w, F, budget))]
     else:
-        targets = [
-            OmegaLabel(l, c)
-            for l in range(max(w1.l, w2.l), min(N, w1.l + w2.l) + 1)
-            for c in labels_with_alpha_up_to(l, F)
+        found = [
+            (w, v) for l, row in enumerate(product_rows(w1, w2, N, F, budget))
+            for w, v in zip(level_omegas(l, F), row) if v
         ]
-    rows = [
-        [w1.display(F), w2.display(F), w.display(F), v]
-        for w in targets
-        if (v := p_constant(w1, w2, w, F, budget)) or single
-    ]
+    rows = [[w1.display(F), w2.display(F), w.display(F), v] for w, v in found]
     _render(args, spec, {"level": N}, ["omega1", "omega2", "omega", "P"], rows)
     return 0
 
@@ -221,13 +218,13 @@ def cmd_sconst(args: argparse.Namespace) -> int:
                 f"{flag} {c.display(F)} needs more than --l {l} points"
             )
     c1, c2 = labels["--c1"], labels["--c2"]
-    single = "--c" in labels
-    targets = [labels["--c"]] if single else labels_with_alpha_up_to(l, F)
-    rows = [
-        [c1.display(F), c2.display(F), c.display(F), l, v]
-        for c in targets
-        if (v := s_constant(c1, c2, c, l, F, budget)) or single
-    ]
+    if "--c" in labels:
+        c = labels["--c"]
+        found = [(c, s_constant(c1, c2, c, l, F, budget))]
+    else:
+        row = center_row(c1, c2, l, F, budget)
+        found = [(c, v) for c, v in zip(labels_with_alpha_up_to(l, F), row) if v]
+    rows = [[c1.display(F), c2.display(F), c.display(F), l, v] for c, v in found]
     _render(args, spec, {"l": l}, ["c1", "c2", "c", "l", "S"], rows)
     return 0
 

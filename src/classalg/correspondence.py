@@ -14,20 +14,21 @@ conditions that the whole construction rests on, by orbit enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .center_algebra import s_constant, s_row
+from .center_algebra import center_row, s_row
 from .errors import InvalidLabel, LevelMismatch, ParseError
 from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
     AlgebraVector,
     OmegaLabel,
     PartialElement,
-    p_constant,
     p_row,
     partial_str,
+    product_rows,
+    vector_rows,
 )
 from .wreath import (
     ClassLabel,
@@ -37,6 +38,7 @@ from .wreath import (
     decode,
     label_ids,
     labels_with_alpha_up_to,
+    mask_images,
     mask_str,
 )
 
@@ -127,51 +129,14 @@ def verify_main_lemma(
     return MainLemmaRecord(l1, c1, l2, c2, l, c, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class RSystem:
-    """The unipotent triangular system (1 + R) P = S on levels m..M.
-
-    Row i corresponds to level levels[i]; R holds xi(levels[j], c; levels[i])
-    below the diagonal, read in closed form when the system is solved;
-    svec[i] = xi(l1,c1;levels[i]) xi(l2,c2;levels[i]) S(c1,c2,c;levels[i]).
-    """
-
-    omega1: OmegaLabel
-    omega2: OmegaLabel
-    c: ClassLabel
-    levels: tuple[int, ...]
-    svec: tuple[int, ...]
-    pvec: tuple[int, ...] | None = None
-
-
-def build_r_system(
-    omega1: OmegaLabel, omega2: OmegaLabel, c: ClassLabel,
-    F: FiniteGroup, budget: int | None = None,
-) -> RSystem:
-    m = max(omega1.l, omega2.l)
-    M = omega1.l + omega2.l
-    check_budget(F, M, budget)
-    levels = tuple(range(m, M + 1))
-    svec = tuple(
-        xi_closed_form(omega1.l, omega1.c, l)
-        * xi_closed_form(omega2.l, omega2.c, l)
-        * s_constant(omega1.c, omega2.c, c, l, F, budget)
-        for l in levels
-    )
-    return RSystem(omega1, omega2, c, levels, svec)
-
-
-def solve_p_from_s(system: RSystem) -> RSystem:
-    """Forward substitution: unipotent lower-triangular systems over the
-    integers have a unique integer solution."""
-    levels = system.levels
+def forward_substitute(svec, levels, c: ClassLabel) -> tuple[int, ...]:
+    """The unique integer solution of the unipotent system (1 + R) P = svec
+    at the given levels, R[i][j] = xi(levels[j], c; levels[i]) below the
+    diagonal, by forward substitution."""
     p: list[int] = []
-    for i in range(len(levels)):
-        acc = system.svec[i]
-        for j in range(i):
-            acc -= xi_closed_form(levels[j], system.c, levels[i]) * p[j]
-        p.append(acc)
-    return replace(system, pvec=tuple(p))
+    for s, l in zip(svec, levels):
+        p.append(s - sum(xi_closed_form(lp, c, l) * x for lp, x in zip(levels, p)))
+    return tuple(p)
 
 
 @dataclass(frozen=True)
@@ -190,33 +155,63 @@ class InversionRecord:
         return self.solved == self.brute
 
 
+def inversion_rows(
+    omega1: OmegaLabel, omega2: OmegaLabel, F: FiniteGroup,
+    budget: int | None = None,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(solved, brute) by label id for every c with alpha <= M = l1 + l2:
+    P(omega1, omega2, (l, c)) at l = max(l1, l2)..M, solved from
+    xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l) and read from product_rows."""
+    M = omega1.l + omega2.l
+    levels = range(max(omega1.l, omega2.l), M + 1)
+    brute = product_rows(omega1, omega2, M, F, budget)[levels.start:]
+    sides = [
+        (xi_closed_form(omega1.l, omega1.c, l)
+         * xi_closed_form(omega2.l, omega2.c, l),
+         center_row(omega1.c, omega2.c, l, F))
+        for l in levels
+    ]
+    out = []
+    for i, c in enumerate(labels_with_alpha_up_to(M, F)):
+        svec = [x * row[i] if i < len(row) else 0 for x, row in sides]
+        counted = tuple(row[i] if i < len(row) else 0 for row in brute)
+        out.append((forward_substitute(svec, levels, c), counted))
+    return out
+
+
 def verify_inversion(
     omega1: OmegaLabel, omega2: OmegaLabel, c: ClassLabel,
     F: FiniteGroup, budget: int | None = None,
 ) -> InversionRecord:
-    system = solve_p_from_s(build_r_system(omega1, omega2, c, F, budget))
-    brute = tuple(
-        p_constant(omega1, omega2, OmegaLabel(l, c), F, budget)
-        if c.alpha <= l
-        else 0
-        for l in system.levels
-    )
-    return InversionRecord(
-        omega1, omega2, c, system.levels, system.pvec, brute
-    )
+    """The inversion_rows entry of target c, zeros if alpha(c) > l1 + l2."""
+    M = omega1.l + omega2.l
+    levels = tuple(range(max(omega1.l, omega2.l), M + 1))
+    rows = inversion_rows(omega1, omega2, F, budget)
+    zero = ((0,) * len(levels),) * 2
+    solved, brute = rows[label_ids(M, F)[c]] if c.alpha <= M else zero
+    return InversionRecord(omega1, omega2, c, levels, solved, brute)
+
+
+def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
+    """phi of the truncated vector with coefficients rows[l'][id of c]: the
+    center row at each level l, sum over l' <= l of xi(l', c; l) rows[l']."""
+    out = []
+    for l in range(len(rows)):
+        acc = [0] * len(rows[l])
+        for row, xis in zip(rows, _second_xis(l, F)):
+            for i, (v, x) in enumerate(zip(row, xis)):
+                acc[i] += x * v
+        out.append(tuple(acc))
+    return out
 
 
 def phi(a: AlgebraVector, F: FiniteGroup) -> dict[int, AlgebraVector]:
     """Image of a truncated class-algebra vector: one center vector per
     level l <= a.level, with e[(l',c)] contributing xi(l',c;l) e[c(l)]."""
-    N = a.level
-    out: dict[int, dict[ClassLabel, int]] = {l: {} for l in range(N + 1)}
-    for w, coef in a.terms:
-        for l in range(w.l, N + 1):
-            x = xi_closed_form(w.l, w.c, l)
-            if x:
-                out[l][w.c] = out[l].get(w.c, 0) + coef * x
-    return {l: AlgebraVector.make(l, out[l]) for l in range(N + 1)}
+    return {
+        l: AlgebraVector.from_row(l, labels_with_alpha_up_to(l, F), row)
+        for l, row in enumerate(phi_rows(vector_rows(a, F), F))
+    }
 
 
 def phi_preimage(
@@ -353,16 +348,6 @@ _AUDIT_NOTES = (
 )
 
 
-def _mask_images(perm: list[int], N: int) -> list[int]:
-    """The image of every window d < 2^N under a permutation of the points,
-    each built from the image of d without its lowest point."""
-    out = [0] * (1 << N)
-    for d in range(1, 1 << N):
-        low = d & -d
-        out[d] = out[d ^ low] | 1 << perm[low.bit_length() - 1]
-    return out
-
-
 def admissibility_audit(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> AuditReport:
@@ -414,22 +399,17 @@ def admissibility_audit(
     # A partial element (d, i) is the int i << N | d.  The partial elements
     # of the family by window, each window's in canonical element order.
     pes_in = {w: [i << N | w for i in members[w]] for w in windows}
-    point_images: dict[int, list[int]] = {}
-
-    def mask_images(g: int) -> list[int]:
-        if g not in point_images:
-            m = F.order
-            point_images[g] = _mask_images(
-                [codes[g][j * m] // m for j in range(N)], N
-            )
-        return point_images[g]
+    # the image of every window under the points' permutation by g
+    images_under = lru_cache(maxsize=None)(lambda g: mask_images(
+        [codes[g][j * F.order] // F.order for j in range(N)], N
+    ))
 
     def orbits_under(gs: list[int], starts) -> dict[int, int]:
         """Orbits of the partial elements reached from `starts` under
         simultaneous conjugation by the group generated by gs: closing
         under the generators of a finite group gives the orbit under the
         whole group."""
-        moves = [(g, mask_images(g)) for g in gs]
+        moves = [(g, images_under(g)) for g in gs]
 
         def successors(p: int) -> list[int]:
             d, i = p & full, p >> N

@@ -13,9 +13,11 @@ conjugation orbit, each multiplied by h once), grouped by the label of
 x^-1 h; that pass gives P(omega1, omega2, omega) for every omega2 at once.
 Rows are stored by label id, a label's position in
 labels_with_alpha_up_to, so sweeps index lists instead of hashing labels.
-No level group is enumerated and no product table is built; enumerating
-partial elements and multiplying them pairwise is left to
-classalg.oracles.
+The product kernel, product_rows, reads e[omega1] e[omega2] off the P
+rows as one row per level, so a truncation is a slice of it; ik_product
+converts sparse vectors around it.  No level group is enumerated and no
+product table is built; enumerating partial elements and multiplying them
+pairwise is left to classalg.oracles.
 """
 
 from __future__ import annotations
@@ -127,6 +129,11 @@ class AlgebraVector:
         )
         return cls(level, terms)
 
+    @classmethod
+    def from_row(cls, level: int, keys, row) -> "AlgebraVector":
+        """The vector with coefficient row[i] on keys[i], keys in sort order."""
+        return cls(level, tuple((k, v) for k, v in zip(keys, row) if v))
+
     def as_dict(self) -> dict:
         return dict(self.terms)
 
@@ -164,6 +171,15 @@ def level_omegas(l: int, F: FiniteGroup) -> tuple[OmegaLabel, ...]:
 def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
     """All class labels alive at truncation level N, in canonical order."""
     return [w for l in range(N + 1) for w in level_omegas(l, F)]
+
+
+def vector_rows(a: AlgebraVector, F: FiniteGroup) -> list[list[int]]:
+    """The coefficients of a truncated vector as one row per level
+    l <= a.level, indexed by label id."""
+    rows = [[0] * len(level_omegas(l, F)) for l in range(a.level + 1)]
+    for w, v in a.terms:
+        rows[w.l][label_ids(w.l, F)[w.c]] = v
+    return rows
 
 
 def project(a: AlgebraVector, new_level: int) -> AlgebraVector:
@@ -239,36 +255,39 @@ def p_constant(
     return p_row(o1, o, F)[label_ids(o.l, F)[o2.c]][o2.l]
 
 
+def product_rows(
+    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup,
+    budget: int | None = None,
+) -> tuple[tuple[int, ...], ...]:
+    """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
+    P(w1, w2, (l, c)) for l <= n, read off p_rows(w1, l); only levels
+    max(l1, l2)..l1 + l2 can be nonzero, and the budget is checked there."""
+    j, l2 = label_ids(w2.l, F)[w2.c], w2.l
+    live = range(max(w1.l, l2), min(n, w1.l + l2) + 1)
+    for l in live:
+        check_budget(F, l, budget)
+    return tuple(
+        tuple(row[j][l2] for row in p_rows(w1, l, F)) if l in live
+        else (0,) * len(level_omegas(l, F))
+        for l in range(n + 1)
+    )
+
+
 def ik_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup,
     budget: int | None = None,
 ) -> AlgebraVector:
-    """Product in the truncated class algebra at level N = a.level.
-
-    Level by level: the budget is checked once for each level l that some
-    pair of terms reaches, and each first factor reads the P rows of all
-    targets at that level at once.
-    """
+    """Product in the truncated class algebra at level N = a.level: the
+    product_rows of the pairs of terms, summed."""
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     N = a.level
-    terms = []
-    for l in range(N + 1):
-        pairs = [
-            (w1, w2, x * y)
-            for w1, x in a.terms
-            for w2, y in b.terms
-            if max(w1.l, w2.l) <= l <= w1.l + w2.l
-        ]
-        if not pairs:
-            continue
-        check_budget(F, l, budget)
-        omegas = level_omegas(l, F)
-        ids = label_ids(l, F)
-        acc = [0] * len(omegas)
-        for w1, w2, xy in pairs:
-            j, l2 = ids[w2.c], w2.l
-            acc = [v + xy * row[j][l2] for v, row in zip(acc, p_rows(w1, l, F))]
-        # label order within a level is the vectors' sort order
-        terms.extend((w, v) for w, v in zip(omegas, acc) if v)
-    return AlgebraVector(N, tuple(terms))
+    acc = [[0] * len(level_omegas(l, F)) for l in range(N + 1)]
+    for w1, x in a.terms:
+        for w2, y in b.terms:
+            for l, row in enumerate(product_rows(w1, w2, N, F, budget)):
+                acc[l] = [s + x * y * v for s, v in zip(acc[l], row)]
+    # label order within a level is the vectors' sort order
+    return AlgebraVector.from_row(
+        N, truncation_basis(N, F), [v for row in acc for v in row]
+    )

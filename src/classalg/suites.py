@@ -2,40 +2,31 @@
 
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a dict of summary counts
-and its records, one per check.  Main-lemma, with tens of thousands of
-checks, holds only both sides of each check as integers, and its records
-are rendered as dicts one at a time when iterated (MainLemmaRecords), so
-output is written without holding them.  The sweeps read structure
-constants a row at a time: one S row of (c1, c) and one P row of
-(omega1, omega) serve every second class, indexed by label id (a label's
-position in labels_with_alpha_up_to), and the element budget is checked
-once per level rather than once per constant."""
+and its records, one per check.  The sweeps work on integer rows indexed
+by label id (a label's position in labels_with_alpha_up_to); main-lemma
+and invert keep only label ids and integers, and render their records one
+at a time when they are written.  The element budget is checked once per
+level before a sweep."""
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import ne
 
-from .center_algebra import center_product
+from .center_algebra import center_row
 from .correspondence import (
     FamilySpec,
     admissibility_audit,
+    inversion_rows,
     main_lemma_row,
-    phi,
     phi_preimage,
-    verify_inversion,
+    phi_rows,
+    xi_closed_form,
 )
 from .finite_group import FiniteGroup
-from .partial_algebra import (
-    AlgebraVector,
-    OmegaLabel,
-    basis_vector,
-    ik_product,
-    project,
-    truncation_basis,
-)
+from .partial_algebra import OmegaLabel, level_omegas, product_rows, vector_rows
 from .wreath import (
     GroupElement,
     check_budget,
@@ -56,8 +47,8 @@ PREFLIGHT_TRIPLES = 200
 
 
 def _suite_dict(
-    name: str, spec: FamilySpec, level: int,
-    records: list[dict] | MainLemmaRecords, failures: int | None = None,
+    name: str, spec: FamilySpec, level: int, records: list[dict] | Records,
+    failures: int | None = None,
 ) -> dict:
     if failures is None:
         failures = sum(1 for r in records if not r["ok"])
@@ -72,37 +63,40 @@ def _suite_dict(
     }
 
 
-@dataclass(frozen=True)
-class MainLemmaRecords:
-    """The main-lemma records in (first, second, target) order over basis,
-    kept as their lhs and rhs integers; iterating renders each record as
-    a dict, one at a time."""
+def _basis(N: int, F: FiniteGroup, budget: int | None) -> list[tuple[int, int]]:
+    """(level, label id) of every class label at truncation level N, in
+    truncation_basis order; the budget is checked at every level."""
+    for l in range(N + 1):
+        check_budget(F, l, budget)
+    return [
+        (l, j) for l in range(N + 1)
+        for j in range(len(labels_with_alpha_up_to(l, F)))
+    ]
 
-    basis: list[tuple[int, int]]  # (level, label id) of every class label
-    shown: list[str]  # display of every label id
-    lhs: list[int]
-    rhs: list[int]
+
+def _pairs(basis: list[tuple[int, int]], N: int) -> Iterator[tuple]:
+    """(l1, i1, l2, i2) for every pair of basis labels with l1 + l2 <= N."""
+    for l1, i1 in basis:
+        for l2, i2 in basis:
+            if l1 + l2 <= N:
+                yield l1, i1, l2, i2
+
+
+@dataclass(frozen=True)
+class Records:
+    """A suite's records kept as label ids and ints.  rows(enc) yields each
+    record's values in field order, each label, list and verdict through enc."""
+
+    fields: tuple[str, ...]
+    count: int
+    rows: Callable[[Callable], Iterator[tuple]]
 
     def __len__(self) -> int:
-        return len(self.lhs)
+        return self.count
 
     def __iter__(self) -> Iterator[dict]:
-        basis, shown = self.basis, self.shown
-        sides = zip(self.lhs, self.rhs)
-        for l1, i1 in basis:
-            for l2, i2 in basis:
-                for (l, i), (lhs, rhs) in zip(basis, sides):
-                    yield {
-                        "l1": l1,
-                        "c1": shown[i1],
-                        "l2": l2,
-                        "c2": shown[i2],
-                        "l": l,
-                        "c": shown[i],
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "ok": lhs == rhs,
-                    }
+        for row in self.rows(lambda v: v):
+            yield dict(zip(self.fields, row))
 
 
 def main_lemma_suite(
@@ -112,16 +106,10 @@ def main_lemma_suite(
     and every target class at every level l <= N.
 
     For each first class and target, one main_lemma_row holds both sides
-    for every second class; the sides are kept in (first, second, target)
-    order and MainLemmaRecords renders them as records."""
+    for every second class; only the sides are kept."""
     F = spec.base
-    for l in range(N + 1):
-        check_budget(F, l, budget)
+    basis = _basis(N, F, budget)
     labels = labels_with_alpha_up_to(N, F)
-    basis = [
-        (l, j) for l in range(N + 1)
-        for j in range(len(labels_with_alpha_up_to(l, F)))
-    ]
     lhs: list[int] = []
     rhs: list[int] = []
     for l1, i1 in basis:
@@ -133,117 +121,102 @@ def main_lemma_suite(
                 lhs.append(a)
                 rhs.append(b)
     shown = [c.display(F) for c in labels]
-    records = MainLemmaRecords(basis, shown, lhs, rhs)
-    return _suite_dict("main-lemma", spec, N, records, sum(map(ne, lhs, rhs)))
+
+    def records(enc):
+        names, flags = [enc(c) for c in shown], (enc(False), enc(True))
+        sides = zip(lhs, rhs)
+        for l1, i1 in basis:
+            for l2, i2 in basis:
+                for (l, i), (a, b) in zip(basis, sides):
+                    yield (l1, names[i1], l2, names[i2], l, names[i],
+                           a, b, flags[a == b])
+
+    fields = ("l1", "c1", "l2", "c2", "l", "c", "lhs", "rhs", "ok")
+    return _suite_dict("main-lemma", spec, N, Records(fields, len(lhs), records),
+                       sum(map(ne, lhs, rhs)))
 
 
 def inversion_suite(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
     """Solve (1 + R) P = S by forward substitution for every pair with
-    l' + l'' <= N and compare against directly counted P."""
+    l' + l'' <= N and every target, all targets of a pair at once, and
+    compare against directly counted P; only the P values are kept."""
     F = spec.base
-    basis = truncation_basis(N, F)
-    records = []
-    for w1 in basis:
-        for w2 in basis:
-            if w1.l + w2.l > N:
-                continue
-            for c in labels_with_alpha_up_to(w1.l + w2.l, F):
-                rec = verify_inversion(w1, w2, c, F, budget)
-                records.append(
-                    {
-                        "omega1": w1.display(F),
-                        "omega2": w2.display(F),
-                        "c": c.display(F),
-                        "levels": list(rec.levels),
-                        "solved": list(rec.solved),
-                        "brute": list(rec.brute),
-                        "ok": rec.ok,
-                    }
-                )
-    return _suite_dict("invert", spec, N, records)
+    basis = _basis(N, F, budget)
+    sides = [side for l1, i1, l2, i2 in _pairs(basis, N) for side in
+             inversion_rows(level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F)]
+    shown = [c.display(F) for c in labels_with_alpha_up_to(N, F)]
+
+    def records(enc):
+        each = iter(sides)
+        for l1, i1, l2, i2 in _pairs(basis, N):
+            levels = range(max(l1, l2), l1 + l2 + 1)
+            for i, (s, b) in zip(range(len(level_omegas(l1 + l2, F))), each):
+                yield tuple(map(enc, (
+                    f"{l1}:{shown[i1]}", f"{l2}:{shown[i2]}", shown[i],
+                    list(levels), list(s), list(b), s == b,
+                )))
+
+    fields = ("omega1", "omega2", "c", "levels", "solved", "brute", "ok")
+    return _suite_dict("invert", spec, N, Records(fields, len(sides), records),
+                       sum(s != b for s, b in sides))
 
 
 def phi_suite(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
-    """Check that phi is multiplicative levelwise on untruncated products,
-    upper triangular with unit diagonal, and that computed preimages map
-    back to the intended class sums."""
+    """Check that phi is multiplicative levelwise on untruncated products
+    (images xi(l', c; l) e[c(l)] multiply as a scaled center_row), upper
+    triangular with unit diagonal, and that preimages map back."""
     F = spec.base
-    basis = truncation_basis(N, F)
+    basis = _basis(N, F, budget)
+    labels = labels_with_alpha_up_to(N, F)
+    shown = [c.display(F) for c in labels]
+    zero = [(0,) * len(level_omegas(l, F)) for l in range(N + 1)]
+
+    def unit(l: int, i: int) -> list[tuple[int, ...]]:
+        return zero[:l] + [zero[l][:i] + (1,) + zero[l][i + 1:]] + zero[l + 1:]
+
     records = []
-    for w1 in basis:
-        for w2 in basis:
-            if w1.l + w2.l > N:
-                continue
-            e1, e2 = basis_vector(w1, N), basis_vector(w2, N)
-            img1, img2 = phi(e1, F), phi(e2, F)
-            lhs = {
-                l: center_product(img1[l], img2[l], F, budget)
-                for l in range(N + 1)
-            }
-            rhs = phi(ik_product(e1, e2, F, budget), F)
-            records.append(
-                {
-                    "kind": "product",
-                    "omega1": w1.display(F),
-                    "omega2": w2.display(F),
-                    "ok": lhs == rhs,
-                }
-            )
-    for w in basis:
-        img = phi(basis_vector(w, N), F)
-        lead_ok = img[w.l].as_dict() == {w.c: 1}
-        below_ok = all(img[l].is_zero() for l in range(w.l))
-        records.append(
-            {"kind": "triangular", "omega": w.display(F), "ok": lead_ok and below_ok}
-        )
-    for l in range(N + 1):
-        for c in labels_with_alpha_up_to(l, F):
-            img = phi(phi_preimage(c, l, N, F), F)
-            ok = all(
-                img[j].as_dict() == ({c: 1} if j == l else {})
-                for j in range(N + 1)
-            )
-            records.append(
-                {"kind": "preimage", "target": f"{c.display(F)}({l})", "ok": ok}
-            )
+    for l1, i1, l2, i2 in _pairs(basis, N):
+        c1, c2 = labels[i1], labels[i2]
+        xs = [xi_closed_form(l1, c1, l) * xi_closed_form(l2, c2, l)
+              for l in range(N + 1)]
+        lhs = [tuple(x * v for v in center_row(c1, c2, l, F)) if x else zero[l]
+               for l, x in enumerate(xs)]
+        w1, w2 = level_omegas(l1, F)[i1], level_omegas(l2, F)[i2]
+        rhs = phi_rows(product_rows(w1, w2, N, F), F)
+        records.append({"kind": "product", "omega1": f"{l1}:{shown[i1]}",
+                        "omega2": f"{l2}:{shown[i2]}", "ok": lhs == rhs})
+    for l, i in basis:
+        img = phi_rows(unit(l, i), F)
+        ok = img[l] == unit(l, i)[l] and img[:l] == zero[:l]
+        records.append({"kind": "triangular", "omega": f"{l}:{shown[i]}", "ok": ok})
+    for l, i in basis:
+        img = phi_rows(vector_rows(phi_preimage(labels[i], l, N, F), F), F)
+        ok = img == unit(l, i)
+        records.append({"kind": "preimage", "target": f"{shown[i]}({l})", "ok": ok})
     return _suite_dict("phi", spec, N, records)
-
-
-def _tower_ok(
-    w1: OmegaLabel, w2: OmegaLabel, N: int, F: FiniteGroup, budget: int | None
-) -> bool:
-    v = ik_product(basis_vector(w1, N), basis_vector(w2, N), F, budget)
-    below = [project(v, np) for np in range(N + 1)]
-    for np, pv in enumerate(below):
-        e1 = basis_vector(w1, np) if w1.l <= np else AlgebraVector(np, ())
-        e2 = basis_vector(w2, np) if w2.l <= np else AlgebraVector(np, ())
-        if pv != ik_product(e1, e2, F, budget):
-            return False
-        if any(project(pv, npp) != below[npp] for npp in range(np + 1)):
-            return False
-    return True
 
 
 def tower_suite(
     spec: FamilySpec, N: int, budget: int | None = None
 ) -> dict:
-    """Check that truncation projections commute with products and compose,
-    over every pair of basis labels at level N."""
+    """Check that truncation projections, slices of the rows, commute with
+    products: for every pair of basis labels, the product rows at level N
+    cut to each np <= N equal the product computed separately at np."""
     F = spec.base
-    basis = truncation_basis(N, F)
-    records = [
-        {
-            "omega1": w1.display(F),
-            "omega2": w2.display(F),
-            "ok": _tower_ok(w1, w2, N, F, budget),
-        }
-        for w1 in basis
-        for w2 in basis
-    ]
+    basis = _basis(N, F, budget)
+    omegas = [level_omegas(l, F)[i] for l, i in basis]
+    shown = [w.display(F) for w in omegas]
+    records = []
+    for w1, s1 in zip(omegas, shown):
+        for w2, s2 in zip(omegas, shown):
+            rows = product_rows(w1, w2, N, F)
+            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F)
+                     for np in range(N + 1))
+            records.append({"omega1": s1, "omega2": s2, "ok": ok})
     return _suite_dict("tower", spec, N, records)
 
 
@@ -333,20 +306,14 @@ def run_suites(
         # class machinery is undefined for a family that breaks fusion
         skipped = [s for s in wanted if s not in ("audit", "preflight")]
         wanted = [s for s in wanted if s in ("audit", "preflight")]
-    suites = []
-    for name in wanted:
-        if name == "preflight":
-            suites.append(preflight_suite(spec, N, seed))
-        elif name == "main-lemma":
-            suites.append(main_lemma_suite(spec, N, budget))
-        elif name == "invert":
-            suites.append(inversion_suite(spec, N, budget))
-        elif name == "phi":
-            suites.append(phi_suite(spec, N, budget))
-        elif name == "tower":
-            suites.append(tower_suite(spec, N, budget))
-        elif name == "audit":
-            suites.append(audit_suite(spec, N, budget))
+    # looked up at call time, so a suite replaced in this module is used
+    by_name = {"main-lemma": main_lemma_suite, "invert": inversion_suite,
+               "phi": phi_suite, "tower": tower_suite, "audit": audit_suite}
+    suites = [
+        preflight_suite(spec, N, seed) if name == "preflight"
+        else by_name[name](spec, N, budget)
+        for name in wanted
+    ]
     return {
         "schema": 1,
         "command": "verify",

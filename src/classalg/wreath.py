@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     WrongBaseGroup,
 )
-from .finite_group import FiniteGroup, cycle_str, cycles, orbit_partition
+from .finite_group import FiniteGroup, cycle_str, cycles
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -84,6 +84,16 @@ def apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
     out = 0
     for j in mask_points(mask):
         out |= 1 << perm[j]
+    return out
+
+
+def mask_images(perm, n: int) -> list[int]:
+    """The image of every mask d < 2^n under a permutation of the points,
+    each built from the image of d without its lowest point."""
+    out = [0] * (1 << n)
+    for d in range(1, 1 << n):
+        low = d & -d
+        out[d] = out[d ^ low] | 1 << perm[low.bit_length() - 1]
     return out
 
 
@@ -394,19 +404,28 @@ def class_members(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(code, support) for every element of F wr S_n with label c, each
     once: the orbit of the label's representative under conjugation by
-    generating_set(F, n), built once per (c, F, n) and cached.  A point j is
-    in the support when it does not fix (j, identity)."""
+    generating_set(F, n), built once per (c, F, n) and cached.  The search
+    carries supports: that of g x g^-1 is that of x moved by g's points."""
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
-    # itemgetter; the set is empty unless n |F| >= 2, so they give tuples
-    moves = [(g, itemgetter(*g_inv)) for g, g_inv in generating_set(F, n)]
-    orbit = orbit_partition(
-        [encode(class_label_representative(c, F, n), F)],
-        lambda x: [itemgetter(*after_g_inv(x))(g) for g, after_g_inv in moves],
-    )
-    base = range(F.identity, n * F.order, F.order)
-    return tuple(
-        (x, sum(1 << j for j, p in enumerate(base) if x[p] != p)) for x in orbit
-    )
+    # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
+    # Supports move by lookup in a table of all 2^n masks, point by point past 12.
+    moves = []
+    for g, g_inv in generating_set(F, n):
+        perm = [g[j * F.order] // F.order for j in range(n)]
+        on_support = (mask_images(perm, n).__getitem__ if n <= 12
+                      else partial(apply_perm_to_mask, perm))
+        moves.append((g, itemgetter(*g_inv), on_support))
+    rep = class_label_representative(c, F, n)
+    stack = [encode(rep, F)]
+    support_of = {stack[0]: support(rep, F)}
+    while stack:
+        x = stack.pop()
+        for g, after_g_inv, on_support in moves:
+            z = itemgetter(*after_g_inv(x))(g)
+            if z not in support_of:
+                support_of[z] = on_support(support_of[x])
+                stack.append(z)
+    return tuple(support_of.items())
 
 
 def factor_supports(

@@ -19,7 +19,7 @@ from classalg import (
     s_constant,
 )
 from classalg.finite_group import TRIVIAL
-from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
+from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -164,7 +164,7 @@ def test_s_class_equation_random_labels(data, F, l):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), F=st.sampled_from([DIHEDRAL8, QUATERNION]))
+@given(data=st.data(), F=st.sampled_from([DIHEDRAL8, QUATERNION, ALTERNATING4]))
 def test_s_matches_literal_products_random_labels(data, F):
     labels = labels_with_alpha_up_to(2, F)
     c1, c2, c = (data.draw(st.sampled_from(labels)) for _ in range(3))

@@ -364,6 +364,32 @@ def test_verify_failure_rendering(capsys, monkeypatch):
     assert suite["failures"] == sum(not r["ok"] for r in suite["records"])
 
 
+@pytest.mark.parametrize("suite", ["invert", "phi"])
+def test_verify_corrupted_p_row_exits_1(capsys, monkeypatch, suite):
+    """Every P off by one: invert's solved P and phi's products of images,
+    both read from S, no longer match the counted P."""
+    import classalg.partial_algebra as pa
+
+    real = pa.p_row
+
+    def broken(o1, o, F):
+        return tuple(tuple(v + 1 for v in cells) for cells in real(o1, o, F))
+
+    monkeypatch.setattr(pa, "p_row", broken)
+    # p_rows caches the rows it reads from p_row
+    pa.p_rows.cache_clear()
+    try:
+        code, out, _ = run(
+            capsys, "verify", suite, "--family", "sym", "--level", "2"
+        )
+    finally:
+        monkeypatch.undo()
+        pa.p_rows.cache_clear()
+    assert code == 1
+    assert f"{suite}: checks=" in out and "FAILED" in out
+    assert "  FAIL " in out
+
+
 def test_verify_audit_unexpected_pass_exits_1(capsys, monkeypatch):
     import classalg.suites as suites_mod
     from classalg.correspondence import AuditReport

@@ -17,9 +17,9 @@ from classalg import (
     UnknownBuiltin,
     admissibility_audit,
     basis_vector,
-    build_r_system,
     builtin_group,
     center_product,
+    forward_substitute,
     ik_product,
     labels_with_alpha_up_to,
     level_group,
@@ -27,7 +27,6 @@ from classalg import (
     phi,
     phi_oracle,
     phi_preimage,
-    solve_p_from_s,
     truncation_basis,
     verify_inversion,
     verify_main_lemma,
@@ -41,9 +40,9 @@ from classalg.correspondence import (
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.partial_algebra import PartialElement
-from classalg.suites import audit_suite, main_lemma_suite
+from classalg.suites import audit_suite, main_lemma_suite, run_suites
 from classalg.wreath import apply_perm_to_mask
-from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
+from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -169,27 +168,26 @@ def test_main_lemma_diagonal_reduces_to_s_equals_p():
 # --- triangular systems ---
 
 def test_r_system_frozen_example():
-    system = solve_p_from_s(build_r_system(OM(1, []), OM(1, []), CL([]), TRIVIAL))
-    assert system.levels == (1, 2)
-    # the one entry of R below the diagonal: two windows of size 1 at level 2
+    # xi xi S at levels 1, 2: S = 1 at both, xi(1, []; 2) = 2 twice
     assert xi_closed_form(1, CL([]), 2) == 2
-    assert system.svec == (1, 4)
-    assert system.pvec == (1, 2)
+    assert forward_substitute((1, 4), (1, 2), CL([])) == (1, 2)
+    rec = verify_inversion(OM(1, []), OM(1, []), CL([]), TRIVIAL)
+    assert rec.levels == (1, 2)
+    assert rec.solved == rec.brute == (1, 2)
 
 
 def test_r_system_with_gap():
-    system = solve_p_from_s(build_r_system(OM(2, [2]), OM(2, [2]), CL([3]), TRIVIAL))
-    assert system.levels == (2, 3, 4)
-    assert system.svec == (0, 3, 3)
-    assert system.pvec == (0, 3, 0)
+    assert forward_substitute((0, 3, 3), (2, 3, 4), CL([3])) == (0, 3, 0)
+    rec = verify_inversion(OM(2, [2]), OM(2, [2]), CL([3]), TRIVIAL)
+    assert rec.levels == (2, 3, 4)
+    assert rec.solved == (0, 3, 0)
 
 
 def test_r_system_strictly_lower_triangular():
     """1 + R is unipotent lower triangular: xi(levels[j], c; levels[i]) is
     1 on the diagonal and 0 above it, so forward substitution reads only
     the entries below."""
-    system = build_r_system(OM(2, [2]), OM(1, []), CL([2]), TRIVIAL)
-    levels = system.levels
+    levels = verify_inversion(OM(2, [2]), OM(1, []), CL([2]), TRIVIAL).levels
     assert levels == (2, 3)
     for i in range(len(levels)):
         assert xi_closed_form(levels[i], CL([2]), levels[i]) == 1
@@ -488,6 +486,17 @@ def test_suites_over_non_abelian_bases(name, F, N):
     assert audit["group_size"] == F.order ** N * [1, 1, 2, 6][N]
     if N == 2:
         assert admissibility_audit(spec, N) == _audit_oracle(spec, N)
+
+
+def test_suites_over_alternating4():
+    """A_4 has two mutually inverse classes of 3-cycles; every suite
+    passes over it at two points (three points are sampled by the row
+    kernel tests)."""
+    spec = FamilySpec.wreath(ALTERNATING4, "wreath:file")
+    rep = run_suites(["main-lemma", "invert", "phi", "tower", "audit"], spec, 2)
+    assert rep["ok"]
+    assert [s.get("checks") for s in rep["suites"]] == [6859, 649, 91, 361, None]
+    assert rep["suites"][-1]["passed"]
 
 
 def test_audit_symmetric_level_seven():

@@ -1,5 +1,7 @@
 """Partial elements, omega labels, vectors, and the P structure constants."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,14 +31,19 @@ from classalg import (
     project,
     truncation_basis,
 )
+from classalg.center_algebra import class_size
+from classalg.correspondence import phi_rows
 from classalg.finite_group import TRIVIAL
-from classalg.oracles import _pair_count
+from classalg.oracles import _pair_count, phi_oracle
+from classalg.partial_algebra import level_omegas, product_rows, vector_rows
 from classalg.wreath import (
     class_label_representative,
     factor_supports,
+    label_ids,
+    level_group,
     representative_factors,
 )
-from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
+from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 
@@ -362,3 +369,63 @@ def test_projection_commutes_with_product():
     v4 = ik_product(basis_vector(OM(2, [2]), 4), basis_vector(OM(2, [2]), 4), TRIVIAL)
     v3 = ik_product(basis_vector(OM(2, [2]), 3), basis_vector(OM(2, [2]), 3), TRIVIAL)
     assert project(v4, 3) == v3
+
+
+# every base: the builtins sym and cyclic2 and each user table
+KERNEL_BASES = {
+    "sym": TRIVIAL,
+    "cyclic2": Z2,
+    "sym3-shifted": SYM3_SHIFTED,
+    "dihedral8": DIHEDRAL8,
+    "quaternion": QUATERNION,
+    "alternating4": ALTERNATING4,
+}
+# pairs whose two classes have at most this many pairs of members, so the
+# pairwise oracle stays cheap; it still leaves pairs reaching level 3
+ORACLE_PAIRS = 5000
+
+
+def _oracle_pairs(F, N):
+    size = {w: comb(N, w.l) * class_size(w.c, w.l, F)
+            for w in truncation_basis(N, F)}
+    return [(w1, w2) for w1 in size for w2 in size
+            if size[w1] * size[w2] <= ORACLE_PAIRS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
+       N=st.integers(0, 3))
+def test_row_kernels_match_oracles(data, name, N):
+    """product_rows against multiplying every pair of partial elements,
+    and phi_rows of the product against literally summing the image of
+    each class in the product into the group algebra, at levels <= 3."""
+    F = KERNEL_BASES[name]
+    w1, w2 = data.draw(st.sampled_from(_oracle_pairs(F, N)))
+    rows = product_rows(w1, w2, N, F)
+    expected = product_oracle(w1, w2, F, N)
+    assert {
+        w: v for l, row in enumerate(rows)
+        for w, v in zip(level_omegas(l, F), row) if v
+    } == expected
+    image = phi_rows(rows, F)
+    for l in range(N + 1):
+        G = level_group(F, l)
+        tally = [0] * G.order
+        for w, v in expected.items():
+            tally = [t + v * x for t, x in zip(tally, phi_oracle(w, l, F))]
+        ids = label_ids(l, F)
+        assert [image[l][ids[G.label[i]]] for i in range(G.order)] == tally
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
+       N=st.integers(0, 3))
+def test_phi_rows_of_basis_vectors_match_oracle(data, name, N):
+    F = KERNEL_BASES[name]
+    w = data.draw(st.sampled_from(truncation_basis(N, F)))
+    image = phi_rows(vector_rows(basis_vector(w, N), F), F)
+    for l in range(N + 1):
+        G = level_group(F, l)
+        ids = label_ids(l, F)
+        assert [image[l][ids[G.label[i]]] for i in range(G.order)] == \
+            phi_oracle(w, l, F)

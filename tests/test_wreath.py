@@ -42,10 +42,11 @@ from classalg.wreath import (
     decode,
     encode,
     factor_supports,
+    inverse_label,
     mask_points,
     mask_str,
 )
-from user_groups import DIHEDRAL8, QUATERNION, SYM3_SHIFTED
+from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
 Z3 = builtin_group("cyclic3")
@@ -325,7 +326,7 @@ def test_generator_orbits_match_all_element_orbits(F, n):
 _MEMBER_BASES = {
     "sym": (TRIVIAL, 6), "cyclic2": (Z2, 4), "cyclic3": (Z3, 3), "sym3": (S3F, 3),
     "sym3-shifted": (SYM3_SHIFTED, 3), "dihedral8": (DIHEDRAL8, 3),
-    "quaternion": (QUATERNION, 3),
+    "quaternion": (QUATERNION, 3), "alternating4": (ALTERNATING4, 2),
 }
 _MEMBER_CASES = [
     (name, F, n) for name, (F, top) in _MEMBER_BASES.items() for n in range(top + 1)
@@ -347,6 +348,31 @@ def test_class_members_match_level_group(name, F, n):
         assert [G.sup[i] for i in members] == [s for _, s in generated], c
     with pytest.raises(InvalidLabel):
         next(class_members(ClassLabel.from_partition([n + 2]), F, n))
+
+
+def test_class_members_supports_past_the_mask_table():
+    """Above 12 points a support is moved bit by bit, not read from a
+    table of masks; both agree with the support read off the code."""
+    for parts, size in (([2], 78), ([3], 572)):
+        members = class_members(ClassLabel.from_partition(parts), TRIVIAL, 13)
+        assert len(members) == size
+        for x, sup in members:
+            assert sup == sum(1 << j for j in range(13) if x[j] != j)
+
+
+def test_inverse_label_on_classes_that_are_not_real():
+    """In A_4 the two classes of 3-cycles are inverse to each other, so a
+    label and the label of its inverses differ."""
+    F = ALTERNATING4
+    lone = {k for k in range(F.num_classes)
+            if F.class_of[F.inv[F.class_reps[k]]] != k}
+    assert len(lone) == 2
+    for k in lone:
+        c = ClassLabel.from_pairs([(2, k), (1, k)], F)
+        flipped = inverse_label(c, F)
+        assert flipped != c and inverse_label(flipped, F) == c
+        x = class_label_representative(c, F, 3)
+        assert class_label(inverse(x, F), F) == flipped
 
 
 def test_label_enumeration_matches_realized_classes():

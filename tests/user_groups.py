@@ -1,5 +1,7 @@
 """Base groups given to classalg as user multiplication tables."""
 
+import itertools
+
 from classalg import builtin_group, load_group
 
 _S3 = builtin_group("sym3")
@@ -48,5 +50,26 @@ def _quaternion():
     })
 
 
+def _alternating4():
+    # the even permutations of four points, in lexicographic order, so
+    # element 0 is the identity; x * y applies y first
+    perms = [
+        p for p in itertools.permutations(range(4))
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+    ]
+    index = {p: i for i, p in enumerate(perms)}
+    return load_group({
+        "order": 12,
+        "mult": [
+            [index[tuple(x[y[k]] for k in range(4))] for y in perms]
+            for x in perms
+        ],
+        "names": ["".join(map(str, p)) for p in perms],
+    })
+
+
 DIHEDRAL8 = _dihedral8()
 QUATERNION = _quaternion()
+# the first base here with classes that are not closed under inverses:
+# the two classes of 3-cycles are inverse to each other
+ALTERNATING4 = _alternating4()
