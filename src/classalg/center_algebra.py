@@ -111,7 +111,6 @@ def center_product(
     acc = [0] * len(labels)
     for c1, x in a.terms:
         for c2, y in b.terms:
-            row = center_row(c1, c2, l, F, budget)
-            acc = [s + x * y * v for s, v in zip(acc, row)]
+            acc = [s + x * y * v for s, v in zip(acc, center_row(c1, c2, l, F, budget))]
     # label order is the vectors' sort order
     return AlgebraVector.from_row(l, labels, acc)

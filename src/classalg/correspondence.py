@@ -168,7 +168,7 @@ def inversion_rows(
     sides = [
         (xi_closed_form(omega1.l, omega1.c, l)
          * xi_closed_form(omega2.l, omega2.c, l),
-         center_row(omega1.c, omega2.c, l, F))
+         center_row(omega1.c, omega2.c, l, F, budget))
         for l in levels
     ]
     out = []
@@ -199,8 +199,7 @@ def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
     for l in range(len(rows)):
         acc = [0] * len(rows[l])
         for row, xis in zip(rows, _second_xis(l, F)):
-            for i, (v, x) in enumerate(zip(row, xis)):
-                acc[i] += x * v
+            acc[:len(row)] = [s + x * v for s, v, x in zip(acc, row, xis)]
         out.append(tuple(acc))
     return out
 

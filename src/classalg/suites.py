@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import ne
 
-from .center_algebra import center_row
+from .center_algebra import center_row, s_constant
 from .correspondence import (
     FamilySpec,
     admissibility_audit,
@@ -26,7 +26,7 @@ from .correspondence import (
     xi_closed_form,
 )
 from .finite_group import FiniteGroup
-from .partial_algebra import OmegaLabel, level_omegas, product_rows, vector_rows
+from .partial_algebra import OmegaLabel, level_omegas, p_constant, product_rows, vector_rows
 from .wreath import (
     GroupElement,
     check_budget,
@@ -144,8 +144,8 @@ def inversion_suite(
     compare against directly counted P; only the P values are kept."""
     F = spec.base
     basis = _basis(N, F, budget)
-    sides = [side for l1, i1, l2, i2 in _pairs(basis, N) for side in
-             inversion_rows(level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F)]
+    sides = [side for l1, i1, l2, i2 in _pairs(basis, N) for side in inversion_rows(
+        level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F, budget)]
     shown = [c.display(F) for c in labels_with_alpha_up_to(N, F)]
 
     def records(enc):
@@ -183,10 +183,10 @@ def phi_suite(
         c1, c2 = labels[i1], labels[i2]
         xs = [xi_closed_form(l1, c1, l) * xi_closed_form(l2, c2, l)
               for l in range(N + 1)]
-        lhs = [tuple(x * v for v in center_row(c1, c2, l, F)) if x else zero[l]
+        lhs = [tuple(x * v for v in center_row(c1, c2, l, F, budget)) if x else zero[l]
                for l, x in enumerate(xs)]
         w1, w2 = level_omegas(l1, F)[i1], level_omegas(l2, F)[i2]
-        rhs = phi_rows(product_rows(w1, w2, N, F), F)
+        rhs = phi_rows(product_rows(w1, w2, N, F, budget), F)
         records.append({"kind": "product", "omega1": f"{l1}:{shown[i1]}",
                         "omega2": f"{l2}:{shown[i2]}", "ok": lhs == rhs})
     for l, i in basis:
@@ -213,8 +213,8 @@ def tower_suite(
     records = []
     for w1, s1 in zip(omegas, shown):
         for w2, s2 in zip(omegas, shown):
-            rows = product_rows(w1, w2, N, F)
-            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F)
+            rows = product_rows(w1, w2, N, F, budget)
+            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F, budget)
                      for np in range(N + 1))
             records.append({"omega1": s1, "omega2": s2, "ok": ok})
     return _suite_dict("tower", spec, N, records)
@@ -259,11 +259,13 @@ def _random_element(rng: random.Random, F: FiniteGroup, n: int) -> GroupElement:
     return GroupElement(n, tuple(perm), deco)
 
 
-def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
+def preflight_suite(spec: FamilySpec, N: int, seed: int,
+                    budget: int | None = None) -> dict:
     """Seeded random spot checks of the element arithmetic: associativity,
-    support of products, label invariance under conjugation, and the
-    encoding: the composed codes of x and y are the code of x y, and the
-    code of x^-1 inverts the code of x."""
+    support of products, label invariance under conjugation, the encoding
+    (the composed codes of x and y are the code of x y, the code of x^-1
+    inverts the code of x), and that S and P, read one constant at a time
+    as sconst and pconst do, count the factorization x y."""
     F = spec.base
     n = min(N, 3) if N else 0
     identity = tuple(range(n * F.order))
@@ -272,12 +274,17 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     for _ in range(PREFLIGHT_TRIPLES):
         x, y, z = (_random_element(rng, F, n) for _ in range(3))
         xy, cx = multiply(x, y, F), encode(x, F)
+        labels = [class_label(a, F) for a in (x, y, xy)]
+        d1, d2 = (support(a, F) | rng.getrandbits(n) for a in (x, y))
+        windows = [d.bit_count() for d in (d1, d2, d1 | d2)]
         if (
             multiply(xy, z, F) != multiply(x, multiply(y, z, F), F)
             or compose(cx, encode(y, F)) != encode(xy, F)
             or compose(encode(inverse(x, F), F), cx) != identity
             or support(xy, F) & ~(support(x, F) | support(y, F))
-            or class_label(conjugate(x, y, F), F) != class_label(y, F)
+            or class_label(conjugate(x, y, F), F) != labels[1]
+            or s_constant(*labels, n, F, budget) < 1
+            or p_constant(*map(OmegaLabel, windows, labels), F, budget) < 1
         ):
             ok = False
             break
@@ -306,11 +313,10 @@ def run_suites(
         # class machinery is undefined for a family that breaks fusion
         skipped = [s for s in wanted if s not in ("audit", "preflight")]
         wanted = [s for s in wanted if s in ("audit", "preflight")]
-    # looked up at call time, so a suite replaced in this module is used
     by_name = {"main-lemma": main_lemma_suite, "invert": inversion_suite,
                "phi": phi_suite, "tower": tower_suite, "audit": audit_suite}
     suites = [
-        preflight_suite(spec, N, seed) if name == "preflight"
+        preflight_suite(spec, N, seed, budget) if name == "preflight"
         else by_name[name](spec, N, budget)
         for name in wanted
     ]

@@ -408,13 +408,12 @@ def class_members(
     carries supports: that of g x g^-1 is that of x moved by g's points."""
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
     # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
-    # Supports move by lookup in a table of all 2^n masks, point by point past 12.
-    moves = []
-    for g, g_inv in generating_set(F, n):
-        perm = [g[j * F.order] // F.order for j in range(n)]
-        on_support = (mask_images(perm, n).__getitem__ if n <= 12
-                      else partial(apply_perm_to_mask, perm))
-        moves.append((g, itemgetter(*g_inv), on_support))
+    # A class has few distinct supports, so each generator's move is cached.
+    moves = [
+        (g, itemgetter(*g_inv), lru_cache(maxsize=None)(partial(
+            apply_perm_to_mask, tuple(g[j * F.order] // F.order for j in range(n)))))
+        for g, g_inv in generating_set(F, n)
+    ]
     rep = class_label_representative(c, F, n)
     stack = [encode(rep, F)]
     support_of = {stack[0]: support(rep, F)}

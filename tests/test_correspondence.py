@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classalg.suites as suites_mod
+import classalg.wreath as wreath_mod
 from classalg import (
+    BudgetExceeded,
     ClassLabel,
     FamilySpec,
     GroupElement,
@@ -40,7 +43,7 @@ from classalg.correspondence import (
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.partial_algebra import PartialElement
-from classalg.suites import audit_suite, main_lemma_suite, run_suites
+from classalg.suites import SUITE_NAMES, audit_suite, main_lemma_suite, run_suites
 from classalg.wreath import apply_perm_to_mask
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
@@ -199,6 +202,38 @@ def test_inversion_record():
     rec = verify_inversion(OM(2, [2]), OM(2, [2]), CL([3]), TRIVIAL)
     assert rec.ok
     assert rec.solved == rec.brute == (0, 3, 0)
+
+
+def test_inversion_keeps_a_budget_above_the_default():
+    """11! is over the default budget of 10^7 elements; a larger budget
+    reaches every row the inversion reads."""
+    args = (OM(6, []), OM(5, []), CL([]), TRIVIAL)
+    with pytest.raises(BudgetExceeded):
+        verify_inversion(*args)
+    rec = verify_inversion(*args, budget=10**8)
+    assert rec.ok and rec.brute == (6, 105, 560, 1260, 1260, 462)
+
+
+def test_suites_keep_the_budget_they_are_given(monkeypatch):
+    """With the default budget below |S_2|, every suite runs at level 3
+    only on the budget passed to it."""
+    monkeypatch.setattr(wreath_mod, "DEFAULT_ELEMENT_BUDGET", 1)
+    spec = FamilySpec.symmetric()
+    for name in SUITE_NAMES:
+        with pytest.raises(BudgetExceeded):
+            run_suites([name], spec, 3)
+        assert run_suites([name], spec, 3, budget=6)["ok"], name
+
+
+def test_preflight_counts_each_sampled_product(monkeypatch):
+    """A product x y is a factorization that S and P must count, so a
+    constant read as 0 fails the preflight."""
+    spec = FamilySpec.wreath(Z2, "wreath:cyclic2")
+    assert run_suites(["preflight"], spec, 3)["ok"]
+    for name in ("s_constant", "p_constant"):
+        with monkeypatch.context() as m:
+            m.setattr(suites_mod, name, lambda *args: 0)
+            assert not run_suites(["preflight"], spec, 3)["ok"], name
 
 
 # --- phi ---

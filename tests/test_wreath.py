@@ -350,16 +350,6 @@ def test_class_members_match_level_group(name, F, n):
         next(class_members(ClassLabel.from_partition([n + 2]), F, n))
 
 
-def test_class_members_supports_past_the_mask_table():
-    """Above 12 points a support is moved bit by bit, not read from a
-    table of masks; both agree with the support read off the code."""
-    for parts, size in (([2], 78), ([3], 572)):
-        members = class_members(ClassLabel.from_partition(parts), TRIVIAL, 13)
-        assert len(members) == size
-        for x, sup in members:
-            assert sup == sum(1 << j for j in range(13) if x[j] != j)
-
-
 def test_inverse_label_on_classes_that_are_not_real():
     """In A_4 the two classes of 3-cycles are inverse to each other, so a
     label and the label of its inverses differ."""
