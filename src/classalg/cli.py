@@ -303,9 +303,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "only the audit suite (or all) applies"
         )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    # --jobs is validated and accepted for compatibility; the suites run
-    # in this process, which beats a fork pool whose workers each refill
-    # their own P and S caches
     result = run_suites(
         names, spec, args.level, seed=args.seed, budget=args.budget_elements
     )

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .center_algebra import center_row, s_row
+from .center_algebra import center_row
 from .errors import InvalidLabel, LevelMismatch, ParseError
 from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
     AlgebraVector,
     OmegaLabel,
     PartialElement,
-    p_row,
     partial_str,
     product_rows,
     vector_rows,
@@ -33,7 +32,6 @@ from .partial_algebra import (
 from .wreath import (
     ClassLabel,
     GroupElement,
-    check_budget,
     d_type_membership,
     decode,
     label_ids,
@@ -71,46 +69,36 @@ class MainLemmaRecord:
 
 
 @lru_cache(maxsize=None)
-def _second_xis(l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """xi(l2, c2; l) as table[l2][id of c2], for every l2 <= l."""
+def _xi_table(l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """xi(lp, c; l) as table[lp][id of c], for every lp <= l."""
     labels = labels_with_alpha_up_to(l, F)
     return tuple(
         tuple(
-            xi_closed_form(l2, labels[j], l)
-            for j in range(len(labels_with_alpha_up_to(l2, F)))
+            xi_closed_form(lp, labels[j], l)
+            for j in range(len(labels_with_alpha_up_to(lp, F)))
         )
-        for l2 in range(l + 1)
+        for lp in range(l + 1)
     )
 
 
-def main_lemma_row(
-    w1: OmegaLabel, l: int, c: ClassLabel, F: FiniteGroup,
-) -> list[list[tuple[int, int]]]:
-    """Both sides of the diagonal identity for the first class w1 and the
-    target c(l), for every second class (l2, c2) with l2 <= l, as
-    row[l2][id of c2] = (lhs, rhs).
-
-    One S row and one P row per window size lt serve every second class.
-    The caller checks the budget at level l.
-    """
-    x1 = xi_closed_form(w1.l, w1.c, l)
-    S = s_row(w1.c, c, l, F) if x1 else None
-    # P((l1,c1), (l2,c2), (lt,c)) vanishes unless l2 <= lt <= l1 + l2, and
-    # the row reads 0 where lt > l1 + l2
-    prows = [
-        (lt, xi_closed_form(lt, c, l), p_row(w1, OmegaLabel(lt, c), F))
-        for lt in range(max(w1.l, c.alpha), l + 1)
-    ]
-    out = []
-    for l2, x2s in enumerate(_second_xis(l, F)):
-        terms = [(x, row) for lt, x, row in prows if lt >= l2]
-        cells = []
-        for j, x2 in enumerate(x2s):
-            lhs = x1 * x2 * S[j] if x1 and x2 else 0
-            rhs = sum(x * row[j][l2] for x, row in terms)
-            cells.append((lhs, rhs))
-        out.append(cells)
-    return out
+def identity_rows(
+    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup,
+    budget: int | None = None,
+) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """Both sides of the diagonal identity for the pair w1, w2 at every
+    level l <= n, by target label id: the S side
+    sides[l][id of c] = xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l), read from
+    center_row, and the counted P rows, product_rows(w1, w2, n).  The other
+    side, sum over lt <= l of xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the
+    P rows.  The budget is checked at every level either side reads."""
+    sides = []
+    for l in range(n + 1):
+        x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)
+        sides.append(
+            tuple(x * v for v in center_row(w1.c, w2.c, l, F, budget)) if x
+            else (0,) * len(labels_with_alpha_up_to(l, F))
+        )
+    return sides, product_rows(w1, w2, n, F, budget)
 
 
 def verify_main_lemma(
@@ -119,13 +107,15 @@ def verify_main_lemma(
 ) -> MainLemmaRecord:
     """Check xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l) =
     sum over lt of xi(lt,c;l) P((l1,c1),(l2,c2),(lt,c)) as exact integers,
-    read from main_lemma_row.  Both sides are 0 when a label does not fit
-    its window or the second window does not fit level l."""
+    the entry of target c at level l of identity_rows.  Both sides are 0
+    when a label does not fit its window or a window does not fit level l."""
     lhs = rhs = 0
-    if c1.alpha <= l1 and c2.alpha <= l2 <= l and c.alpha <= l:
-        check_budget(F, l, budget)
-        row = main_lemma_row(OmegaLabel(l1, c1), l, c, F)
-        lhs, rhs = row[l2][label_ids(l2, F)[c2]]
+    if c1.alpha <= l1 and c2.alpha <= l2 and c.alpha <= l:
+        sides, prows = identity_rows(
+            OmegaLabel(l1, c1), OmegaLabel(l2, c2), l, F, budget
+        )
+        i = label_ids(l, F)[c]
+        lhs, rhs = sides[l][i], phi_rows(prows, F)[l][i]
     return MainLemmaRecord(l1, c1, l2, c2, l, c, lhs, rhs)
 
 
@@ -160,23 +150,19 @@ def inversion_rows(
     budget: int | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(solved, brute) by label id for every c with alpha <= M = l1 + l2:
-    P(omega1, omega2, (l, c)) at l = max(l1, l2)..M, solved from
-    xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l) and read from product_rows."""
+    P(omega1, omega2, (l, c)) at l = max(l1, l2)..M, solved from the S side
+    of identity_rows and read from its P rows."""
     M = omega1.l + omega2.l
     levels = range(max(omega1.l, omega2.l), M + 1)
-    brute = product_rows(omega1, omega2, M, F, budget)[levels.start:]
-    sides = [
-        (xi_closed_form(omega1.l, omega1.c, l)
-         * xi_closed_form(omega2.l, omega2.c, l),
-         center_row(omega1.c, omega2.c, l, F, budget))
-        for l in levels
+    sides, prows = identity_rows(omega1, omega2, M, F, budget)
+
+    def column(rows, i: int) -> tuple[int, ...]:
+        return tuple(row[i] if i < len(row) else 0 for row in rows[levels.start:])
+
+    return [
+        (forward_substitute(column(sides, i), levels, c), column(prows, i))
+        for i, c in enumerate(labels_with_alpha_up_to(M, F))
     ]
-    out = []
-    for i, c in enumerate(labels_with_alpha_up_to(M, F)):
-        svec = [x * row[i] if i < len(row) else 0 for x, row in sides]
-        counted = tuple(row[i] if i < len(row) else 0 for row in brute)
-        out.append((forward_substitute(svec, levels, c), counted))
-    return out
 
 
 def verify_inversion(
@@ -198,8 +184,9 @@ def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
     out = []
     for l in range(len(rows)):
         acc = [0] * len(rows[l])
-        for row, xis in zip(rows, _second_xis(l, F)):
-            acc[:len(row)] = [s + x * v for s, v, x in zip(acc, row, xis)]
+        for row, xis in zip(rows, _xi_table(l, F)):
+            if any(row):
+                acc[:len(row)] = [s + x * v for s, v, x in zip(acc, row, xis)]
         out.append(tuple(acc))
     return out
 

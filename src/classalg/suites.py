@@ -13,17 +13,17 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from operator import ne
 
-from .center_algebra import center_row, s_constant
+from .center_algebra import s_constant
 from .correspondence import (
     FamilySpec,
     admissibility_audit,
+    identity_rows,
     inversion_rows,
-    main_lemma_row,
     phi_preimage,
     phi_rows,
-    xi_closed_form,
 )
 from .finite_group import FiniteGroup
 from .partial_algebra import OmegaLabel, level_omegas, p_constant, product_rows, vector_rows
@@ -105,21 +105,20 @@ def main_lemma_suite(
     """Check xi' xi'' S = sum xi P for every pair of class labels at level N
     and every target class at every level l <= N.
 
-    For each first class and target, one main_lemma_row holds both sides
-    for every second class; only the sides are kept."""
+    For each pair, identity_rows gives the S side and the P rows at every
+    level; the S side and phi_rows of the P rows are kept as the two
+    sides, in target order."""
     F = spec.base
     basis = _basis(N, F, budget)
     labels = labels_with_alpha_up_to(N, F)
     lhs: list[int] = []
     rhs: list[int] = []
-    for l1, i1 in basis:
-        w1 = OmegaLabel(l1, labels[i1])
-        rows = [main_lemma_row(w1, l, labels[i], F) for l, i in basis]
-        for l2, i2 in basis:
-            for (l, _), row in zip(basis, rows):
-                a, b = row[l2][i2] if l2 <= l else (0, 0)
-                lhs.append(a)
-                rhs.append(b)
+    omegas = [level_omegas(l, F)[i] for l, i in basis]
+    for w1 in omegas:
+        for w2 in omegas:
+            sides, prows = identity_rows(w1, w2, N, F, budget)
+            lhs.extend(chain.from_iterable(sides))
+            rhs.extend(chain.from_iterable(phi_rows(prows, F)))
     shown = [c.display(F) for c in labels]
 
     def records(enc):
@@ -180,15 +179,12 @@ def phi_suite(
 
     records = []
     for l1, i1, l2, i2 in _pairs(basis, N):
-        c1, c2 = labels[i1], labels[i2]
-        xs = [xi_closed_form(l1, c1, l) * xi_closed_form(l2, c2, l)
-              for l in range(N + 1)]
-        lhs = [tuple(x * v for v in center_row(c1, c2, l, F, budget)) if x else zero[l]
-               for l, x in enumerate(xs)]
-        w1, w2 = level_omegas(l1, F)[i1], level_omegas(l2, F)[i2]
-        rhs = phi_rows(product_rows(w1, w2, N, F, budget), F)
+        sides, prows = identity_rows(
+            level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], N, F, budget
+        )
         records.append({"kind": "product", "omega1": f"{l1}:{shown[i1]}",
-                        "omega2": f"{l2}:{shown[i2]}", "ok": lhs == rhs})
+                        "omega2": f"{l2}:{shown[i2]}",
+                        "ok": sides == phi_rows(prows, F)})
     for l, i in basis:
         img = phi_rows(unit(l, i), F)
         ok = img[l] == unit(l, i)[l] and img[:l] == zero[:l]
@@ -205,7 +201,11 @@ def tower_suite(
 ) -> dict:
     """Check that truncation projections, slices of the rows, commute with
     products: for every pair of basis labels, the product rows at level N
-    cut to each np <= N equal the product computed separately at np."""
+    cut to each np <= N equal the product computed separately at np.
+
+    This checks the level slicing of product_rows, which holds for any
+    level-independent P; a wrong P is caught by main-lemma, invert and phi,
+    which compare it with S."""
     F = spec.base
     basis = _basis(N, F, budget)
     omegas = [level_omegas(l, F)[i] for l, i in basis]

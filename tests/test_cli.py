@@ -313,16 +313,43 @@ def test_verify_dtype_all_skips_class_suites(capsys):
     assert "skipped" in out and "main-lemma" in out
 
 
-def test_verify_failure_exits_1(capsys, monkeypatch):
-    import classalg.suites as suites_mod
+@pytest.fixture
+def corrupt_p_rows(monkeypatch):
+    """Every p_row entry off by one; p_rows caches the rows it reads from
+    p_row, so its cache is cleared on the way in and on the way out."""
+    import classalg.partial_algebra as pa
 
-    real = suites_mod.main_lemma_row
+    real = pa.p_row
 
-    # every right-hand side off by one, so every record the rows feed fails
-    def broken(w1, l, c, F):
-        return [[(lhs, rhs + 1) for lhs, rhs in cells] for cells in real(w1, l, c, F)]
+    def broken(o1, o, F):
+        return tuple(tuple(v + 1 for v in cells) for cells in real(o1, o, F))
 
-    monkeypatch.setattr(suites_mod, "main_lemma_row", broken)
+    monkeypatch.setattr(pa, "p_row", broken)
+    pa.p_rows.cache_clear()
+    yield
+    monkeypatch.undo()
+    pa.p_rows.cache_clear()
+
+
+@pytest.fixture
+def corrupt_s_rows(monkeypatch):
+    """Every s_row entry off by one, with the s_rows cache cleared on the
+    way in and on the way out."""
+    import classalg.center_algebra as ca
+
+    real = ca.s_row
+
+    def broken(c1, c, l, F):
+        return tuple(v + 1 for v in real(c1, c, l, F))
+
+    monkeypatch.setattr(ca, "s_row", broken)
+    ca.s_rows.cache_clear()
+    yield
+    monkeypatch.undo()
+    ca.s_rows.cache_clear()
+
+
+def test_verify_failure_exits_1(capsys, corrupt_p_rows):
     code, out, _ = run(
         capsys, "verify", "main-lemma", "--family", "sym", "--level", "2",
         "--jobs", "1",
@@ -332,59 +359,44 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL " in out
 
 
-def test_verify_failure_rendering(capsys, monkeypatch):
+def test_verify_failure_rendering(capsys, corrupt_p_rows):
     """Table output shows the counts, the first five failing records in
     record order and how many more failed; JSON counts every failure."""
-    import classalg.suites as suites_mod
-
-    real = suites_mod.main_lemma_row
-
-    def broken(w1, l, c, F):
-        return [[(lhs, rhs + 1) for lhs, rhs in cells] for cells in real(w1, l, c, F)]
-
-    monkeypatch.setattr(suites_mod, "main_lemma_row", broken)
     argv = ("verify", "main-lemma", "--family", "sym", "--level", "2")
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out == (
         "verify  family=sym  level=2\n"
-        "main-lemma: checks=64 failures=44 FAILED\n"
+        "main-lemma: checks=64 failures=34 FAILED\n"
         "  FAIL l1=0 c1=[] l2=0 c2=[] l=0 c=[] lhs=1 rhs=2\n"
         "  FAIL l1=0 c1=[] l2=0 c2=[] l=1 c=[] lhs=1 rhs=2\n"
         "  FAIL l1=0 c1=[] l2=0 c2=[] l=2 c=[] lhs=1 rhs=2\n"
-        "  FAIL l1=0 c1=[] l2=0 c2=[] l=2 c=[2] lhs=0 rhs=1\n"
         "  FAIL l1=0 c1=[] l2=1 c2=[] l=1 c=[] lhs=1 rhs=2\n"
-        "  ... and 39 more\n"
+        "  FAIL l1=0 c1=[] l2=1 c2=[] l=2 c=[] lhs=2 rhs=4\n"
+        "  ... and 29 more\n"
         "RESULT: FAILED\n"
     )
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     (suite,) = json.loads(out)["suites"]
-    assert suite["failures"] == 44
+    assert suite["failures"] == 34
     assert suite["failures"] == sum(not r["ok"] for r in suite["records"])
 
 
-@pytest.mark.parametrize("suite", ["invert", "phi"])
-def test_verify_corrupted_p_row_exits_1(capsys, monkeypatch, suite):
-    """Every P off by one: invert's solved P and phi's products of images,
-    both read from S, no longer match the counted P."""
-    import classalg.partial_algebra as pa
+@pytest.mark.parametrize("suite", ["main-lemma", "invert", "phi"])
+def test_verify_corrupted_p_row_exits_1(capsys, corrupt_p_rows, suite):
+    """Every P off by one: the counted P no longer matches the S side in
+    main-lemma, invert or phi."""
+    code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
+    assert code == 1
+    assert f"{suite}: checks=" in out and "FAILED" in out
+    assert "  FAIL " in out
 
-    real = pa.p_row
 
-    def broken(o1, o, F):
-        return tuple(tuple(v + 1 for v in cells) for cells in real(o1, o, F))
-
-    monkeypatch.setattr(pa, "p_row", broken)
-    # p_rows caches the rows it reads from p_row
-    pa.p_rows.cache_clear()
-    try:
-        code, out, _ = run(
-            capsys, "verify", suite, "--family", "sym", "--level", "2"
-        )
-    finally:
-        monkeypatch.undo()
-        pa.p_rows.cache_clear()
+@pytest.mark.parametrize("suite", ["main-lemma", "invert", "phi"])
+def test_verify_corrupted_s_row_exits_1(capsys, corrupt_s_rows, suite):
+    """Every S off by one: the S side no longer matches the counted P."""
+    code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
     assert code == 1
     assert f"{suite}: checks=" in out and "FAILED" in out
     assert "  FAIL " in out

@@ -214,6 +214,16 @@ def test_inversion_keeps_a_budget_above_the_default():
     assert rec.ok and rec.brute == (6, 105, 560, 1260, 1260, 462)
 
 
+def test_main_lemma_keeps_a_budget_above_the_default():
+    """identity_rows checks the budget at every level it reads, so the
+    single-check reader stops at level 11 unless it is given more."""
+    args = (6, CL([]), 5, CL([]), 11, CL([]), TRIVIAL)
+    with pytest.raises(BudgetExceeded):
+        verify_main_lemma(*args)
+    rec = verify_main_lemma(*args, budget=10**8)
+    assert rec.ok and rec.lhs == rec.rhs == 462 * 462
+
+
 def test_suites_keep_the_budget_they_are_given(monkeypatch):
     """With the default budget below |S_2|, every suite runs at level 3
     only on the budget passed to it."""

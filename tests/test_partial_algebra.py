@@ -32,14 +32,15 @@ from classalg import (
     truncation_basis,
 )
 from classalg.center_algebra import class_size
-from classalg.correspondence import phi_rows
+from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
-from classalg.oracles import _pair_count, phi_oracle
-from classalg.partial_algebra import level_omegas, product_rows, vector_rows
+from classalg.oracles import _pair_count, center_product_oracle, phi_oracle
+from classalg.partial_algebra import level_omegas, vector_rows
 from classalg.wreath import (
     class_label_representative,
     factor_supports,
     label_ids,
+    labels_with_alpha_up_to,
     level_group,
     representative_factors,
 )
@@ -396,12 +397,14 @@ def _oracle_pairs(F, N):
 @given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
        N=st.integers(0, 3))
 def test_row_kernels_match_oracles(data, name, N):
-    """product_rows against multiplying every pair of partial elements,
-    and phi_rows of the product against literally summing the image of
-    each class in the product into the group algebra, at levels <= 3."""
+    """The two sides identity_rows reads at levels <= 3: its P rows, which
+    are product_rows, against multiplying every pair of partial elements,
+    phi_rows of the product against literally summing the image of each
+    class in the product into the group algebra, and its S side against
+    xi xi times literal class-sum multiplication."""
     F = KERNEL_BASES[name]
     w1, w2 = data.draw(st.sampled_from(_oracle_pairs(F, N)))
-    rows = product_rows(w1, w2, N, F)
+    sides, rows = identity_rows(w1, w2, N, F)
     expected = product_oracle(w1, w2, F, N)
     assert {
         w: v for l, row in enumerate(rows)
@@ -415,6 +418,11 @@ def test_row_kernels_match_oracles(data, name, N):
             tally = [t + v * x for t, x in zip(tally, phi_oracle(w, l, F))]
         ids = label_ids(l, F)
         assert [image[l][ids[G.label[i]]] for i in range(G.order)] == tally
+        x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)
+        S = center_product_oracle(w1.c, w2.c, l, F) if x else {}
+        assert sides[l] == tuple(
+            x * S.get(c, 0) for c in labels_with_alpha_up_to(l, F)
+        )
 
 
 @settings(max_examples=30, deadline=None)
