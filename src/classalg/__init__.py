@@ -86,6 +86,7 @@ from .wreath import (
     conjugate,
     d_type_membership,
     decode,
+    element_budget,
     element_str,
     encode,
     enumerate_elements,

@@ -32,8 +32,7 @@ from .wreath import (
 )
 
 
-def class_size(c: ClassLabel, l: int, F: FiniteGroup,
-               budget: int | None = None) -> int:
+def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
     """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l).
 
     The group order over the centralizer order: with m the multiplicity of
@@ -42,7 +41,7 @@ def class_size(c: ClassLabel, l: int, F: FiniteGroup,
     """
     if c.alpha > l:
         return 0
-    check_budget(F, l, budget)
+    check_budget(F, l)
     base_class_size = Counter(F.class_of)
     centralizer = 1
     for (r, k), m in Counter(c.pairs + ((1, 0),) * (l - c.alpha)).items():
@@ -70,19 +69,17 @@ def s_rows(c1: ClassLabel, l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...
 
 
 def center_row(
-    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None,
+    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup
 ) -> tuple[int, ...]:
     """c1(l) c2(l) as a row: S(c1, c2, c; l) for every target c, by label
     id; c1 and c2 must be realized at level l."""
-    check_budget(F, l, budget)
+    check_budget(F, l)
     j = label_ids(l, F)[c2]
     return tuple(row[j] for row in s_rows(c1, l, F))
 
 
 def s_constant(
-    c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None,
+    c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
 ) -> int:
     """Coefficient of the class sum c(l) in the product c1(l) * c2(l).
 
@@ -90,7 +87,7 @@ def s_constant(
     """
     if c1.alpha > l or c2.alpha > l or c.alpha > l:
         return 0
-    check_budget(F, l, budget)
+    check_budget(F, l)
     return s_row(c1, c, l, F)[label_ids(l, F)[c2]]
 
 
@@ -99,8 +96,7 @@ def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:
 
 
 def center_product(
-    a: AlgebraVector, b: AlgebraVector, F: FiniteGroup,
-    budget: int | None = None,
+    a: AlgebraVector, b: AlgebraVector, F: FiniteGroup
 ) -> AlgebraVector:
     """Product of center vectors at a common level l, expanded in class
     sums: the center_rows of the pairs of terms, summed."""
@@ -111,6 +107,6 @@ def center_product(
     acc = [0] * len(labels)
     for c1, x in a.terms:
         for c2, y in b.terms:
-            acc = [s + x * y * v for s, v in zip(acc, center_row(c1, c2, l, F, budget))]
+            acc = [s + x * y * v for s, v in zip(acc, center_row(c1, c2, l, F))]
     # label order is the vectors' sort order
     return AlgebraVector.from_row(l, labels, acc)

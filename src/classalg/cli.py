@@ -35,7 +35,7 @@ from .partial_algebra import (
     OmegaLabel, level_omegas, p_constant, product_rows, truncation_basis,
 )
 from .suites import SUITE_NAMES, Records, run_suites
-from .wreath import ClassLabel, labels_with_alpha_up_to
+from .wreath import ClassLabel, element_budget, labels_with_alpha_up_to
 
 VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
 
@@ -153,16 +153,15 @@ def cmd_classes(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     N = args.level
-    budget = args.budget_elements
     # a class of windows of size l at level N: choose the window, then an
     # element of F wr S_l on it
     omega = [
         {"omega": w.display(F), "l": w.l, "c": w.c.display(F),
-         "size": comb(N, w.l) * class_size(w.c, w.l, F, budget)}
+         "size": comb(N, w.l) * class_size(w.c, w.l, F)}
         for w in truncation_basis(N, F)
     ]
     center = [
-        {"c": c.display(F), "l": N, "size": class_size(c, N, F, budget)}
+        {"c": c.display(F), "l": N, "size": class_size(c, N, F)}
         for c in labels_with_alpha_up_to(N, F)
     ]
     rows = [["omega", r["omega"], r["l"], r["size"]] for r in omega]
@@ -176,7 +175,6 @@ def cmd_pconst(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     N = args.level
-    budget = args.budget_elements
     labels = {
         flag: OmegaLabel.parse(text, F)
         for flag, text in (("--omega1", args.omega1), ("--omega2", args.omega2),
@@ -191,10 +189,10 @@ def cmd_pconst(args: argparse.Namespace) -> int:
     w1, w2 = labels["--omega1"], labels["--omega2"]
     if "--omega" in labels:
         w = labels["--omega"]
-        found = [(w, p_constant(w1, w2, w, F, budget))]
+        found = [(w, p_constant(w1, w2, w, F))]
     else:
         found = [
-            (w, v) for l, row in enumerate(product_rows(w1, w2, N, F, budget))
+            (w, v) for l, row in enumerate(product_rows(w1, w2, N, F))
             for w, v in zip(level_omegas(l, F), row) if v
         ]
     rows = [[w1.display(F), w2.display(F), w.display(F), v] for w, v in found]
@@ -206,7 +204,6 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     l = args.l
-    budget = args.budget_elements
     labels = {
         flag: ClassLabel.parse(text, F)
         for flag, text in (("--c1", args.c1), ("--c2", args.c2), ("--c", args.c))
@@ -220,9 +217,9 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     c1, c2 = labels["--c1"], labels["--c2"]
     if "--c" in labels:
         c = labels["--c"]
-        found = [(c, s_constant(c1, c2, c, l, F, budget))]
+        found = [(c, s_constant(c1, c2, c, l, F))]
     else:
-        row = center_row(c1, c2, l, F, budget)
+        row = center_row(c1, c2, l, F)
         found = [(c, v) for c, v in zip(labels_with_alpha_up_to(l, F), row) if v]
     rows = [[c1.display(F), c2.display(F), c.display(F), l, v] for c, v in found]
     _render(args, spec, {"l": l}, ["c1", "c2", "c", "l", "S"], rows)
@@ -241,9 +238,7 @@ def cmd_xi(args: argparse.Namespace) -> int:
         "xi": value,
     }
     if args.oracle:
-        oracle = xi_count_oracle(
-            args.lprime, c, args.l, F, args.budget_elements
-        )
+        oracle = xi_count_oracle(args.lprime, c, args.l, F)
         row["oracle"] = oracle
         row["agree"] = oracle == value
     _render(args, spec, {}, list(row), [list(row.values())])
@@ -303,9 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "only the audit suite (or all) applies"
         )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    result = run_suites(
-        names, spec, args.level, seed=args.seed, budget=args.budget_elements
-    )
+    result = run_suites(names, spec, args.level, seed=args.seed)
     if args.format == "json":
         _emit(args, _json_doc(result))
     else:
@@ -415,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        return args.func(args)
+        with element_budget(args.budget_elements):
+            return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

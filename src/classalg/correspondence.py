@@ -36,7 +36,7 @@ from .wreath import (
     decode,
     label_ids,
     labels_with_alpha_up_to,
-    mask_images,
+    mask_mover,
     mask_str,
 )
 
@@ -82,8 +82,7 @@ def _xi_table(l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def identity_rows(
-    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup,
-    budget: int | None = None,
+    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
     """Both sides of the diagonal identity for the pair w1, w2 at every
     level l <= n, by target label id: the S side
@@ -95,15 +94,15 @@ def identity_rows(
     for l in range(n + 1):
         x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)
         sides.append(
-            tuple(x * v for v in center_row(w1.c, w2.c, l, F, budget)) if x
+            tuple(x * v for v in center_row(w1.c, w2.c, l, F)) if x
             else (0,) * len(labels_with_alpha_up_to(l, F))
         )
-    return sides, product_rows(w1, w2, n, F, budget)
+    return sides, product_rows(w1, w2, n, F)
 
 
 def verify_main_lemma(
     l1: int, c1: ClassLabel, l2: int, c2: ClassLabel,
-    l: int, c: ClassLabel, F: FiniteGroup, budget: int | None = None,
+    l: int, c: ClassLabel, F: FiniteGroup,
 ) -> MainLemmaRecord:
     """Check xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l) =
     sum over lt of xi(lt,c;l) P((l1,c1),(l2,c2),(lt,c)) as exact integers,
@@ -112,7 +111,7 @@ def verify_main_lemma(
     lhs = rhs = 0
     if c1.alpha <= l1 and c2.alpha <= l2 and c.alpha <= l:
         sides, prows = identity_rows(
-            OmegaLabel(l1, c1), OmegaLabel(l2, c2), l, F, budget
+            OmegaLabel(l1, c1), OmegaLabel(l2, c2), l, F
         )
         i = label_ids(l, F)[c]
         lhs, rhs = sides[l][i], phi_rows(prows, F)[l][i]
@@ -146,15 +145,14 @@ class InversionRecord:
 
 
 def inversion_rows(
-    omega1: OmegaLabel, omega2: OmegaLabel, F: FiniteGroup,
-    budget: int | None = None,
+    omega1: OmegaLabel, omega2: OmegaLabel, F: FiniteGroup
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(solved, brute) by label id for every c with alpha <= M = l1 + l2:
     P(omega1, omega2, (l, c)) at l = max(l1, l2)..M, solved from the S side
     of identity_rows and read from its P rows."""
     M = omega1.l + omega2.l
     levels = range(max(omega1.l, omega2.l), M + 1)
-    sides, prows = identity_rows(omega1, omega2, M, F, budget)
+    sides, prows = identity_rows(omega1, omega2, M, F)
 
     def column(rows, i: int) -> tuple[int, ...]:
         return tuple(row[i] if i < len(row) else 0 for row in rows[levels.start:])
@@ -166,13 +164,12 @@ def inversion_rows(
 
 
 def verify_inversion(
-    omega1: OmegaLabel, omega2: OmegaLabel, c: ClassLabel,
-    F: FiniteGroup, budget: int | None = None,
+    omega1: OmegaLabel, omega2: OmegaLabel, c: ClassLabel, F: FiniteGroup
 ) -> InversionRecord:
     """The inversion_rows entry of target c, zeros if alpha(c) > l1 + l2."""
     M = omega1.l + omega2.l
     levels = tuple(range(max(omega1.l, omega2.l), M + 1))
-    rows = inversion_rows(omega1, omega2, F, budget)
+    rows = inversion_rows(omega1, omega2, F)
     zero = ((0,) * len(levels),) * 2
     solved, brute = rows[label_ids(M, F)[c]] if c.alpha <= M else zero
     return InversionRecord(omega1, omega2, c, levels, solved, brute)
@@ -204,8 +201,8 @@ def phi_preimage(
     target_c: ClassLabel, target_l: int, N: int, F: FiniteGroup,
 ) -> AlgebraVector:
     """The unique truncated vector whose image is e[c(target_l)] at level
-    target_l and zero at every other level <= N, by back substitution up
-    the triangular column of c."""
+    target_l and zero at every other level <= N: the column of c solved
+    by forward_substitute."""
     if target_c.alpha > target_l:
         raise InvalidLabel(
             f"class needs alpha={target_c.alpha} points, level is {target_l}"
@@ -214,14 +211,10 @@ def phi_preimage(
         raise LevelMismatch(
             f"target level {target_l} exceeds truncation level {N}"
         )
-    gamma: dict[int, int] = {target_l: 1}
-    for j in range(target_l + 1, N + 1):
-        gamma[j] = -sum(
-            gamma[lp] * xi_closed_form(lp, target_c, j)
-            for lp in range(target_l, j)
-        )
+    levels = range(target_l, N + 1)
+    gamma = forward_substitute((1,) + (0,) * (N - target_l), levels, target_c)
     return AlgebraVector.make(
-        N, {OmegaLabel(lp, target_c): g for lp, g in gamma.items()}
+        N, {OmegaLabel(lp, target_c): g for lp, g in zip(levels, gamma)}
     )
 
 
@@ -334,9 +327,7 @@ _AUDIT_NOTES = (
 )
 
 
-def admissibility_audit(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> AuditReport:
+def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
     """Check the unit, closure, and class-fusion conditions for the family
     at level N by orbit enumeration under a generating set of each window
     group.
@@ -349,7 +340,7 @@ def admissibility_audit(
     from .wreath import level_group
 
     F = spec.base
-    G = level_group(F, N, budget)
+    G = level_group(F, N)
     codes, conj = G.codes, G.conj
     admits = [spec.admits(decode(a, F)) for a in codes]
     full = (1 << N) - 1
@@ -385,21 +376,19 @@ def admissibility_audit(
     # A partial element (d, i) is the int i << N | d.  The partial elements
     # of the family by window, each window's in canonical element order.
     pes_in = {w: [i << N | w for i in members[w]] for w in windows}
-    # the image of every window under the points' permutation by g
-    images_under = lru_cache(maxsize=None)(lambda g: mask_images(
-        [codes[g][j * F.order] // F.order for j in range(N)], N
-    ))
+    # each element's move of windows, cached across the window groups
+    mover = lru_cache(maxsize=None)(lambda g: mask_mover(codes[g], F))
 
     def orbits_under(gs: list[int], starts) -> dict[int, int]:
         """Orbits of the partial elements reached from `starts` under
         simultaneous conjugation by the group generated by gs: closing
         under the generators of a finite group gives the orbit under the
         whole group."""
-        moves = [(g, images_under(g)) for g in gs]
+        moves = [(g, mover(g)) for g in gs]
 
         def successors(p: int) -> list[int]:
             d, i = p & full, p >> N
-            return [conj(g, i) << N | images[d] for g, images in moves]
+            return [conj(g, i) << N | move(d) for g, move in moves]
 
         return orbit_partition(starts, successors)
 

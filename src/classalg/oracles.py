@@ -45,9 +45,7 @@ from .wreath import (
 
 # --- wreath products ---
 
-def conjugation_orbits(
-    F: FiniteGroup, n: int, budget: int | None = None
-) -> list[tuple[int, ...]]:
+def conjugation_orbits(F: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """Conjugacy classes of F wr S_n as orbits of element indices.
 
     Pure orbit enumeration, independent of class_label; this is the oracle
@@ -55,7 +53,7 @@ def conjugation_orbits(
     generating set of a finite group gives the orbits under the whole group;
     the set is wreath.generating_set, the one class_members closes under.
     """
-    G = level_group(F, n, budget)
+    G = level_group(F, n)
     gens = [G.index[g] for g, _ in generating_set(F, n)]
     orbit_of = orbit_partition(
         range(G.order), lambda y: [G.conj(g, y) for g in gens]
@@ -69,12 +67,11 @@ def conjugation_orbits(
 # --- centers ---
 
 def center_product_oracle(
-    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None,
+    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup
 ) -> dict[ClassLabel, int]:
     """Literal class-sum multiplication in the group algebra at level l,
     tallied elementwise and reduced to per-class coefficients."""
-    G = level_group(F, l, budget)
+    G = level_group(F, l)
     ids1 = G.by_label.get(c1, ())
     ids2 = G.by_label.get(c2, ())
     tally = [0] * G.order
@@ -107,12 +104,10 @@ def omega_of(p: PartialElement, F: FiniteGroup) -> OmegaLabel:
     return OmegaLabel(bin(p.d).count("1"), class_label(p.h, F))
 
 
-def enumerate_partial_elements(
-    F: FiniteGroup, N: int, budget: int | None = None
-) -> list[PartialElement]:
+def enumerate_partial_elements(F: FiniteGroup, N: int) -> list[PartialElement]:
     """All partial elements at level N, in canonical order
     (window size, window bits, element order)."""
-    G = level_group(F, N, budget)
+    G = level_group(F, N)
     masks = sorted(range(1 << N), key=lambda m: (bin(m).count("1"), m))
     return [
         PartialElement(d, G.elements[i])
@@ -123,11 +118,10 @@ def enumerate_partial_elements(
 
 
 def enumerate_omega_class(
-    omega: OmegaLabel, within: int, F: FiniteGroup, N: int,
-    budget: int | None = None,
+    omega: OmegaLabel, within: int, F: FiniteGroup, N: int
 ) -> list[PartialElement]:
     """The partial elements of class omega whose window lies inside `within`."""
-    G = level_group(F, N, budget)
+    G = level_group(F, N)
     ids = G.by_label.get(omega.c, ())
     pts = mask_points(within)
     out = []
@@ -141,14 +135,13 @@ def enumerate_omega_class(
 
 
 def product_oracle(
-    o1: OmegaLabel, o2: OmegaLabel, F: FiniteGroup, N: int,
-    budget: int | None = None,
+    o1: OmegaLabel, o2: OmegaLabel, F: FiniteGroup, N: int
 ) -> dict[OmegaLabel, int]:
     """Brute-force class-sum product: multiply every pair from the two
     classes at level N and tally results by class.  The tally must be
     constant on classes; returns the per-class coefficients."""
-    cls1 = enumerate_omega_class(o1, (1 << N) - 1, F, N, budget)
-    cls2 = enumerate_omega_class(o2, (1 << N) - 1, F, N, budget)
+    cls1 = enumerate_omega_class(o1, (1 << N) - 1, F, N)
+    cls2 = enumerate_omega_class(o2, (1 << N) - 1, F, N)
     tally: dict[PartialElement, int] = {}
     for p1 in cls1:
         for p2 in cls2:
@@ -162,7 +155,7 @@ def product_oracle(
         sizes[w] = sizes.get(w, 0) + 1
     coeffs: dict[OmegaLabel, int] = {}
     for w, total in out.items():
-        size = len(enumerate_omega_class(w, (1 << N) - 1, F, N, budget))
+        size = len(enumerate_omega_class(w, (1 << N) - 1, F, N))
         if total % size:
             raise ArithmeticError(
                 f"product of class sums is not a class function at {w}"
@@ -176,14 +169,12 @@ def product_oracle(
     return coeffs
 
 
-def partial_orbit_oracle(
-    F: FiniteGroup, N: int, budget: int | None = None
-) -> list[tuple[PartialElement, ...]]:
+def partial_orbit_oracle(F: FiniteGroup, N: int) -> list[tuple[PartialElement, ...]]:
     """Orbits of partial elements at level N under simultaneous conjugation
     g.(d, h) = (g d, g h g^-1).  Independent of omega labels; this is the
     oracle the omega invariant is tested against."""
-    G = level_group(F, N, budget)
-    pes = enumerate_partial_elements(F, N, budget)
+    G = level_group(F, N)
+    pes = enumerate_partial_elements(F, N)
     index = {p: i for i, p in enumerate(pes)}
 
     def successors(y: int) -> list[int]:
@@ -207,15 +198,14 @@ def partial_orbit_oracle(
 
 
 def factor_supports_oracle(
-    c1: ClassLabel, h: GroupElement, F: FiniteGroup,
-    budget: int | None = None,
+    c1: ClassLabel, h: GroupElement, F: FiniteGroup
 ) -> dict[ClassLabel, tuple[int, ...]]:
     """The members x of class c1 at level n = h.n, grouped by the label of
     x^-1 h, each kept as support(x) | support(x^-1 h) << n: the reference
     for wreath.factor_supports, by GroupElement products over the members
     of c1 in the enumerated level."""
     n = h.n
-    G = level_group(F, n, budget)
+    G = level_group(F, n)
     groups: dict[ClassLabel, list[int]] = {}
     for x in (G.elements[i] for i in G.by_label.get(c1, ())):
         y = multiply(inverse(x, F), h, F)
@@ -251,15 +241,14 @@ def _pair_count(
 
 
 def p_constant_all_representatives(
-    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup,
-    budget: int | None = None,
+    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
 ) -> list[int]:
     """The pair count computed at every member of class o, taken from the
     enumerated level, not just at the canonical representative.  Used to
     test representative independence."""
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return []
-    G = level_group(F, o.l, budget)
+    G = level_group(F, o.l)
     return [
         _pair_count(o.l, o1, o2, factor_supports(o1.c, G.elements[i], F))
         for i in G.by_label.get(o.c, ())
@@ -269,8 +258,7 @@ def p_constant_all_representatives(
 # --- the correspondence ---
 
 def xi_count_oracle(
-    lp: int, c: ClassLabel, l: int, F: FiniteGroup,
-    budget: int | None = None, all_members: bool = False,
+    lp: int, c: ClassLabel, l: int, F: FiniteGroup, all_members: bool = False
 ) -> int:
     """Count the windows of size lp holding a fixed element of class c
     inside {1..l} by literal subset enumeration.
@@ -283,10 +271,10 @@ def xi_count_oracle(
     if c.alpha > l or not 0 <= lp <= l:
         return 0
     if all_members:
-        check_budget(F, l, budget)
+        check_budget(F, l)
     else:
         what = f"the set of windows of size {lp} in {{1..{l}}}"
-        check_count(comb(l, lp), what, budget)
+        check_count(comb(l, lp), what)
 
     def count_for(h: GroupElement) -> int:
         sup = support(h, F)
@@ -297,21 +285,19 @@ def xi_count_oracle(
 
     if not all_members:
         return count_for(class_label_representative(c, F, l))
-    G = level_group(F, l, budget)
+    G = level_group(F, l)
     counts = {count_for(G.elements[i]) for i in G.by_label.get(c, ())}
     if len(counts) != 1:
         raise ArithmeticError(f"window count is not constant on class {c}")
     return counts.pop()
 
 
-def phi_oracle(
-    omega: OmegaLabel, l: int, F: FiniteGroup, budget: int | None = None
-) -> list[int]:
+def phi_oracle(omega: OmegaLabel, l: int, F: FiniteGroup) -> list[int]:
     """Literal image of the class sum of omega in the group algebra at level
     l: sum every partial element of the class with window inside {1..l},
     forgetting windows.  Returns the per-element tally."""
-    G = level_group(F, l, budget)
+    G = level_group(F, l)
     tally = [0] * G.order
-    for p in enumerate_omega_class(omega, (1 << l) - 1, F, l, budget):
+    for p in enumerate_omega_class(omega, (1 << l) - 1, F, l):
         tally[G.index[encode(p.h, F)]] += 1
     return tally

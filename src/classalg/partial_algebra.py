@@ -241,8 +241,7 @@ def p_rows(
 
 
 def p_constant(
-    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup,
-    budget: int | None = None,
+    o1: OmegaLabel, o2: OmegaLabel, o: OmegaLabel, F: FiniteGroup
 ) -> int:
     """Number of factorizations of a fixed representative of class o as a
     product from classes o1 and o2 with windows joining to the window of o.
@@ -251,13 +250,12 @@ def p_constant(
     """
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return 0
-    check_budget(F, o.l, budget)
+    check_budget(F, o.l)
     return p_row(o1, o, F)[label_ids(o.l, F)[o2.c]][o2.l]
 
 
 def product_rows(
-    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup,
-    budget: int | None = None,
+    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
     P(w1, w2, (l, c)) for l <= n, read off p_rows(w1, l); only levels
@@ -265,7 +263,7 @@ def product_rows(
     j, l2 = label_ids(w2.l, F)[w2.c], w2.l
     live = range(max(w1.l, l2), min(n, w1.l + l2) + 1)
     for l in live:
-        check_budget(F, l, budget)
+        check_budget(F, l)
     return tuple(
         tuple(row[j][l2] for row in p_rows(w1, l, F)) if l in live
         else (0,) * len(level_omegas(l, F))
@@ -274,8 +272,7 @@ def product_rows(
 
 
 def ik_product(
-    a: AlgebraVector, b: AlgebraVector, F: FiniteGroup,
-    budget: int | None = None,
+    a: AlgebraVector, b: AlgebraVector, F: FiniteGroup
 ) -> AlgebraVector:
     """Product in the truncated class algebra at level N = a.level: the
     product_rows of the pairs of terms, summed."""
@@ -285,7 +282,7 @@ def ik_product(
     acc = [[0] * len(level_omegas(l, F)) for l in range(N + 1)]
     for w1, x in a.terms:
         for w2, y in b.terms:
-            for l, row in enumerate(product_rows(w1, w2, N, F, budget)):
+            for l, row in enumerate(product_rows(w1, w2, N, F)):
                 acc[l] = [s + x * y * v for s, v in zip(acc[l], row)]
     # label order within a level is the vectors' sort order
     return AlgebraVector.from_row(

@@ -63,11 +63,11 @@ def _suite_dict(
     }
 
 
-def _basis(N: int, F: FiniteGroup, budget: int | None) -> list[tuple[int, int]]:
+def _basis(N: int, F: FiniteGroup) -> list[tuple[int, int]]:
     """(level, label id) of every class label at truncation level N, in
     truncation_basis order; the budget is checked at every level."""
     for l in range(N + 1):
-        check_budget(F, l, budget)
+        check_budget(F, l)
     return [
         (l, j) for l in range(N + 1)
         for j in range(len(labels_with_alpha_up_to(l, F)))
@@ -99,9 +99,7 @@ class Records:
             yield dict(zip(self.fields, row))
 
 
-def main_lemma_suite(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> dict:
+def main_lemma_suite(spec: FamilySpec, N: int) -> dict:
     """Check xi' xi'' S = sum xi P for every pair of class labels at level N
     and every target class at every level l <= N.
 
@@ -109,14 +107,14 @@ def main_lemma_suite(
     level; the S side and phi_rows of the P rows are kept as the two
     sides, in target order."""
     F = spec.base
-    basis = _basis(N, F, budget)
+    basis = _basis(N, F)
     labels = labels_with_alpha_up_to(N, F)
     lhs: list[int] = []
     rhs: list[int] = []
     omegas = [level_omegas(l, F)[i] for l, i in basis]
     for w1 in omegas:
         for w2 in omegas:
-            sides, prows = identity_rows(w1, w2, N, F, budget)
+            sides, prows = identity_rows(w1, w2, N, F)
             lhs.extend(chain.from_iterable(sides))
             rhs.extend(chain.from_iterable(phi_rows(prows, F)))
     shown = [c.display(F) for c in labels]
@@ -135,16 +133,14 @@ def main_lemma_suite(
                        sum(map(ne, lhs, rhs)))
 
 
-def inversion_suite(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> dict:
+def inversion_suite(spec: FamilySpec, N: int) -> dict:
     """Solve (1 + R) P = S by forward substitution for every pair with
     l' + l'' <= N and every target, all targets of a pair at once, and
     compare against directly counted P; only the P values are kept."""
     F = spec.base
-    basis = _basis(N, F, budget)
+    basis = _basis(N, F)
     sides = [side for l1, i1, l2, i2 in _pairs(basis, N) for side in inversion_rows(
-        level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F, budget)]
+        level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F)]
     shown = [c.display(F) for c in labels_with_alpha_up_to(N, F)]
 
     def records(enc):
@@ -162,14 +158,12 @@ def inversion_suite(
                        sum(s != b for s, b in sides))
 
 
-def phi_suite(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> dict:
+def phi_suite(spec: FamilySpec, N: int) -> dict:
     """Check that phi is multiplicative levelwise on untruncated products
     (images xi(l', c; l) e[c(l)] multiply as a scaled center_row), upper
     triangular with unit diagonal, and that preimages map back."""
     F = spec.base
-    basis = _basis(N, F, budget)
+    basis = _basis(N, F)
     labels = labels_with_alpha_up_to(N, F)
     shown = [c.display(F) for c in labels]
     zero = [(0,) * len(level_omegas(l, F)) for l in range(N + 1)]
@@ -180,7 +174,7 @@ def phi_suite(
     records = []
     for l1, i1, l2, i2 in _pairs(basis, N):
         sides, prows = identity_rows(
-            level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], N, F, budget
+            level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], N, F
         )
         records.append({"kind": "product", "omega1": f"{l1}:{shown[i1]}",
                         "omega2": f"{l2}:{shown[i2]}",
@@ -196,9 +190,7 @@ def phi_suite(
     return _suite_dict("phi", spec, N, records)
 
 
-def tower_suite(
-    spec: FamilySpec, N: int, budget: int | None = None
-) -> dict:
+def tower_suite(spec: FamilySpec, N: int) -> dict:
     """Check that truncation projections, slices of the rows, commute with
     products: for every pair of basis labels, the product rows at level N
     cut to each np <= N equal the product computed separately at np.
@@ -207,14 +199,14 @@ def tower_suite(
     level-independent P; a wrong P is caught by main-lemma, invert and phi,
     which compare it with S."""
     F = spec.base
-    basis = _basis(N, F, budget)
+    basis = _basis(N, F)
     omegas = [level_omegas(l, F)[i] for l, i in basis]
     shown = [w.display(F) for w in omegas]
     records = []
     for w1, s1 in zip(omegas, shown):
         for w2, s2 in zip(omegas, shown):
-            rows = product_rows(w1, w2, N, F, budget)
-            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F, budget)
+            rows = product_rows(w1, w2, N, F)
+            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F)
                      for np in range(N + 1))
             records.append({"omega1": s1, "omega2": s2, "ok": ok})
     return _suite_dict("tower", spec, N, records)
@@ -222,12 +214,12 @@ def tower_suite(
 
 # --- audit ---
 
-def audit_suite(spec: FamilySpec, N: int, budget: int | None = None) -> dict:
+def audit_suite(spec: FamilySpec, N: int) -> dict:
     """Admissibility audit wrapped with its expectation: the d_type family
     is expected to violate fusion from three points on (below that there is
     no room for the even element that fuses the two halves of a class),
     everything else is expected to pass."""
-    rep = admissibility_audit(spec, N, budget)
+    rep = admissibility_audit(spec, N)
     expect_violation = spec.kind == "d_type" and N >= 3
     as_expected = rep.passed != expect_violation
     return {
@@ -259,8 +251,7 @@ def _random_element(rng: random.Random, F: FiniteGroup, n: int) -> GroupElement:
     return GroupElement(n, tuple(perm), deco)
 
 
-def preflight_suite(spec: FamilySpec, N: int, seed: int,
-                    budget: int | None = None) -> dict:
+def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     """Seeded random spot checks of the element arithmetic: associativity,
     support of products, label invariance under conjugation, the encoding
     (the composed codes of x and y are the code of x y, the code of x^-1
@@ -283,8 +274,8 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int,
             or compose(encode(inverse(x, F), F), cx) != identity
             or support(xy, F) & ~(support(x, F) | support(y, F))
             or class_label(conjugate(x, y, F), F) != labels[1]
-            or s_constant(*labels, n, F, budget) < 1
-            or p_constant(*map(OmegaLabel, windows, labels), F, budget) < 1
+            or s_constant(*labels, n, F) < 1
+            or p_constant(*map(OmegaLabel, windows, labels), F) < 1
         ):
             ok = False
             break
@@ -304,7 +295,6 @@ def run_suites(
     spec: FamilySpec,
     N: int,
     seed: int = 0,
-    budget: int | None = None,
 ) -> dict:
     """Run the named suites in canonical order and combine their reports."""
     wanted = [s for s in SUITE_NAMES if s in names]
@@ -316,8 +306,8 @@ def run_suites(
     by_name = {"main-lemma": main_lemma_suite, "invert": inversion_suite,
                "phi": phi_suite, "tower": tower_suite, "audit": audit_suite}
     suites = [
-        preflight_suite(spec, N, seed, budget) if name == "preflight"
-        else by_name[name](spec, N, budget)
+        preflight_suite(spec, N, seed) if name == "preflight"
+        else by_name[name](spec, N)
         for name in wanted
     ]
     return {

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import factorial
@@ -50,24 +52,38 @@ from .finite_group import FiniteGroup, cycle_str, cycles
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
+# the element budget of the current element_budget block; None outside one
+_element_budget: ContextVar[int | None] = ContextVar("element_budget", default=None)
+
+
+@contextmanager
+def element_budget(limit: int | None):
+    """Bound every enumeration inside the block by `limit` elements (None:
+    DEFAULT_ELEMENT_BUDGET); the previous limit is back on exit."""
+    token = _element_budget.set(limit)
+    try:
+        yield
+    finally:
+        _element_budget.reset(token)
+
 
 def group_order(F: FiniteGroup, n: int) -> int:
     """|F wr S_n| = |F|^n * n!."""
     return F.order**n * factorial(n)
 
 
-def check_count(size: int, what: str, budget: int | None) -> None:
+def check_count(size: int, what: str) -> None:
     """Raise BudgetExceeded if enumerating `what`, of `size` elements, is
     over the element budget."""
-    limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
+    limit = _element_budget.get()
+    if limit is None:
+        limit = DEFAULT_ELEMENT_BUDGET
     if size > limit:
         raise BudgetExceeded(f"{what} has {size} elements, budget is {limit}")
 
 
-def check_budget(F: FiniteGroup, n: int, budget: int | None) -> None:
-    check_count(
-        group_order(F, n), f"level {n} over base of order {F.order}", budget
-    )
+def check_budget(F: FiniteGroup, n: int) -> None:
+    check_count(group_order(F, n), f"level {n} over base of order {F.order}")
 
 
 # --- support-set bitmask helpers (bit j <-> point j, displayed 1-based) ---
@@ -87,14 +103,13 @@ def apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def mask_images(perm, n: int) -> list[int]:
-    """The image of every mask d < 2^n under a permutation of the points,
-    each built from the image of d without its lowest point."""
-    out = [0] * (1 << n)
-    for d in range(1, 1 << n):
-        low = d & -d
-        out[d] = out[d ^ low] | 1 << perm[low.bit_length() - 1]
-    return out
+def mask_mover(code: tuple[int, ...], F: FiniteGroup):
+    """apply_perm_to_mask by the permutation of the points that the element
+    encoded by code makes, cached: an orbit search moves the same few
+    supports or windows by one generator many times."""
+    m = F.order
+    perm = tuple(code[j * m] // m for j in range(len(code) // m))
+    return lru_cache(maxsize=None)(partial(apply_perm_to_mask, perm))
 
 
 @dataclass(frozen=True)
@@ -408,10 +423,8 @@ def class_members(
     carries supports: that of g x g^-1 is that of x moved by g's points."""
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
     # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
-    # A class has few distinct supports, so each generator's move is cached.
     moves = [
-        (g, itemgetter(*g_inv), lru_cache(maxsize=None)(partial(
-            apply_perm_to_mask, tuple(g[j * F.order] // F.order for j in range(n)))))
+        (g, itemgetter(*g_inv), mask_mover(g, F))
         for g, g_inv in generating_set(F, n)
     ]
     rep = class_label_representative(c, F, n)
@@ -455,9 +468,9 @@ def representative_factors(
     return factor_supports(c1, class_label_representative(c, F, l), F)
 
 
-def enumerate_elements(F: FiniteGroup, n: int, budget: int | None = None):
+def enumerate_elements(F: FiniteGroup, n: int):
     """Yield all of F wr S_n in canonical order: perm lex, then deco lex."""
-    check_budget(F, n, budget)
+    check_budget(F, n)
     for perm in itertools.permutations(range(n)):
         for deco in itertools.product(range(F.order), repeat=n):
             yield GroupElement(n, perm, deco)
@@ -478,7 +491,7 @@ class LevelGroup:
         self.F = F
         self.n = n
         self.codes: tuple[tuple[int, ...], ...] = tuple(
-            encode(a, F) for a in enumerate_elements(F, n, budget=group_order(F, n))
+            encode(a, F) for a in enumerate_elements(F, n)
         )
         self.order = len(self.codes)
         self.index: dict[tuple[int, ...], int] = {
@@ -518,6 +531,6 @@ def _level_group_cached(F: FiniteGroup, n: int) -> LevelGroup:
     return LevelGroup(F, n)
 
 
-def level_group(F: FiniteGroup, n: int, budget: int | None = None) -> LevelGroup:
-    check_budget(F, n, budget)
+def level_group(F: FiniteGroup, n: int) -> LevelGroup:
+    check_budget(F, n)
     return _level_group_cached(F, n)

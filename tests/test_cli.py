@@ -251,6 +251,11 @@ def test_budget_exit_3(capsys):
         "--budget-elements", "5",
     )
     assert code == 3
+    assert err == "error: level 3 over base of order 1 has 6 elements, budget is 5\n"
+    # the flag holds for one command: the next in-process call is back on
+    # the default budget of 10^7 elements
+    code, _, err = run(capsys, "classes", "--family", "sym", "--level", "3")
+    assert code == 0 and err == ""
     # the subset recount is bounded by the C(26, 10) windows it counts
     code, out, err = run(
         capsys, "xi", "--lprime", "10", "--class", "[]", "--l", "26",
@@ -408,8 +413,8 @@ def test_verify_audit_unexpected_pass_exits_1(capsys, monkeypatch):
 
     real = suites_mod.admissibility_audit
 
-    def always_pass(spec, N, budget=None):
-        rep = real(spec, N, budget)
+    def always_pass(spec, N):
+        rep = real(spec, N)
         return AuditReport(
             **{
                 **rep.__dict__,

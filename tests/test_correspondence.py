@@ -22,6 +22,7 @@ from classalg import (
     basis_vector,
     builtin_group,
     center_product,
+    element_budget,
     forward_substitute,
     ik_product,
     labels_with_alpha_up_to,
@@ -210,7 +211,8 @@ def test_inversion_keeps_a_budget_above_the_default():
     args = (OM(6, []), OM(5, []), CL([]), TRIVIAL)
     with pytest.raises(BudgetExceeded):
         verify_inversion(*args)
-    rec = verify_inversion(*args, budget=10**8)
+    with element_budget(10**8):
+        rec = verify_inversion(*args)
     assert rec.ok and rec.brute == (6, 105, 560, 1260, 1260, 462)
 
 
@@ -220,19 +222,21 @@ def test_main_lemma_keeps_a_budget_above_the_default():
     args = (6, CL([]), 5, CL([]), 11, CL([]), TRIVIAL)
     with pytest.raises(BudgetExceeded):
         verify_main_lemma(*args)
-    rec = verify_main_lemma(*args, budget=10**8)
+    with element_budget(10**8):
+        rec = verify_main_lemma(*args)
     assert rec.ok and rec.lhs == rec.rhs == 462 * 462
 
 
 def test_suites_keep_the_budget_they_are_given(monkeypatch):
     """With the default budget below |S_2|, every suite runs at level 3
-    only on the budget passed to it."""
+    only inside an element_budget block that raises it."""
     monkeypatch.setattr(wreath_mod, "DEFAULT_ELEMENT_BUDGET", 1)
     spec = FamilySpec.symmetric()
     for name in SUITE_NAMES:
         with pytest.raises(BudgetExceeded):
             run_suites([name], spec, 3)
-        assert run_suites([name], spec, 3, budget=6)["ok"], name
+        with element_budget(6):
+            assert run_suites([name], spec, 3)["ok"], name
 
 
 def test_preflight_counts_each_sampled_product(monkeypatch):
@@ -379,11 +383,11 @@ def test_audit_d_type_defect_needs_three_points():
     assert rep2.passed
 
 
-def _audit_oracle(spec, N, budget=None):
+def _audit_oracle(spec, N):
     """The audit by brute force: orbits under every element of each window
     group, every pair inside each window, every product of two members."""
     F = spec.base
-    G = level_group(F, N, budget)
+    G = level_group(F, N)
     admits = [spec.admits(a) for a in G.elements]
     full = (1 << N) - 1
     windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))

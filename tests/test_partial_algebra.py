@@ -401,15 +401,22 @@ def test_row_kernels_match_oracles(data, name, N):
     are product_rows, against multiplying every pair of partial elements,
     phi_rows of the product against literally summing the image of each
     class in the product into the group algebra, and its S side against
-    xi xi times literal class-sum multiplication."""
+    xi xi times literal class-sum multiplication.  The tower's slice of the
+    rows to a level np <= N is checked against the product counted at np,
+    which is zero when a window does not fit np."""
     F = KERNEL_BASES[name]
     w1, w2 = data.draw(st.sampled_from(_oracle_pairs(F, N)))
     sides, rows = identity_rows(w1, w2, N, F)
+
+    def terms(rows):
+        return {w: v for l, row in enumerate(rows)
+                for w, v in zip(level_omegas(l, F), row) if v}
+
     expected = product_oracle(w1, w2, F, N)
-    assert {
-        w: v for l, row in enumerate(rows)
-        for w, v in zip(level_omegas(l, F), row) if v
-    } == expected
+    assert terms(rows) == expected
+    np = data.draw(st.integers(0, N))
+    fits = max(w1.l, w2.l) <= np
+    assert terms(rows[:np + 1]) == (product_oracle(w1, w2, F, np) if fits else {})
     image = phi_rows(rows, F)
     for l in range(N + 1):
         G = level_group(F, l)

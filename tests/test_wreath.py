@@ -22,6 +22,7 @@ from classalg import (
     conjugate,
     conjugation_orbits,
     d_type_membership,
+    element_budget,
     element_str,
     enumerate_elements,
     group_order,
@@ -285,8 +286,27 @@ def test_enumeration_counts_and_order():
     assert els == sorted(els, key=GroupElement.sort_key)
     with pytest.raises(BudgetExceeded):
         list(enumerate_elements(TRIVIAL, 12))
-    with pytest.raises(BudgetExceeded):
-        level_group(TRIVIAL, 4, budget=10)
+    with pytest.raises(BudgetExceeded), element_budget(10):
+        level_group(TRIVIAL, 4)
+
+
+def test_element_budget_is_scoped():
+    """The limit holds inside the block only: it is restored on exit and
+    when the block raises, and an inner block overrides an outer one."""
+    level_group(TRIVIAL, 4)
+    with element_budget(30):
+        level_group(TRIVIAL, 4)
+        with element_budget(10):
+            with pytest.raises(BudgetExceeded, match="budget is 10$"):
+                level_group(TRIVIAL, 4)
+        level_group(TRIVIAL, 4)
+        with pytest.raises(BudgetExceeded, match="budget is 30$"):
+            level_group(TRIVIAL, 5)
+    with pytest.raises(KeyError), element_budget(10):
+        raise KeyError
+    level_group(TRIVIAL, 4)
+    with pytest.raises(BudgetExceeded, match="budget is 10000000$"):
+        level_group(TRIVIAL, 11)
 
 
 @pytest.mark.parametrize(
