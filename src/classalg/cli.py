@@ -10,9 +10,7 @@ outcome, 1 identity or audit failure, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
@@ -30,12 +28,10 @@ from .errors import (
     WrongBaseGroup,
 )
 from .finite_group import FiniteGroup, load_group_file
-from .oracles import xi_count_oracle
 from .partial_algebra import (
     OmegaLabel, level_omegas, p_constant, product_rows, truncation_basis,
 )
-from .suites import SUITE_NAMES, Records, run_suites
-from .wreath import ClassLabel, element_budget, labels_with_alpha_up_to
+from .wreath import ClassLabel, check_levels, element_budget, labels_with_alpha_up_to
 
 VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
 
@@ -75,6 +71,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv(headers: list[str], rows: list[list[str]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -82,16 +80,18 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
-    """json.dumps(value, indent=2) in pieces, for dicts with string keys.
-    Containers are opened here, any other iterable is written as a list,
-    and suite records are written one at a time, never held whole."""
+def _json_chunks(value, dumps, pad: str = "\n") -> Iterator[str]:
+    """json.dumps(value, indent=2) in pieces, for dicts with string keys;
+    dumps is json.dumps, which writes the scalars and keys.  Containers are
+    opened here, any other iterable is written as a list, and suite records
+    (classalg.suites.Records, the values with `fields`) are written one at
+    a time, never held whole."""
     if isinstance(value, (str, int, float, type(None))):
-        yield json.dumps(value)
+        yield dumps(value)
         return
     inner = pad + "  "
-    if isinstance(value, Records):
-        yield from _record_chunks(value, inner)
+    if hasattr(value, "fields"):
+        yield from _record_chunks(value, dumps, inner)
         return
     if isinstance(value, dict):
         opener, closer, items = "{", "}", value.items()
@@ -101,27 +101,29 @@ def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
     for key, item in items:
         yield ("," if written else opener) + inner
         if key is not None:
-            yield json.dumps(key) + ": "
-        yield from _json_chunks(item, inner)
+            yield dumps(key) + ": "
+        yield from _json_chunks(item, dumps, inner)
         written = True
     yield pad + closer if written else opener + closer
 
 
-def _record_chunks(records: Records, inner: str) -> Iterator[str]:
+def _record_chunks(records, dumps, inner: str) -> Iterator[str]:
     """The records as a list of dicts, each filled into one template for
     their fields; labels, lists and verdicts are encoded by _json_chunks."""
     item = inner + "  "
-    fields = "".join(f",{item}{json.dumps(k)}: %s" for k in records.fields)
+    fields = "".join(f",{item}{dumps(k)}: %s" for k in records.fields)
     template = inner + "{" + fields[1:] + inner + "}"
     opener = "["
-    for row in records.rows(lambda v: "".join(_json_chunks(v, item))):
+    for row in records.rows(lambda v: "".join(_json_chunks(v, dumps, item))):
         yield opener + template % row
         opener = ","
     yield "[]" if opener == "[" else inner[:-2] + "]"
 
 
 def _json_doc(payload: dict) -> Iterator[str]:
-    yield from _json_chunks(payload)
+    import json
+
+    yield from _json_chunks(payload, json.dumps)
     yield "\n"
 
 
@@ -153,6 +155,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     N = args.level
+    check_levels(F, N)
     # a class of windows of size l at level N: choose the window, then an
     # element of F wr S_l on it
     omega = [
@@ -191,8 +194,10 @@ def cmd_pconst(args: argparse.Namespace) -> int:
         w = labels["--omega"]
         found = [(w, p_constant(w1, w2, w, F))]
     else:
+        # the rows above level l1 + l2 are zero
+        top = min(N, w1.l + w2.l)
         found = [
-            (w, v) for l, row in enumerate(product_rows(w1, w2, N, F))
+            (w, v) for l, row in enumerate(product_rows(w1, w2, top, F))
             for w, v in zip(level_omegas(l, F), row) if v
         ]
     rows = [[w1.display(F), w2.display(F), w.display(F), v] for w, v in found]
@@ -238,6 +243,8 @@ def cmd_xi(args: argparse.Namespace) -> int:
         "xi": value,
     }
     if args.oracle:
+        from .oracles import xi_count_oracle
+
         oracle = xi_count_oracle(args.lprime, c, args.l, F)
         row["oracle"] = oracle
         row["agree"] = oracle == value
@@ -297,6 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "family dtype has no class machinery to verify; "
             "only the audit suite (or all) applies"
         )
+    from .suites import SUITE_NAMES, run_suites
+
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     result = run_suites(names, spec, args.level, seed=args.seed)
     if args.format == "json":

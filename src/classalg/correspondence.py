@@ -14,7 +14,7 @@ conditions that the whole construction rests on, by orbit enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -50,18 +50,10 @@ def xi_closed_form(lp: int, c: ClassLabel, l: int) -> int:
     return comb(l - a, lp - a)
 
 
-@dataclass(frozen=True)
-class MainLemmaRecord:
+class MainLemmaRecord(namedtuple("MainLemmaRecord", "l1 c1 l2 c2 l c lhs rhs")):
     """One instance of the diagonal identity xi' xi'' S = sum_l xi P."""
 
-    l1: int
-    c1: ClassLabel
-    l2: int
-    c2: ClassLabel
-    l: int
-    c: ClassLabel
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -128,16 +120,12 @@ def forward_substitute(svec, levels, c: ClassLabel) -> tuple[int, ...]:
     return tuple(p)
 
 
-@dataclass(frozen=True)
-class InversionRecord:
+class InversionRecord(
+    namedtuple("InversionRecord", "omega1 omega2 c levels solved brute")
+):
     """Solved P values for one (omega1, omega2, c) against direct counts."""
 
-    omega1: OmegaLabel
-    omega2: OmegaLabel
-    c: ClassLabel
-    levels: tuple[int, ...]
-    solved: tuple[int, ...]
-    brute: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -220,15 +208,12 @@ def phi_preimage(
 
 # --- families and the admissibility audit ---
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind base name")):
     """A chain of groups: one group per window, cut out of F wr S_n by a
     membership rule.  kind selects the rule, base is F, name is the CLI
     spelling used in reports."""
 
-    kind: str
-    base: FiniteGroup
-    name: str
+    __slots__ = ()
 
     @classmethod
     def symmetric(cls) -> "FamilySpec":
@@ -274,14 +259,11 @@ def parse_family(text: str, group: FiniteGroup | None = None) -> FamilySpec:
     raise ParseError(f"unknown family {text!r}")
 
 
-@dataclass(frozen=True)
-class AuditWitness:
+class AuditWitness(namedtuple("AuditWitness", "window p1 p2")):
     """Two partial elements conjugate over the full window but not inside
     their own window."""
 
-    window: int
-    p1: PartialElement
-    p2: PartialElement
+    __slots__ = ()
 
     def display(self, F: FiniteGroup) -> str:
         return (
@@ -291,29 +273,21 @@ class AuditWitness:
         )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(namedtuple(
+    "AuditReport",
+    "family kind level unit_ok closure_ok fusion_ok witness group_size "
+    "partial_count windows_checked pairs_checked notes",
+)):
     """Outcome of the finite-level admissibility audit of a family.
 
-    pairs_checked is the number of pairs of partial elements that the fusion
-    check covers: for each window in canonical order, every unordered pair
-    of partial elements whose window lies inside it, taken in canonical
-    order, up to and including the first violating pair, after which no
-    further window is examined.
+    witness is an AuditWitness or None.  pairs_checked is the number of
+    pairs of partial elements that the fusion check covers: for each window
+    in canonical order, every unordered pair of partial elements whose
+    window lies inside it, taken in canonical order, up to and including
+    the first violating pair, after which no further window is examined.
     """
 
-    family: str
-    kind: str
-    level: int
-    unit_ok: bool
-    closure_ok: bool
-    fusion_ok: bool
-    witness: AuditWitness | None
-    group_size: int
-    partial_count: int
-    windows_checked: int
-    pairs_checked: int
-    notes: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -10,9 +10,7 @@ identically.
 from __future__ import annotations
 
 import itertools
-import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -28,7 +26,6 @@ from .errors import (
 DEFAULT_MAX_ORDER = 24
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A validated finite group on element indices 0..order-1.
 
@@ -41,13 +38,15 @@ class FiniteGroup:
     the same table are therefore distinct keys and fill their own caches.
     """
 
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    identity: int
-    class_of: tuple[int, ...]
-    class_reps: tuple[int, ...]
-    names: tuple[str, ...]
+    __slots__ = ("order", "mult", "inv", "identity", "class_of", "class_reps", "names")
+
+    def __init__(
+        self, order: int, mult: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
+        identity: int, class_of: tuple[int, ...], class_reps: tuple[int, ...],
+        names: tuple[str, ...],
+    ):
+        self.order, self.mult, self.inv, self.identity = order, mult, inv, identity
+        self.class_of, self.class_reps, self.names = class_of, class_reps, names
 
     @property
     def num_classes(self) -> int:
@@ -204,6 +203,8 @@ def load_group(spec: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Load a JSON group file (keys: order, mult, names optional)."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -44,12 +43,10 @@ from .wreath import (
 )
 
 
-@dataclass(frozen=True)
-class PartialElement:
+class PartialElement(namedtuple("PartialElement", "d h")):
     """A window d together with an element h of F wr S_n, support(h) within d."""
 
-    d: int
-    h: GroupElement
+    __slots__ = ()
 
     def sort_key(self):
         return (bin(self.d).count("1"), self.d, self.h.sort_key())
@@ -70,18 +67,17 @@ def partial_str(p: PartialElement, F: FiniteGroup) -> str:
     return f"({mask_str(p.d)}, {element_str(p.h, F)})"
 
 
-@dataclass(frozen=True)
-class OmegaLabel:
+class OmegaLabel(namedtuple("OmegaLabel", "l c")):
     """Class label (l, c) of a partial element: window size and element class."""
 
-    l: int
-    c: ClassLabel
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l < 0 or self.c.alpha > self.l:
+    def __new__(cls, l: int, c: ClassLabel) -> "OmegaLabel":
+        if l < 0 or c.alpha > l:
             raise InvalidLabel(
-                f"label needs alpha={self.c.alpha} points but window size is {self.l}"
+                f"label needs alpha={c.alpha} points but window size is {l}"
             )
+        return tuple.__new__(cls, (l, c))
 
     def sort_key(self):
         return (self.l, self.c.sort_key())
@@ -102,8 +98,7 @@ class OmegaLabel:
             raise ParseError(f"invalid label {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class AlgebraVector:
+class AlgebraVector(namedtuple("AlgebraVector", "level terms")):
     """Immutable sparse integer vector over class labels.
 
     level is the truncation level N for vectors keyed by OmegaLabel, or the
@@ -111,8 +106,7 @@ class AlgebraVector:
     nonzero coefficients, sorted by the key's sort_key.
     """
 
-    level: int
-    terms: tuple[tuple[object, int], ...]
+    __slots__ = ()
 
     @classmethod
     def make(cls, level: int, coeffs: dict) -> "AlgebraVector":

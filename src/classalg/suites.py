@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 from operator import ne
 
@@ -29,7 +28,7 @@ from .finite_group import FiniteGroup
 from .partial_algebra import OmegaLabel, level_omegas, p_constant, product_rows, vector_rows
 from .wreath import (
     GroupElement,
-    check_budget,
+    check_levels,
     class_label,
     compose,
     conjugate,
@@ -66,8 +65,7 @@ def _suite_dict(
 def _basis(N: int, F: FiniteGroup) -> list[tuple[int, int]]:
     """(level, label id) of every class label at truncation level N, in
     truncation_basis order; the budget is checked at every level."""
-    for l in range(N + 1):
-        check_budget(F, l)
+    check_levels(F, N)
     return [
         (l, j) for l in range(N + 1)
         for j in range(len(labels_with_alpha_up_to(l, F)))
@@ -82,14 +80,17 @@ def _pairs(basis: list[tuple[int, int]], N: int) -> Iterator[tuple]:
                 yield l1, i1, l2, i2
 
 
-@dataclass(frozen=True)
 class Records:
     """A suite's records kept as label ids and ints.  rows(enc) yields each
     record's values in field order, each label, list and verdict through enc."""
 
-    fields: tuple[str, ...]
-    count: int
-    rows: Callable[[Callable], Iterator[tuple]]
+    __slots__ = ("fields", "count", "rows")
+
+    def __init__(
+        self, fields: tuple[str, ...], count: int,
+        rows: Callable[[Callable], Iterator[tuple]],
+    ):
+        self.fields, self.count, self.rows = fields, count, rows
 
     def __len__(self) -> int:
         return self.count

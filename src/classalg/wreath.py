@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
@@ -72,18 +72,40 @@ def group_order(F: FiniteGroup, n: int) -> int:
     return F.order**n * factorial(n)
 
 
+def _limit() -> int:
+    limit = _element_budget.get()
+    return DEFAULT_ELEMENT_BUDGET if limit is None else limit
+
+
 def check_count(size: int, what: str) -> None:
     """Raise BudgetExceeded if enumerating `what`, of `size` elements, is
     over the element budget."""
-    limit = _element_budget.get()
-    if limit is None:
-        limit = DEFAULT_ELEMENT_BUDGET
+    limit = _limit()
     if size > limit:
         raise BudgetExceeded(f"{what} has {size} elements, budget is {limit}")
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
-    check_count(group_order(F, n), f"level {n} over base of order {F.order}")
+    """check_count on level n, of |F|^n n! elements.  The order is multiplied
+    out one point at a time and no further than the first level over the
+    limit, so a huge n costs no more than that level; above it the message
+    gives the limit as a lower bound instead of the order."""
+    what, limit = f"level {n} over base of order {F.order}", _limit()
+    order = 1
+    for k in range(1, n + 1):
+        order *= k * F.order
+        if order > limit and k < n:
+            raise BudgetExceeded(
+                f"{what} has more than {limit} elements, budget is {limit}"
+            )
+    check_count(order, what)
+
+
+def check_levels(F: FiniteGroup, n: int) -> None:
+    """check_budget at the levels 0..n in order: the first level over the
+    budget is the one reported."""
+    for l in range(n + 1):
+        check_budget(F, l)
 
 
 # --- support-set bitmask helpers (bit j <-> point j, displayed 1-based) ---
@@ -112,13 +134,10 @@ def mask_mover(code: tuple[int, ...], F: FiniteGroup):
     return lru_cache(maxsize=None)(partial(apply_perm_to_mask, perm))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "n perm deco")):
     """Element of F wr S_n: perm[i] is the image of point i, deco[i] in F."""
 
-    n: int
-    perm: tuple[int, ...]
-    deco: tuple[int, ...]
+    __slots__ = ()
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.perm, self.deco)
@@ -182,16 +201,21 @@ def _pair_order(pair: tuple[int, int]) -> tuple[int, int]:
     return (-pair[0], pair[1])
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
     """Multiset of (cycle length, F-class index) pairs, canonically sorted.
 
     Pairs are ordered by length descending, then F-class ascending; pairs
     (1, 0) are never stored.  alpha is the number of points the class
-    genuinely occupies.
+    genuinely occupies, stored with the pairs: ClassLabel(pairs) sets it.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> "ClassLabel":
+        return tuple.__new__(cls, (pairs, sum(ln for ln, _ in pairs)))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.pairs,)
 
     @classmethod
     def from_pairs(
@@ -211,10 +235,6 @@ class ClassLabel:
     @classmethod
     def from_partition(cls, parts) -> "ClassLabel":
         return cls.from_pairs((p, 0) for p in parts)
-
-    @cached_property
-    def alpha(self) -> int:
-        return sum(ln for ln, _ in self.pairs)
 
     def sort_key(self):
         return (self.alpha, self.pairs)

@@ -1,7 +1,12 @@
 """Command-line interface: output formats, flags, exit codes."""
 
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -417,7 +422,7 @@ def test_verify_audit_unexpected_pass_exits_1(capsys, monkeypatch):
         rep = real(spec, N)
         return AuditReport(
             **{
-                **rep.__dict__,
+                **rep._asdict(),
                 "fusion_ok": True,
                 "witness": None,
             }
@@ -531,3 +536,68 @@ def test_json_doc_matches_json_dumps(value):
         {"value": value, "lazy": [value, {"k": value}]}, indent=2
     )
     assert "".join(_json_doc(payload)) == expected + "\n"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child(*argv, timeout=None):
+    """Run python with this checkout's package on the path, without site."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-S", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_cli_import_loads_no_command_specific_module():
+    """json, csv, the suites and the oracles load only in the commands that
+    use them, and dataclasses (with inspect) not at all."""
+    unused = ["dataclasses", "inspect", "json", "csv", "classalg.suites",
+              "classalg.oracles"]
+    proc = child("-c", "import sys, classalg.cli; "
+                 f"print([m for m in {unused!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_exports_resolve_to_their_submodules():
+    import classalg
+
+    # the 78 names the package imported eagerly before its exports were lazy
+    assert len(classalg.__all__) == len(set(classalg.__all__)) == 78
+    for name in classalg.__all__:
+        home = importlib.import_module(f"classalg.{classalg._HOME[name]}")
+        assert getattr(classalg, name) is getattr(home, name)
+        assert name in dir(classalg)
+    with pytest.raises(AttributeError):
+        classalg.no_such_name
+
+
+HUGE = "99999999999999999999"
+OVER_AT_11 = "error: level 11 over base of order 1 has 39916800 elements, budget is 10000000\n"
+
+
+@pytest.mark.parametrize("argv,code,stderr", [
+    (["sconst", "--l", "1000000000", "--c1", "[2]", "--c2", "[2]"], 3,
+     "error: level 1000000000 over base of order 1 has more than 10000000 "
+     "elements, budget is 10000000\n"),
+    (["sconst", "--l", "2000", "--c1", "[2]", "--c2", "[2]"], 3,
+     "error: level 2000 over base of order 1 has more than 10000000 "
+     "elements, budget is 10000000\n"),
+    (["verify", "audit", "--level", HUGE], 3,
+     f"error: level {HUGE} over base of order 1 has more than 10000000 "
+     "elements, budget is 10000000\n"),
+    (["verify", "all", "--level", HUGE], 3, OVER_AT_11),
+    (["classes", "--level", "45"], 3, OVER_AT_11),
+    (["classes", "--level", HUGE], 3, OVER_AT_11),
+    (["pconst", "--level", HUGE, "--omega1", "1:[]", "--omega2", "1:[]",
+      "--format", "csv"], 0, ""),
+], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
+        "classes-huge", "pconst-huge"])
+def test_huge_levels_answer_at_once(argv, code, stderr):
+    """The budget is decided without the order of a huge level, classes
+    checks every level before it lists any, and pconst reads no level above
+    l1 + l2, where every product is zero."""
+    proc = child("-m", "classalg", *argv, timeout=2)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    if code == 0:
+        assert proc.stdout == "omega1,omega2,omega,P\n1:[],1:[],1:[],1\n1:[],1:[],2:[],2\n"

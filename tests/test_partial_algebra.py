@@ -1,5 +1,7 @@
 """Partial elements, omega labels, vectors, and the P structure constants."""
 
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from classalg import (
     AlgebraVector,
     ClassLabel,
+    FamilySpec,
     GroupElement,
     InvalidLabel,
     LevelMismatch,
     OmegaLabel,
     ParseError,
     PartialElement,
+    admissibility_audit,
     basis_vector,
     builtin_group,
     enumerate_omega_class,
@@ -30,6 +34,8 @@ from classalg import (
     product_oracle,
     project,
     truncation_basis,
+    verify_inversion,
+    verify_main_lemma,
 )
 from classalg.center_algebra import class_size
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
@@ -103,6 +109,38 @@ def test_omega_label_validation_and_parse():
     with pytest.raises(ParseError):
         OmegaLabel.parse("2-[2]", TRIVIAL)
     assert OM(2, [2]).display(TRIVIAL) == "2:[2]"
+
+
+_H = GroupElement(3, (1, 0, 2), (0, 0, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroupElement(3, (1, 0, 2), (0, 0, 0)),
+    lambda: CL([3, 2]),
+    lambda: OM(3, [2]),
+    lambda: PartialElement(0b011, _H),
+    lambda: basis_vector(OM(2, [2]), 3),
+    lambda: verify_main_lemma(1, CL([]), 2, CL([2]), 2, CL([2]), TRIVIAL),
+    lambda: verify_inversion(OM(1, []), OM(2, [2]), CL([2]), TRIVIAL),
+    lambda: FamilySpec.symmetric(),
+    lambda: admissibility_audit(FamilySpec.symmetric(), 2),
+    lambda: admissibility_audit(FamilySpec.d_type(), 3).witness,
+], ids=["GroupElement", "ClassLabel", "OmegaLabel", "PartialElement",
+        "AlgebraVector", "MainLemmaRecord", "InversionRecord", "FamilySpec",
+        "AuditReport", "AuditWitness"])
+def test_value_types_compare_and_hash_by_value(make):
+    """Two equal constructions are equal, hash alike and count once in a
+    set; a copy is equal too."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert copy.copy(a) == a
+
+
+def test_class_label_stores_alpha():
+    c = CL([3, 2])
+    assert c.alpha == 5 and c.pairs == ((3, 0), (2, 0))
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert pickle.loads(pickle.dumps(OM(5, [3, 2]))) == OM(5, [3, 2])
 
 
 # --- enumeration ---
