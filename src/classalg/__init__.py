@@ -33,21 +33,20 @@ _EXPORTS = {
         "load_group_file"
     ),
     "oracles": (
-        "center_product_oracle conjugation_orbits enumerate_omega_class "
-        "enumerate_partial_elements omega_of p_constant_all_representatives "
-        "partial_orbit_oracle phi_oracle pmultiply product_oracle "
-        "xi_count_oracle"
+        "center_product_oracle class_label conjugate conjugation_orbits "
+        "d_type_membership enumerate_omega_class enumerate_partial_elements "
+        "identity_element inverse multiply omega_of "
+        "p_constant_all_representatives partial_orbit_oracle phi_oracle "
+        "pmultiply product_oracle support xi_count_oracle"
     ),
     "partial_algebra": (
         "AlgebraVector OmegaLabel PartialElement basis_vector ik_product "
         "p_constant partial_element partial_str project truncation_basis"
     ),
     "wreath": (
-        "ClassLabel GroupElement class_label class_label_representative "
-        "class_members compose conjugate d_type_membership decode "
-        "element_budget element_str encode enumerate_elements group_order "
-        "identity_element inverse labels_with_alpha_up_to level_group "
-        "mask_points mask_str multiply support"
+        "ClassLabel GroupElement class_label_representative class_members "
+        "compose decode element_budget element_str encode enumerate_elements "
+        "group_order labels_with_alpha_up_to level_group mask_points mask_str"
     ),
 }
 # the submodule of each exported name

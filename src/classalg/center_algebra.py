@@ -52,12 +52,12 @@ def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
 @lru_cache(maxsize=None)
 def s_row(c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup) -> tuple[int, ...]:
     """S(c1, c2, c; l) for every label c2 with alpha <= l, by label id: the
-    sizes of the groups of representative_factors(c1, c, l).  The caller
-    checks the budget."""
+    member counts of the groups of representative_factors(c1, c, l).  The
+    caller checks the budget."""
     row = [0] * len(labels_with_alpha_up_to(l, F))
     ids = label_ids(l, F)
-    for c2, members in representative_factors(c1, c, l, F).items():
-        row[ids[c2]] = len(members)
+    for c2, counts in representative_factors(c1, c, l, F).items():
+        row[ids[c2]] = sum(counts.values())
     return tuple(row)
 
 

@@ -14,7 +14,7 @@ import io
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from math import comb
+from math import comb, lgamma, log
 
 from .center_algebra import center_row, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
@@ -231,10 +231,23 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_printable(lp: int, c: ClassLabel, l: int, F: FiniteGroup) -> None:
+    """ParseError if xi(lp, c; l) = C(n, k) has more digits than Python prints
+    (no limit before 3.10.7): sized by lgamma, computed only near the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    n, k = l - c.alpha, lp - c.alpha
+    if limit and 0 <= k <= n:
+        log10 = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+        if log10 > limit + 1 or (log10 > limit - 1 and comb(n, k) >= 10**limit):
+            raise ParseError(f"xi({lp}, {c.display(F)}; {l}) has more than "
+                             f"{limit} digits and cannot be printed")
+
+
 def cmd_xi(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     c = ClassLabel.parse(args.cls, F)
+    _check_printable(args.lprime, c, args.l, F)
     value = xi_closed_form(args.lprime, c, args.l)
     row: dict = {
         "lprime": args.lprime,

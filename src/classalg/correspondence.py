@@ -31,8 +31,6 @@ from .partial_algebra import (
 )
 from .wreath import (
     ClassLabel,
-    GroupElement,
-    d_type_membership,
     decode,
     label_ids,
     labels_with_alpha_up_to,
@@ -227,11 +225,13 @@ class FamilySpec(namedtuple("FamilySpec", "kind base name")):
     def d_type(cls) -> "FamilySpec":
         return cls("d_type", builtin_group("cyclic(2)"), "dtype")
 
-    def admits(self, a: GroupElement) -> bool:
-        """Membership rule applied to an element of F wr S_n."""
-        if self.kind == "d_type":
-            return d_type_membership(a, self.base)
-        return True
+    def admits(self, code: tuple[int, ...]) -> bool:
+        """Membership rule on the code of an element of F wr S_n; d_type reads
+        the decorations off the images (perm[j], deco[perm[j]]) of (j, e)."""
+        if self.kind != "d_type":
+            return True
+        m, e = self.base.order, self.base.identity
+        return sum(code[p] % m != e for p in range(e, len(code), m)) % 2 == 0
 
 
 def parse_family(text: str, group: FiniteGroup | None = None) -> FamilySpec:
@@ -316,7 +316,7 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
     F = spec.base
     G = level_group(F, N)
     codes, conj = G.codes, G.conj
-    admits = [spec.admits(decode(a, F)) for a in codes]
+    admits = [spec.admits(a) for a in codes]
     full = (1 << N) - 1
     windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
 

@@ -1,7 +1,13 @@
 """Brute-force references that the tests check the production paths against.
 
-Every function here enumerates a whole level (or every window of one) and
-so costs time and memory that grow like |F|^n n!.  None of them reads a
+The GroupElement arithmetic (identity_element, multiply, inverse,
+conjugate, support, class_label, d_type_membership) works on (perm, deco)
+with the product convention of classalg.wreath and shares no code with
+compose, code_inverse or code_class: the tests and the verify preflight
+check the codes against it.
+
+Every other function enumerates a whole level (or every window of one)
+and so costs time and memory that grow like |F|^n n!.  None of them reads a
 class's members through class_members: members come from a fully
 enumerated LevelGroup, products are made elementwise, and orbits are
 closed under conjugation by wreath.generating_set, the set class_members
@@ -12,8 +18,8 @@ grouping of wreath.factor_supports made with GroupElement products over a
 class taken from the enumerated level.  The one exception is _pair_count,
 the window-by-window P count over a grouping that factor_supports made,
 kept as the reference for the row count in partial_algebra.p_row.  The
-structure constants, class sizes and the CLI apart from `xi --oracle`
-never call into this module.
+structure constants, class sizes and the CLI apart from the preflight and
+`xi --oracle` never call into this module.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import LevelMismatch
-from .finite_group import FiniteGroup, orbit_partition
+from .errors import LevelMismatch, WrongBaseGroup
+from .finite_group import FiniteGroup, cycles, orbit_partition
 from .partial_algebra import OmegaLabel, PartialElement
 from .wreath import (
     ClassLabel,
@@ -30,17 +36,76 @@ from .wreath import (
     apply_perm_to_mask,
     check_budget,
     check_count,
-    class_label,
     class_label_representative,
     encode,
     factor_supports,
     generating_set,
-    inverse,
     level_group,
     mask_points,
-    multiply,
-    support,
 )
+
+
+# --- GroupElement arithmetic ---
+
+def identity_element(F: FiniteGroup, n: int) -> GroupElement:
+    return GroupElement(n, tuple(range(n)), (F.identity,) * n)
+
+
+def multiply(a: GroupElement, b: GroupElement, F: FiniteGroup) -> GroupElement:
+    if a.n != b.n:
+        raise LevelMismatch(f"levels differ: {a.n} != {b.n}")
+    ap, ad, bp, bd = a.perm, a.deco, b.perm, b.deco
+    mult = F.mult
+    perm = tuple(ap[bp[i]] for i in range(a.n))
+    deco = [0] * a.n
+    for j in range(a.n):
+        i = ap[j]
+        deco[i] = mult[ad[i]][bd[j]]
+    return GroupElement(a.n, perm, tuple(deco))
+
+
+def inverse(a: GroupElement, F: FiniteGroup) -> GroupElement:
+    perm = [0] * a.n
+    deco = [0] * a.n
+    for j in range(a.n):
+        perm[a.perm[j]] = j
+        deco[j] = F.inv[a.deco[a.perm[j]]]
+    return GroupElement(a.n, tuple(perm), tuple(deco))
+
+
+def conjugate(g: GroupElement, a: GroupElement, F: FiniteGroup) -> GroupElement:
+    """g a g^-1."""
+    return multiply(multiply(g, a, F), inverse(g, F), F)
+
+
+def support(a: GroupElement, F: FiniteGroup) -> int:
+    """Bitmask of points that are moved or carry a nontrivial decoration."""
+    out = 0
+    for j in range(a.n):
+        if a.perm[j] != j or a.deco[j] != F.identity:
+            out |= 1 << j
+    return out
+
+
+def class_label(a: GroupElement, F: FiniteGroup) -> ClassLabel:
+    """Label of the conjugacy class of a in F wr S_n: for each cycle of
+    a.perm, its length and the F-class of its cycle product."""
+    mult, deco = F.mult, a.deco
+    pairs = []
+    for pts in cycles(a.perm):
+        acc = deco[pts[0]]
+        for p in pts[1:]:
+            acc = mult[deco[p]][acc]
+        pairs.append((len(pts), F.class_of[acc]))
+    # from_pairs drops the undecorated fixed points and sorts
+    return ClassLabel.from_pairs(pairs)
+
+
+def d_type_membership(a: GroupElement, F: FiniteGroup) -> bool:
+    """Whether a lies in the even-decoration subgroup of Z/2 wr S_n."""
+    if F.order != 2:
+        raise WrongBaseGroup(f"needs a base group of order 2, got order {F.order}")
+    return sum(1 for d in a.deco if d != F.identity) % 2 == 0
 
 
 # --- wreath products ---
@@ -217,7 +282,7 @@ def factor_supports_oracle(
 
 def _pair_count(
     l: int, o1: OmegaLabel, o2: OmegaLabel,
-    factors: dict[ClassLabel, tuple[int, ...]],
+    factors: dict[ClassLabel, dict[int, int]],
 ) -> int:
     """Factorizations of the partial element ({1..l}, h) at level l into a
     product from classes o1 and o2, where factors = factor_supports(o1.c, h).
@@ -226,7 +291,7 @@ def _pair_count(
     total = 0
     for combo in itertools.combinations(range(l), o1.l):
         rest = full & ~sum(1 << j for j in combo)
-        for packed in factors.get(o2.c, ()):
+        for packed, members in factors.get(o2.c, {}).items():
             # support(x) must lie in the first window
             if packed & rest:
                 continue
@@ -236,7 +301,7 @@ def _pair_count(
                 continue
             # any window of size l'' containing `need` works; the free
             # points may sit anywhere in the l available ones
-            total += comb(l - nb, o2.l - nb)
+            total += members * comb(l - nb, o2.l - nb)
     return total
 
 

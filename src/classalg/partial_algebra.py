@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -34,12 +34,13 @@ from .wreath import (
     ClassLabel,
     GroupElement,
     check_budget,
+    code_class,
     element_str,
+    encode,
     label_ids,
     labels_with_alpha_up_to,
     mask_str,
     representative_factors,
-    support,
 )
 
 
@@ -56,9 +57,10 @@ def partial_element(d: int, h: GroupElement, F: FiniteGroup) -> PartialElement:
     """Validated constructor: d must fit the level and contain support(h)."""
     if d < 0 or d >> h.n:
         raise InvalidLabel(f"window {mask_str(d)} does not fit level {h.n}")
-    if support(h, F) & ~d:
+    sup = code_class(encode(h, F), F)[1]
+    if sup & ~d:
         raise InvalidLabel(
-            f"support {mask_str(support(h, F))} not inside window {mask_str(d)}"
+            f"support {mask_str(sup)} not inside window {mask_str(d)}"
         )
     return PartialElement(d, h)
 
@@ -210,10 +212,10 @@ def p_row(
     ]
     row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
     ids = label_ids(l, F)
-    for c2, packed in representative_factors(o1.c, o.c, l, F).items():
+    for c2, counts in representative_factors(o1.c, o.c, l, F).items():
         hist = [0] * (l + 1)
         # members with the same pair of supports count alike
-        for p, mult in Counter(packed).items():
+        for p, mult in counts.items():
             sx, sy = p & full, p >> l
             for rest in rests:
                 if not sx & rest:

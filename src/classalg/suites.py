@@ -29,14 +29,11 @@ from .partial_algebra import OmegaLabel, level_omegas, p_constant, product_rows,
 from .wreath import (
     GroupElement,
     check_levels,
-    class_label,
+    code_class,
+    code_inverse,
     compose,
-    conjugate,
     encode,
-    inverse,
     labels_with_alpha_up_to,
-    multiply,
-    support,
 )
 
 SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
@@ -253,28 +250,33 @@ def _random_element(rng: random.Random, F: FiniteGroup, n: int) -> GroupElement:
 
 
 def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
-    """Seeded random spot checks of the element arithmetic: associativity,
-    support of products, label invariance under conjugation, the encoding
-    (the composed codes of x and y are the code of x y, the code of x^-1
-    inverts the code of x), and that S and P, read one constant at a time
-    as sconst and pconst do, count the factorization x y."""
+    """Seeded random spot checks: compose, code_inverse and code_class
+    against multiply, inverse, class_label and support of classalg.oracles;
+    associativity, supports of products and labels under conjugation on
+    codes; and that S and P, read one constant at a time as sconst and
+    pconst do, count the factorization x y."""
+    from .oracles import class_label, inverse, multiply, support
+
     F = spec.base
     n = min(N, 3) if N else 0
-    identity = tuple(range(n * F.order))
     rng = random.Random(seed)
     ok = True
     for _ in range(PREFLIGHT_TRIPLES):
         x, y, z = (_random_element(rng, F, n) for _ in range(3))
-        xy, cx = multiply(x, y, F), encode(x, F)
-        labels = [class_label(a, F) for a in (x, y, xy)]
-        d1, d2 = (support(a, F) | rng.getrandbits(n) for a in (x, y))
+        xy = multiply(x, y, F)
+        cx, cy, cz = (encode(a, F) for a in (x, y, z))
+        cxy, cx_inv = compose(cx, cy), code_inverse(cx)
+        classes = [code_class(a, F) for a in (cx, cy, cxy)]
+        labels, (sx, sy, sxy) = zip(*classes)
+        d1, d2 = (sup | rng.getrandbits(n) for sup in (sx, sy))
         windows = [d.bit_count() for d in (d1, d2, d1 | d2)]
         if (
-            multiply(xy, z, F) != multiply(x, multiply(y, z, F), F)
-            or compose(cx, encode(y, F)) != encode(xy, F)
-            or compose(encode(inverse(x, F), F), cx) != identity
-            or support(xy, F) & ~(support(x, F) | support(y, F))
-            or class_label(conjugate(x, y, F), F) != labels[1]
+            cxy != encode(xy, F)
+            or cx_inv != encode(inverse(x, F), F)
+            or classes != [(class_label(a, F), support(a, F)) for a in (x, y, xy)]
+            or compose(cxy, cz) != compose(cx, compose(cy, cz))
+            or sxy & ~(sx | sy)
+            or code_class(compose(cxy, cx_inv), F)[0] != labels[1]
             or s_constant(*labels, n, F) < 1
             or p_constant(*map(OmegaLabel, windows, labels), F) < 1
         ):

@@ -7,9 +7,9 @@ point.  The product convention is fixed once here and used everywhere:
     (a * b).perm = a.perm o b.perm          (apply b first)
     (a * b).deco[i] = a.deco[i] * b.deco[a.perm^-1(i)]
 
-GroupElement holds that form for parsing, display and the oracles.  The
-counting paths use an encoding instead: F wr S_n acts on the n |F| points
-(j, f), numbered j |F| + f, by
+GroupElement holds that form for parsing and display; classalg.oracles
+holds its arithmetic as the reference.  Production uses an encoding
+instead: F wr S_n acts on the n |F| points (j, f), numbered j |F| + f, by
 
     (j, f) -> (perm[j], deco[perm[j]] * f),
 
@@ -41,14 +41,8 @@ from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .errors import (
-    BudgetExceeded,
-    InvalidLabel,
-    LevelMismatch,
-    ParseError,
-    WrongBaseGroup,
-)
-from .finite_group import FiniteGroup, cycle_str, cycles
+from .errors import BudgetExceeded, InvalidLabel, ParseError
+from .finite_group import FiniteGroup, cycle_str
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -143,63 +137,11 @@ class GroupElement(namedtuple("GroupElement", "n perm deco")):
         return (self.perm, self.deco)
 
 
-def identity_element(F: FiniteGroup, n: int) -> GroupElement:
-    return GroupElement(n, tuple(range(n)), (F.identity,) * n)
-
-
-def multiply(a: GroupElement, b: GroupElement, F: FiniteGroup) -> GroupElement:
-    if a.n != b.n:
-        raise LevelMismatch(f"levels differ: {a.n} != {b.n}")
-    ap, ad, bp, bd = a.perm, a.deco, b.perm, b.deco
-    mult = F.mult
-    perm = tuple(ap[bp[i]] for i in range(a.n))
-    deco = [0] * a.n
-    for j in range(a.n):
-        i = ap[j]
-        deco[i] = mult[ad[i]][bd[j]]
-    return GroupElement(a.n, perm, tuple(deco))
-
-
-def inverse(a: GroupElement, F: FiniteGroup) -> GroupElement:
-    perm = [0] * a.n
-    deco = [0] * a.n
-    for j in range(a.n):
-        perm[a.perm[j]] = j
-        deco[j] = F.inv[a.deco[a.perm[j]]]
-    return GroupElement(a.n, tuple(perm), tuple(deco))
-
-
-def conjugate(g: GroupElement, a: GroupElement, F: FiniteGroup) -> GroupElement:
-    """g a g^-1."""
-    return multiply(multiply(g, a, F), inverse(g, F), F)
-
-
-def support(a: GroupElement, F: FiniteGroup) -> int:
-    """Bitmask of points that are moved or carry a nontrivial decoration."""
-    out = 0
-    for j in range(a.n):
-        if a.perm[j] != j or a.deco[j] != F.identity:
-            out |= 1 << j
-    return out
-
-
 def element_str(a: GroupElement, F: FiniteGroup) -> str:
     return f"({cycle_str(a.perm, ' ')}; {','.join(F.names[d] for d in a.deco)})"
 
 
-def d_type_membership(a: GroupElement, F: FiniteGroup) -> bool:
-    """Whether a lies in the even-decoration subgroup of Z/2 wr S_n."""
-    if F.order != 2:
-        raise WrongBaseGroup(f"needs a base group of order 2, got order {F.order}")
-    return sum(1 for d in a.deco if d != F.identity) % 2 == 0
-
-
 # --- conjugacy-class labels ---
-
-def _pair_order(pair: tuple[int, int]) -> tuple[int, int]:
-    """Canonical pair order: cycle length descending, then F-class."""
-    return (-pair[0], pair[1])
-
 
 class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
     """Multiset of (cycle length, F-class index) pairs, canonically sorted.
@@ -229,7 +171,7 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
                 raise InvalidLabel(f"F-class index {k} out of range")
             if (ln, k) != (1, 0):
                 kept.append((ln, k))
-        kept.sort(key=_pair_order)
+        kept.sort(key=lambda pair: (-pair[0], pair[1]))
         return cls(tuple(kept))
 
     @classmethod
@@ -266,23 +208,6 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
             return ClassLabel.from_pairs(pairs, F)
         except InvalidLabel as exc:
             raise ParseError(f"invalid class label {text!r}: {exc}") from None
-
-
-def class_label(a: GroupElement, F: FiniteGroup) -> ClassLabel:
-    """Label of the conjugacy class of a in F wr S_n."""
-    mult, deco, class_of = F.mult, a.deco, F.class_of
-    pairs = []
-    for pts in cycles(a.perm):
-        acc = deco[pts[0]]
-        for p in pts[1:]:
-            acc = mult[deco[p]][acc]
-        k = class_of[acc]
-        # undecorated fixed points are not part of the label
-        if k or len(pts) > 1:
-            pairs.append((len(pts), k))
-    # valid by construction, so from_pairs' checks are skipped
-    pairs.sort(key=_pair_order)
-    return ClassLabel(tuple(pairs))
 
 
 # --- the encoding as a permutation of n |F| points (see the module docstring) ---
@@ -420,17 +345,14 @@ def generating_set(
     """A generating set of F wr S_n as (g, g^-1) codes: the transposition
     (1 2), the n-cycle (1 2 ... n), and every non-identity element of F
     decorating point 1."""
-    e = identity_element(F, n)
-    gens = []
-    if n >= 2:
-        gens.append(GroupElement(n, (1, 0) + e.perm[2:], e.deco))
-        gens.append(GroupElement(n, e.perm[1:] + (0,), e.deco))
-    if n >= 1:
-        gens += [
-            GroupElement(n, e.perm, (f,) + e.deco[1:])
-            for f in range(F.order) if f != F.identity
-        ]
-    return tuple((encode(g, F), encode(inverse(g, F), F)) for g in gens)
+    m = F.order
+    perms = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n >= 2 else []
+    # an undecorated perm moves (j, f) to (perm[j], f)
+    gens = [tuple(i * m + x for i in perm for x in range(m)) for perm in perms]
+    # f on point 1 moves (0, x) to (0, f x)
+    gens += [F.mult[f] + tuple(range(m, n * m))
+             for f in range(m) if n and f != F.identity]
+    return tuple((g, code_inverse(g)) for g in gens)
 
 
 @lru_cache(maxsize=None)
@@ -447,9 +369,9 @@ def class_members(
         (g, itemgetter(*g_inv), mask_mover(g, F))
         for g, g_inv in generating_set(F, n)
     ]
-    rep = class_label_representative(c, F, n)
-    stack = [encode(rep, F)]
-    support_of = {stack[0]: support(rep, F)}
+    rep = encode(class_label_representative(c, F, n), F)
+    stack = [rep]
+    support_of = {rep: _cycle_key(rep, F)[1]}
     while stack:
         x = stack.pop()
         for g, after_g_inv, on_support in moves:
@@ -462,26 +384,28 @@ def class_members(
 
 def factor_supports(
     c1: ClassLabel, h: GroupElement, F: FiniteGroup
-) -> dict[ClassLabel, tuple[int, ...]]:
+) -> dict[ClassLabel, dict[int, int]]:
     """The members x of class c1 at level n = h.n, grouped by the label of
-    x^-1 h.  Each member is kept as support(x) | support(x^-1 h) << n.
+    x^-1 h and counted by support(x) | support(x^-1 h) << n.
 
     The inverses z = x^-1 are what is enumerated: they are the members of
     inverse_label(c1), and support(z) = support(x).  Each costs one
     composition z h of codes and one cycle walk of the result."""
     n = h.n
     hc = encode(h, F)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[int, int]] = {}
     for z, sz in class_members(inverse_label(c1, F), F, n):
         key, sy = _cycle_key(compose(z, hc), F)
-        groups.setdefault(key, []).append(sz | sy << n)
-    return {_key_label(key): tuple(v) for key, v in groups.items()}
+        counts = groups.setdefault(key, {})
+        packed = sz | sy << n
+        counts[packed] = counts.get(packed, 0) + 1
+    return {_key_label(key): counts for key, counts in groups.items()}
 
 
 @lru_cache(maxsize=None)
 def representative_factors(
     c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
-) -> dict[ClassLabel, tuple[int, ...]]:
+) -> dict[ClassLabel, dict[int, int]]:
     """factor_supports at class_label_representative(c, F, l), cached: the
     S row of (c1, c) and the P rows of every (l1, c1) into (l, c) are read
     off this grouping."""

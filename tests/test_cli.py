@@ -550,13 +550,22 @@ def child(*argv, timeout=None):
 
 def test_cli_import_loads_no_command_specific_module():
     """json, csv, the suites and the oracles load only in the commands that
-    use them, and dataclasses (with inspect) not at all."""
+    use them, and dataclasses (with inspect) not at all.  The constants and
+    main-lemma never load the GroupElement reference in classalg.oracles:
+    only the preflight and xi --oracle do."""
     unused = ["dataclasses", "inspect", "json", "csv", "classalg.suites",
               "classalg.oracles"]
     proc = child("-c", "import sys, classalg.cli; "
                  f"print([m for m in {unused!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    runs = [["sconst", "--l", "4", "--c1", "[2]", "--c2", "[2]"],
+            ["pconst", "--level", "3", "--omega1", "1:[]", "--omega2", "2:[2]"],
+            ["verify", "main-lemma", "--level", "3"]]
+    proc = child("-c", "import sys; from classalg.cli import main; "
+                 f"codes = [main(a) for a in {runs!r}]; "
+                 "print(codes, 'classalg.oracles' in sys.modules, file=sys.stderr)")
+    assert proc.stderr == "[0, 0, 0] False\n"
 
 
 def test_package_exports_resolve_to_their_submodules():
@@ -591,12 +600,20 @@ OVER_AT_11 = "error: level 11 over base of order 1 has 39916800 elements, budget
     (["classes", "--level", HUGE], 3, OVER_AT_11),
     (["pconst", "--level", HUGE, "--omega1", "1:[]", "--omega2", "1:[]",
       "--format", "csv"], 0, ""),
+    (["xi", "--lprime", "10000", "--class", "[]", "--l", "20000"], 2,
+     "error: xi(10000, []; 20000) has more than 4300 digits and cannot be "
+     "printed\n"),
+    (["xi", "--lprime", "50000000", "--class", "[]", "--l", "100000000",
+      "--format", "json"], 2,
+     "error: xi(50000000, []; 100000000) has more than 4300 digits and "
+     "cannot be printed\n"),
 ], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
-        "classes-huge", "pconst-huge"])
+        "classes-huge", "pconst-huge", "xi-20000", "xi-1e8"])
 def test_huge_levels_answer_at_once(argv, code, stderr):
     """The budget is decided without the order of a huge level, classes
-    checks every level before it lists any, and pconst reads no level above
-    l1 + l2, where every product is zero."""
+    checks every level before it lists any, pconst reads no level above
+    l1 + l2, where every product is zero, and xi sizes a binomial too long
+    to print (more than Python's 4300-digit default) without computing it."""
     proc = child("-m", "classalg", *argv, timeout=2)
     assert (proc.returncode, proc.stderr) == (code, stderr)
     if code == 0:

@@ -43,9 +43,10 @@ from classalg.correspondence import (
     AuditWitness,
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
+from classalg.oracles import d_type_membership
 from classalg.partial_algebra import PartialElement
 from classalg.suites import SUITE_NAMES, audit_suite, main_lemma_suite, run_suites
-from classalg.wreath import apply_perm_to_mask
+from classalg.wreath import apply_perm_to_mask, decode, encode
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -250,6 +251,24 @@ def test_preflight_counts_each_sampled_product(monkeypatch):
             assert not run_suites(["preflight"], spec, 3)["ok"], name
 
 
+def test_preflight_checks_codes_against_reference(monkeypatch):
+    """compose, code_inverse and code_class, as the suites read them, are
+    checked against the GroupElement arithmetic of classalg.oracles, so a
+    corrupted one fails the preflight."""
+    spec = FamilySpec.wreath(Z2, "wreath:cyclic2")
+    code_class = wreath_mod.code_class
+    corrupted = [
+        ("compose", lambda a, b: wreath_mod.compose(b, a)),
+        ("code_inverse", lambda a: a),
+        ("code_class", lambda code, F: (code_class(code, F)[0], 0)),
+        ("code_class", lambda code, F: (ClassLabel(()), code_class(code, F)[1])),
+    ]
+    for name, fake in corrupted:
+        with monkeypatch.context() as m:
+            m.setattr(suites_mod, name, fake)
+            assert not run_suites(["preflight"], spec, 3)["ok"], name
+
+
 # --- phi ---
 
 def test_phi_of_singleton_class():
@@ -340,10 +359,19 @@ def test_parse_family():
 
 def test_family_membership_rules():
     sym = FamilySpec.symmetric()
-    assert sym.admits(GroupElement(2, (1, 0), (0, 0)))
+    assert sym.admits(encode(GroupElement(2, (1, 0), (0, 0)), TRIVIAL))
     dt = FamilySpec.d_type()
-    assert dt.admits(GroupElement(2, (1, 0), (1, 1)))
-    assert not dt.admits(GroupElement(2, (1, 0), (1, 0)))
+    assert dt.admits(encode(GroupElement(2, (1, 0), (1, 1)), Z2))
+    assert not dt.admits(encode(GroupElement(2, (1, 0), (1, 0)), Z2))
+
+
+def test_d_type_admits_agrees_with_reference():
+    """admits reads the decoration parity off the code; the reference
+    counts the decorations of the decoded element."""
+    dt = FamilySpec.d_type()
+    for n in range(5):
+        for code in level_group(Z2, n).codes:
+            assert dt.admits(code) == d_type_membership(decode(code, Z2), Z2)
 
 
 def test_audit_passes_for_symmetric():
@@ -388,7 +416,7 @@ def _audit_oracle(spec, N):
     group, every pair inside each window, every product of two members."""
     F = spec.base
     G = level_group(F, N)
-    admits = [spec.admits(a) for a in G.elements]
+    admits = [spec.admits(a) for a in G.codes]
     full = (1 << N) - 1
     windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
 
@@ -471,7 +499,8 @@ class _TranspositionsOnly(FamilySpec):
     """Admits the identity and undecorated transpositions: a subgroup up to
     two points, not closed under products from three points on."""
 
-    def admits(self, a):
+    def admits(self, code):
+        a = decode(code, self.base)
         moved = sum(1 for j, pj in enumerate(a.perm) if pj != j)
         undecorated = all(d == self.base.identity for d in a.deco)
         return undecorated and moved in (0, 2)
@@ -481,8 +510,8 @@ class _EvenDecorationSum(FamilySpec):
     """Cyclic(4) decorations summing to an even value: like d_type, fusion
     fails, and the split top orbit meets its window orbits alternately."""
 
-    def admits(self, a):
-        return sum(a.deco) % 2 == 0
+    def admits(self, code):
+        return sum(decode(code, self.base).deco) % 2 == 0
 
 
 _AUDIT_CASES = (
