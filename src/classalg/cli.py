@@ -14,7 +14,7 @@ import io
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from math import comb, lgamma, log
+from math import comb, log10
 
 from .center_algebra import center_row, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
@@ -231,30 +231,28 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_printable(lp: int, c: ClassLabel, l: int, F: FiniteGroup) -> None:
-    """ParseError if xi(lp, c; l) = C(n, k) has more digits than Python prints
-    (no limit before 3.10.7): sized by lgamma, computed only near the limit."""
+def _printable_xi(lp: int, c: ClassLabel, l: int, F: FiniteGroup) -> int:
+    """xi(lp, c; l) = C(n, k), or ParseError if it has more digits than Python
+    prints (no limit before 3.10.7).  As C(n, k) >= (n/k)**k for 0 < k <= n/2,
+    a long answer is refused uncomputed; one that passes has fewer than about
+    limit + k/2 < 11000 digits, so it is computed and compared exactly."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    n, k = l - c.alpha, lp - c.alpha
-    if limit and 0 <= k <= n:
-        log10 = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
-        if log10 > limit + 1 or (log10 > limit - 1 and comb(n, k) >= 10**limit):
-            raise ParseError(f"xi({lp}, {c.display(F)}; {l}) has more than "
-                             f"{limit} digits and cannot be printed")
+    n, k = l - c.alpha, min(lp - c.alpha, l - lp)
+    too_long = limit and k > 0 and (
+        k > 4 * limit or k * (log10(n) - log10(k)) > limit + 1)
+    value = 0 if too_long else xi_closed_form(lp, c, l)
+    if too_long or (limit and value >= 10**limit):
+        raise ParseError(f"xi({lp}, {c.display(F)}; {l}) has more than "
+                         f"{limit} digits and cannot be printed")
+    return value
 
 
 def cmd_xi(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     c = ClassLabel.parse(args.cls, F)
-    _check_printable(args.lprime, c, args.l, F)
-    value = xi_closed_form(args.lprime, c, args.l)
-    row: dict = {
-        "lprime": args.lprime,
-        "c": c.display(F),
-        "l": args.l,
-        "xi": value,
-    }
+    value = _printable_xi(args.lprime, c, args.l, F)
+    row: dict = {"lprime": args.lprime, "c": c.display(F), "l": args.l, "xi": value}
     if args.oracle:
         from .oracles import xi_count_oracle
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -585,36 +586,52 @@ HUGE = "99999999999999999999"
 OVER_AT_11 = "error: level 11 over base of order 1 has 39916800 elements, budget is 10000000\n"
 
 
-@pytest.mark.parametrize("argv,code,stderr", [
+GOOGOL4 = str(10**400)
+E18 = str(10**18)
+
+
+@pytest.mark.parametrize("argv,code,stderr,stdout", [
     (["sconst", "--l", "1000000000", "--c1", "[2]", "--c2", "[2]"], 3,
      "error: level 1000000000 over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n"),
+     "elements, budget is 10000000\n", ""),
     (["sconst", "--l", "2000", "--c1", "[2]", "--c2", "[2]"], 3,
      "error: level 2000 over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n"),
+     "elements, budget is 10000000\n", ""),
     (["verify", "audit", "--level", HUGE], 3,
      f"error: level {HUGE} over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n"),
-    (["verify", "all", "--level", HUGE], 3, OVER_AT_11),
-    (["classes", "--level", "45"], 3, OVER_AT_11),
-    (["classes", "--level", HUGE], 3, OVER_AT_11),
+     "elements, budget is 10000000\n", ""),
+    (["verify", "all", "--level", HUGE], 3, OVER_AT_11, ""),
+    (["classes", "--level", "45"], 3, OVER_AT_11, ""),
+    (["classes", "--level", HUGE], 3, OVER_AT_11, ""),
     (["pconst", "--level", HUGE, "--omega1", "1:[]", "--omega2", "1:[]",
-      "--format", "csv"], 0, ""),
+      "--format", "csv"], 0, "",
+     "omega1,omega2,omega,P\n1:[],1:[],1:[],1\n1:[],1:[],2:[],2\n"),
     (["xi", "--lprime", "10000", "--class", "[]", "--l", "20000"], 2,
      "error: xi(10000, []; 20000) has more than 4300 digits and cannot be "
-     "printed\n"),
+     "printed\n", ""),
     (["xi", "--lprime", "50000000", "--class", "[]", "--l", "100000000",
       "--format", "json"], 2,
      "error: xi(50000000, []; 100000000) has more than 4300 digits and "
-     "cannot be printed\n"),
+     "cannot be printed\n", ""),
+    (["xi", "--lprime", "1", "--class", "[]", "--l", GOOGOL4, "--format",
+      "csv"], 0, "", f"lprime,c,l,xi\n1,[],{GOOGOL4},{GOOGOL4}\n"),
+    (["xi", "--lprime", "0", "--class", "[]", "--l", GOOGOL4, "--format",
+      "csv"], 0, "", f"lprime,c,l,xi\n0,[],{GOOGOL4},1\n"),
+    # 3226 digits, printed
+    (["xi", "--lprime", "200", "--class", "[]", "--l", E18, "--format", "csv"],
+     0, "", f"lprime,c,l,xi\n200,[],{E18},{comb(10**18, 200)}\n"),
+    # 4786 digits
+    (["xi", "--lprime", "300", "--class", "[]", "--l", E18], 2,
+     f"error: xi(300, []; {E18}) has more than 4300 digits and cannot be "
+     "printed\n", ""),
 ], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
-        "classes-huge", "pconst-huge", "xi-20000", "xi-1e8"])
-def test_huge_levels_answer_at_once(argv, code, stderr):
+        "classes-huge", "pconst-huge", "xi-20000", "xi-1e8", "xi-1e400",
+        "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long"])
+def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     """The budget is decided without the order of a huge level, classes
     checks every level before it lists any, pconst reads no level above
     l1 + l2, where every product is zero, and xi sizes a binomial too long
-    to print (more than Python's 4300-digit default) without computing it."""
+    to print (more than Python's 4300-digit default) without computing it,
+    while one just short of that prints at any level."""
     proc = child("-m", "classalg", *argv, timeout=2)
-    assert (proc.returncode, proc.stderr) == (code, stderr)
-    if code == 0:
-        assert proc.stdout == "omega1,omega2,omega,P\n1:[],1:[],1:[],1\n1:[],1:[],2:[],2\n"
+    assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
