@@ -37,10 +37,18 @@ VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
 
 
 def _family_from_args(args: argparse.Namespace) -> FamilySpec:
-    group: FiniteGroup | None = None
-    if getattr(args, "group_file", None):
-        group = load_group_file(args.group_file)
-    return parse_family(args.family, group)
+    """--family with --group-file; a group file serves only wreath, dtype
+    only the audit."""
+    group = load_group_file(args.group_file) if args.group_file else None
+    spec = parse_family(args.family, group)
+    if group is not None and spec.name != "wreath:file":
+        raise ParseError(f"--group-file needs --family wreath, got {args.family!r}")
+    if spec.kind == "d_type" and getattr(args, "suite", None) not in ("audit", "all"):
+        raise ParseError(
+            f"family dtype has no class machinery for {args.command}; "
+            "only verify audit (or verify all) applies"
+        )
+    return spec
 
 
 def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
@@ -310,11 +318,6 @@ def _render_verify_text(result: dict) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
-    if spec.kind == "d_type" and args.suite not in ("audit", "all"):
-        raise ParseError(
-            "family dtype has no class machinery to verify; "
-            "only the audit suite (or all) applies"
-        )
     from .suites import SUITE_NAMES, run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]

@@ -13,13 +13,13 @@ enumerated LevelGroup, products are made elementwise, and orbits are
 closed under conjugation by wreath.generating_set, the set class_members
 closes under; the tests check that set against closure under every
 element of the level, and compare the orbits with labels read by
-code_class, which shares nothing with it.  factor_supports_oracle is the
-grouping of wreath.factor_supports made with GroupElement products over a
-class taken from the enumerated level.  The one exception is _pair_count,
-the window-by-window P count over a grouping that factor_supports made,
-kept as the reference for the row count in partial_algebra.p_row.  The
-structure constants, class sizes and the CLI apart from the preflight and
-`xi --oracle` never call into this module.
+code_class, which shares nothing with it.  factor_supports_oracle groups
+a class taken from the enumerated level by GroupElement products, keeping
+each member's pair of supports, and _pair_count counts P over it window by
+window: the references for wreath.representative_factors and for the
+closed-form window count of partial_algebra.p_row.  The structure
+constants, class sizes and the CLI apart from the preflight and `xi
+--oracle` never call into this module.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .wreath import (
     check_count,
     class_label_representative,
     encode,
-    factor_supports,
     generating_set,
     level_group,
     mask_points,
@@ -266,9 +265,10 @@ def factor_supports_oracle(
     c1: ClassLabel, h: GroupElement, F: FiniteGroup
 ) -> dict[ClassLabel, tuple[int, ...]]:
     """The members x of class c1 at level n = h.n, grouped by the label of
-    x^-1 h, each kept as support(x) | support(x^-1 h) << n: the reference
-    for wreath.factor_supports, by GroupElement products over the members
-    of c1 in the enumerated level."""
+    x^-1 h, each kept as support(x) | support(x^-1 h) << n, by GroupElement
+    products over the members of c1 in the enumerated level: the
+    reference for wreath.representative_factors, which keeps only the
+    overlap of the two supports."""
     n = h.n
     G = level_group(F, n)
     groups: dict[ClassLabel, list[int]] = {}
@@ -282,16 +282,17 @@ def factor_supports_oracle(
 
 def _pair_count(
     l: int, o1: OmegaLabel, o2: OmegaLabel,
-    factors: dict[ClassLabel, dict[int, int]],
+    factors: dict[ClassLabel, tuple[int, ...]],
 ) -> int:
     """Factorizations of the partial element ({1..l}, h) at level l into a
-    product from classes o1 and o2, where factors = factor_supports(o1.c, h).
+    product from classes o1 and o2, window by window, where factors is the
+    grouping factor_supports_oracle(o1.c, h) makes (or one equal to it).
     """
     full = (1 << l) - 1
     total = 0
     for combo in itertools.combinations(range(l), o1.l):
         rest = full & ~sum(1 << j for j in combo)
-        for packed, members in factors.get(o2.c, {}).items():
+        for packed in factors.get(o2.c, ()):
             # support(x) must lie in the first window
             if packed & rest:
                 continue
@@ -301,7 +302,7 @@ def _pair_count(
                 continue
             # any window of size l'' containing `need` works; the free
             # points may sit anywhere in the l available ones
-            total += members * comb(l - nb, o2.l - nb)
+            total += comb(l - nb, o2.l - nb)
     return total
 
 
@@ -315,7 +316,7 @@ def p_constant_all_representatives(
         return []
     G = level_group(F, o.l)
     return [
-        _pair_count(o.l, o1, o2, factor_supports(o1.c, G.elements[i], F))
+        _pair_count(o.l, o1, o2, factor_supports_oracle(o1.c, G.elements[i], F))
         for i in G.by_label.get(o.c, ())
     ]
 

@@ -6,11 +6,11 @@ conjugation is labeled by omega = (l, c) where l = |d| and c is the class
 label of h.  The product of class sums expands with nonnegative integer
 structure constants P, which do not depend on the truncation level.
 
-P is counted a row at a time.  For a first class omega1 and a target
-omega, p_row fixes one representative h of omega and makes one pass over
-the windows of size l1 and the members x of the first class (its cached
-conjugation orbit, each multiplied by h once), grouped by the label of
-x^-1 h; that pass gives P(omega1, omega2, omega) for every omega2 at once.
+P is counted a row at a time: p_row fixes one representative h of the
+target omega and counts the members x of the first class omega1 by the
+label of x^-1 h and the overlap of the supports of x and x^-1 h, in which
+the window pairs holding both supports are a sum of binomials; one pass
+gives P(omega1, omega2, omega) for every omega2.
 Rows are stored by label id, a label's position in
 labels_with_alpha_up_to, so sweeps index lists instead of hashing labels.
 The product kernel, product_rows, reads e[omega1] e[omega2] off the P
@@ -22,7 +22,6 @@ pairwise is left to classalg.oracles.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
 from functools import lru_cache
@@ -191,37 +190,34 @@ def project(a: AlgebraVector, new_level: int) -> AlgebraVector:
 
 
 @lru_cache(maxsize=None)
+def window_pairs(l: int, l1: int, l2: int, a: int, b: int, t: int) -> int:
+    """The pairs of windows of sizes l1 and l2 joining to {1..l} that hold
+    an a-set and a b-set meeting in t points.  The r = l - l1 points
+    outside the first window take i of the b - t points only in the b-set
+    and r - i of the f points in neither; the second window holds those and
+    the b-set, nb = r + b - i points, and l2 - nb of the other l - nb."""
+    r, f = l - l1, l - a - b + t
+    return sum(
+        comb(b - t, i) * comb(f, r - i) * comb(l - nb, l2 - nb)
+        for i in range(min(b - t, r) + 1) if (nb := r + b - i) <= l2
+    )
+
+
+@lru_cache(maxsize=None)
 def p_row(
     o1: OmegaLabel, o: OmegaLabel, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """P(o1, (l2, c2), o) for every second class, as row[id of c2][l2] for
-    each label c2 with alpha <= o.l and each l2 <= o.l.
-
-    One pass over the windows of size o1.l in {1..o.l} and over the
-    grouping representative_factors(o1.c, o.c, o.l): a member x of c1 whose
-    support fits the window leaves nb = |rest | support(x^-1 h)| points,
-    rest the window's complement, that the second window must hold, and
-    its other l2 - nb points may sit anywhere, so that P is the sum over
-    nb of hist[nb] C(o.l - nb, l2 - nb).  The caller checks the budget.
-    """
-    l = o.l
-    full = (1 << l) - 1
-    rests = [
-        full & ~sum(1 << j for j in combo)
-        for combo in itertools.combinations(range(l), o1.l)
-    ]
+    each label c2 with alpha <= o.l and each l2 <= o.l: the members x of
+    o1.c with x^-1 h in c2, each weighted by window_pairs at the overlap of
+    support(x) and support(x^-1 h) that representative_factors counts them
+    by.  The caller checks the budget."""
+    l, l1, a = o.l, o1.l, o1.c.alpha
     row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
     ids = label_ids(l, F)
     for c2, counts in representative_factors(o1.c, o.c, l, F).items():
-        hist = [0] * (l + 1)
-        # members with the same pair of supports count alike
-        for p, mult in counts.items():
-            sx, sy = p & full, p >> l
-            for rest in rests:
-                if not sx & rest:
-                    hist[(rest | sy).bit_count()] += mult
         row[ids[c2]] = tuple(
-            sum(hist[nb] * comb(l - nb, l2 - nb) for nb in range(l2 + 1))
+            sum(n * window_pairs(l, l1, l2, a, c2.alpha, t) for t, n in counts.items())
             for l2 in range(l + 1)
         )
     return tuple(row)

@@ -27,14 +27,16 @@ a class are the orbit of one representative under conjugation by
 generating_set(F, n), built once per class and level and cached.  That the
 label is a complete invariant is tested, never assumed, against the orbits
 of a fully enumerated level under the same set (classalg.oracles), and
-those against the orbits under every element.
+those against the orbits under every element.  The S and P rows read
+only representative_factors, which counts the members x of a class by the
+label of x^-1 h and the overlap of the supports of x and x^-1 h.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property, lru_cache, partial
@@ -73,10 +75,14 @@ def _limit() -> int:
 
 def check_count(size: int, what: str) -> None:
     """Raise BudgetExceeded if enumerating `what`, of `size` elements, is
-    over the element budget."""
+    over the element budget; a size too long to print shows as more."""
     limit = _limit()
     if size > limit:
-        raise BudgetExceeded(f"{what} has {size} elements, budget is {limit}")
+        try:
+            count = str(size)
+        except ValueError:
+            count = f"more than {limit}"
+        raise BudgetExceeded(f"{what} has {count} elements, budget is {limit}")
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
@@ -274,6 +280,7 @@ def _cycle_key(
     return tuple(key), sup
 
 
+@lru_cache(maxsize=None)
 def _key_label(key: tuple[tuple[int, int], ...]) -> ClassLabel:
     return ClassLabel(tuple((-neg_ln, k) for neg_ln, k in key))
 
@@ -382,34 +389,21 @@ def class_members(
     return tuple(support_of.items())
 
 
-def factor_supports(
-    c1: ClassLabel, h: GroupElement, F: FiniteGroup
-) -> dict[ClassLabel, dict[int, int]]:
-    """The members x of class c1 at level n = h.n, grouped by the label of
-    x^-1 h and counted by support(x) | support(x^-1 h) << n.
-
-    The inverses z = x^-1 are what is enumerated: they are the members of
-    inverse_label(c1), and support(z) = support(x).  Each costs one
-    composition z h of codes and one cycle walk of the result."""
-    n = h.n
-    hc = encode(h, F)
-    groups: dict[tuple, dict[int, int]] = {}
-    for z, sz in class_members(inverse_label(c1, F), F, n):
-        key, sy = _cycle_key(compose(z, hc), F)
-        counts = groups.setdefault(key, {})
-        packed = sz | sy << n
-        counts[packed] = counts.get(packed, 0) + 1
-    return {_key_label(key): counts for key, counts in groups.items()}
-
-
 @lru_cache(maxsize=None)
 def representative_factors(
     c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
-) -> dict[ClassLabel, dict[int, int]]:
-    """factor_supports at class_label_representative(c, F, l), cached: the
-    S row of (c1, c) and the P rows of every (l1, c1) into (l, c) are read
-    off this grouping."""
-    return factor_supports(c1, class_label_representative(c, F, l), F)
+) -> dict[ClassLabel, Counter]:
+    """The members x of class c1 at level l counted by the label of x^-1 h,
+    h = class_label_representative(c, F, l), and by the overlap
+    |support(x) & support(x^-1 h)|, cached.  The inverses z = x^-1, the
+    members of inverse_label(c1) with support(z) = support(x), are what is
+    enumerated: each costs one composition z h and one cycle walk."""
+    hc = encode(class_label_representative(c, F, l), F)
+    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for z, sz in class_members(inverse_label(c1, F), F, l):
+        key, sy = _cycle_key(compose(z, hc), F)
+        groups[key][(sz & sy).bit_count()] += 1
+    return {_key_label(key): counts for key, counts in groups.items()}
 
 
 def enumerate_elements(F: FiniteGroup, n: int):

@@ -324,6 +324,40 @@ def test_verify_dtype_all_skips_class_suites(capsys):
     assert "skipped" in out and "main-lemma" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("classes", "--level", "2"),
+    ("pconst", "--level", "2", "--omega1", "1:[]", "--omega2", "1:[]"),
+    ("sconst", "--l", "2", "--c1", "[(2,0)]", "--c2", "[(2,0)]"),
+    ("xi", "--lprime", "1", "--class", "[]", "--l", "2"),
+    ("verify", "main-lemma", "--level", "2"),
+], ids=["classes", "pconst", "sconst", "xi", "verify-main-lemma"])
+def test_dtype_answers_only_the_audit(capsys, argv):
+    """dtype has no class machinery: every command but the audit is a usage
+    error, with the same message, not an answer for cyclic2 wr S_n."""
+    code, out, err = run(capsys, *argv, "--family", "dtype")
+    assert (code, out) == (2, "")
+    assert err == (f"error: family dtype has no class machinery for {argv[0]}; "
+                   "only verify audit (or verify all) applies\n")
+
+
+@pytest.mark.parametrize("family", ["sym", "dtype", "wreath:cyclic2"])
+def test_group_file_needs_family_wreath(tmp_path, capsys, family):
+    """A group file that the family would ignore is a usage error."""
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(Z3_FILE))
+    code, out, err = run(
+        capsys, "sconst", "--family", family, "--group-file", str(path),
+        "--l", "2", "--c1", "[]", "--c2", "[]",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --group-file needs --family wreath, got {family!r}\n"
+    code, out, _ = run(
+        capsys, "sconst", "--family", "wreath:file", "--group-file", str(path),
+        "--l", "2", "--c1", "[]", "--c2", "[]",
+    )
+    assert code == 0 and "family=wreath:file" in out
+
+
 @pytest.fixture
 def corrupt_p_rows(monkeypatch):
     """Every p_row entry off by one; p_rows caches the rows it reads from
@@ -624,14 +658,22 @@ E18 = str(10**18)
     (["xi", "--lprime", "300", "--class", "[]", "--l", E18], 2,
      f"error: xi(300, []; {E18}) has more than 4300 digits and cannot be "
      "printed\n", ""),
+    # xi is 7400, but the oracle would count C(14400, 7001) windows, a
+    # count of more than 4300 digits
+    (["xi", "--lprime", "7001", "--class", "[7000]", "--l", "14400",
+      "--oracle"], 3,
+     "error: the set of windows of size 7001 in {1..14400} has more than "
+     "10000000 elements, budget is 10000000\n", ""),
 ], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
         "classes-huge", "pconst-huge", "xi-20000", "xi-1e8", "xi-1e400",
-        "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long"])
+        "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long",
+        "xi-oracle-too-long"])
 def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     """The budget is decided without the order of a huge level, classes
     checks every level before it lists any, pconst reads no level above
     l1 + l2, where every product is zero, and xi sizes a binomial too long
     to print (more than Python's 4300-digit default) without computing it,
-    while one just short of that prints at any level."""
+    while one just short of that prints at any level; a window count over
+    the budget and too long to print is given as more than the budget."""
     proc = child("-m", "classalg", *argv, timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)

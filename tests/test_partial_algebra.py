@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from collections import Counter
 from math import comb
 
 import pytest
@@ -41,14 +42,17 @@ from classalg.center_algebra import class_size
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
 from classalg.oracles import _pair_count, center_product_oracle, phi_oracle
-from classalg.partial_algebra import level_omegas, vector_rows
+from classalg.partial_algebra import level_omegas, vector_rows, window_pairs
 from classalg.wreath import (
     class_label_representative,
-    factor_supports,
+    class_members,
+    code_class,
+    compose,
+    encode,
+    inverse_label,
     label_ids,
     labels_with_alpha_up_to,
     level_group,
-    representative_factors,
 )
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
@@ -290,6 +294,19 @@ def test_p_constant_representative_independent(F, N):
                     assert counts[0] == p_constant(w1, w2, w, F)
 
 
+def packed_factors(c1, c, l, F):
+    """The members x of c1 at level l as support(x) | support(x^-1 h) << l,
+    by the label of x^-1 h, h the representative of c: the grouping of
+    factor_supports_oracle, read off the class's orbit instead of the
+    enumerated level."""
+    hc = encode(class_label_representative(c, F, l), F)
+    groups = {}
+    for z, sz in class_members(inverse_label(c1, F), F, l):
+        lab, sy = code_class(compose(z, hc), F)
+        groups.setdefault(lab, []).append(sz | sy << l)
+    return groups
+
+
 ROW_BASES = {
     "sym": (TRIVIAL, 5),
     "cyclic2": (Z2, 4),
@@ -307,20 +324,22 @@ ROW_BASES = {
          for N in range(top + 1)],
 )
 def test_p_row_matches_pair_count(F, N):
-    """Every P read from a row equals the window-by-window pair count over
-    the grouping at the same representative, for all triples of labels at
-    level N.  The count reads the cached grouping the rows were built from
-    (representative_factors is factor_supports at the representative), so
-    this isolates the row count; the random test below regroups afresh.
+    """Every P read from a row equals the window-by-window pair count at
+    the same representative, for all triples of labels at level N.  The
+    count reads a grouping built here from class_members and code_class,
+    the shape factor_supports_oracle gives without enumerating the level.
     Outside max(l1, l2) <= l <= l1 + l2 no pair of windows fits and
     p_constant must read 0."""
     basis = truncation_basis(N, F)
     wrong = []
     for o in basis:
+        grouped = {}
         for o1 in basis:
             factors = {}
             if o1.l <= o.l:
-                factors = representative_factors(o1.c, o.c, o.l, F)
+                if o1.c not in grouped:
+                    grouped[o1.c] = packed_factors(o1.c, o.c, o.l, F)
+                factors = grouped[o1.c]
             for o2 in basis:
                 expected = 0
                 if max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
@@ -335,14 +354,35 @@ def test_p_row_matches_pair_count(F, N):
        N=st.integers(0, 4))
 def test_p_row_matches_pair_count_random_labels(data, F, N):
     """Random triples on the non-abelian order-8 bases, up to level 4,
-    against a grouping made afresh by factor_supports."""
+    against the window-by-window pair count over a packed grouping."""
     basis = truncation_basis(N, F)
     o1, o2, o = (data.draw(st.sampled_from(basis)) for _ in range(3))
     expected = 0
     if o1.c.alpha <= o.l:
-        h = class_label_representative(o.c, F, o.l)
-        expected = _pair_count(o.l, o1, o2, factor_supports(o1.c, h, F))
+        expected = _pair_count(o.l, o1, o2, packed_factors(o1.c, o.c, o.l, F))
     assert p_constant(o1, o2, o, F) == expected
+
+
+def test_window_pairs_match_enumeration():
+    """window_pairs against every pair of windows (d1, d2) in {1..l} with
+    d1 | d2 = {1..l}, d1 holding a points and d2 b points that meet in t,
+    for every l <= 6 and every l1, l2, a, b, t."""
+    for l in range(7):
+        full = (1 << l) - 1
+        for a in range(l + 1):
+            for b in range(l + 1):
+                for t in range(max(0, a + b - l), min(a, b) + 1):
+                    sx, sy = (1 << a) - 1, ((1 << b) - 1) << (a - t)
+                    pairs = Counter(
+                        (d1.bit_count(), d2.bit_count())
+                        for d1 in range(full + 1) if d1 & sx == sx
+                        for d2 in range(full + 1)
+                        if d2 & sy == sy and d1 | d2 == full
+                    )
+                    for l1 in range(l + 1):
+                        for l2 in range(l + 1):
+                            assert window_pairs(l, l1, l2, a, b, t) == \
+                                pairs[l1, l2], (l, l1, l2, a, b, t)
 
 
 def test_product_is_commutative():
