@@ -14,7 +14,7 @@ conditions that the whole construction rests on, by orbit enumeration.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -32,6 +32,7 @@ from .partial_algebra import (
 from .wreath import (
     ClassLabel,
     decode,
+    generating_set,
     label_ids,
     labels_with_alpha_up_to,
     mask_mover,
@@ -318,26 +319,42 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
     codes, conj = G.codes, G.conj
     admits = [spec.admits(a) for a in codes]
     full = (1 << N) - 1
-    windows = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
+    windows = sorted(range(full + 1), key=lambda w: (w.bit_count(), w))
 
-    members: dict[int, list[int]] = {
-        w: [i for i in range(G.order) if admits[i] and G.sup[i] & ~w == 0]
+    by_support = defaultdict(list)  # admitted elements, in canonical order
+    for i in filter(admits.__getitem__, range(G.order)):
+        by_support[G.sup[i]].append(i)
+    members = {
+        w: sorted(i for d in windows if d & ~w == 0 for i in by_support[d])
         for w in windows
     }
 
     unit_ok = members[0] == [G.identity]
 
-    # A generating set of <members[w]>: keep each member not yet in the
-    # subgroup generated so far.  The generated subgroup contains the
-    # identity and members[w], and a finite set closed under products is a
-    # subgroup, so members[w] holds the identity and is closed exactly when
-    # the two have the same size.
+    # A point permutation that keeps the admitted elements admitted carries
+    # a window's members and orbits onto those of any window of its size.
+    # (1 2) and (1 2 ... N), first in generating_set(F, N), generate them
+    # all; as bijections they keep the admitted in iff they keep the rest out.
+    perms = [G.index[g] for g, _ in generating_set(F, N)[:2]] if N >= 2 else []
+    few = 2 * sum(admits) <= G.order
+    rest = [i for i in range(G.order) if admits[i] == few]
+    invariant = all(admits[conj(g, i)] == few for g in perms for i in rest)
+    checked = [(1 << k) - 1 for k in range(N + 1)] if invariant else windows
+
+    # A generating set of <members[w]>: the members of w among the elements
+    # of generating_set(F, k) on the first k points, then each member not
+    # yet generated.  The generated subgroup contains the identity and
+    # members[w], and a finite set closed under products is a subgroup, so
+    # members[w] holds the identity and is closed exactly when the two have
+    # the same size.
     gens: dict[int, list[int]] = {}
     closure_ok = True
-    for w in windows:
+    for w in checked:
         gs: list[int] = []
         generated: dict = {G.identity: 0}
-        for i in members[w]:
+        seeds = [G.index[g + tuple(range(len(g), N * F.order))]
+                 for g, _ in generating_set(F, w.bit_count())]
+        for i in [j for j in seeds if admits[j] and G.sup[j] & ~w == 0] + members[w]:
             if i not in generated:
                 gs.append(i)
                 generated = orbit_partition(
@@ -347,18 +364,12 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
         if len(generated) != len(members[w]):
             closure_ok = False
 
-    # A partial element (d, i) is the int i << N | d.  The partial elements
-    # of the family by window, each window's in canonical element order.
-    pes_in = {w: [i << N | w for i in members[w]] for w in windows}
-    # each element's move of windows, cached across the window groups
-    mover = lru_cache(maxsize=None)(lambda g: mask_mover(codes[g], F))
-
     def orbits_under(gs: list[int], starts) -> dict[int, int]:
         """Orbits of the partial elements reached from `starts` under
         simultaneous conjugation by the group generated by gs: closing
         under the generators of a finite group gives the orbit under the
         whole group."""
-        moves = [(g, mover(g)) for g in gs]
+        moves = [(g, mask_mover(codes[g], F)) for g in gs]
 
         def successors(p: int) -> list[int]:
             d, i = p & full, p >> N
@@ -367,11 +378,12 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
         return orbit_partition(starts, successors)
 
     def inside(w: int) -> list[int]:
-        """The partial elements whose window lies inside w, canonical order."""
-        return [p for d in windows if d & ~w == 0 for p in pes_in[d]]
+        """The partial elements (d, i), as the ints i << N | d, with d inside
+        w: by window in canonical order, then in canonical element order."""
+        return [i << N | d for d in windows if d & ~w == 0 for i in members[d]]
 
     every = inside(full)
-    orbit_of = orbits_under(gens[full], every)
+    orbit_of = orbits_under(gens[full], [p for p in every if p & full != full])
 
     # Pairs (a, b), a < b, of positions in inside(w) are taken window by
     # window in canonical order.  The first pair conjugate at the top but
@@ -382,10 +394,11 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
     fusion_ok = True
     witness = None
     pairs_checked = 0
-    for w in windows:
+    for w in checked[:-1]:
+        copies = comb(N, w.bit_count()) if invariant else 1
         pes = inside(w)
         n = len(pes)
-        sub_of = orbit_of if w == full else orbits_under(gens[w], pes)
+        sub_of = orbits_under(gens[w], pes)
         first: dict[int, tuple[int, int]] = {}
         split: dict[int, int] = {}
         for pos, p in enumerate(pes):
@@ -395,7 +408,7 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
             elif t not in split and sub_of[p] != first[t][1]:
                 split[t] = pos
         if not split:
-            pairs_checked += n * (n - 1) // 2
+            pairs_checked += copies * n * (n - 1) // 2
             continue
         a, b = min((first[t][0], pos) for t, pos in split.items())
         pairs_checked += a * (n - 1) - a * (a - 1) // 2 + (b - a)
@@ -407,6 +420,8 @@ def admissibility_audit(spec: FamilySpec, N: int) -> AuditReport:
         )
         fusion_ok = False
         break
+    else:  # in the full window the window orbits are the top orbits
+        pairs_checked += len(every) * (len(every) - 1) // 2
 
     return AuditReport(
         family=spec.name,

@@ -340,7 +340,8 @@ def xi_count_oracle(
         check_budget(F, l)
     else:
         what = f"the set of windows of size {lp} in {{1..{l}}}"
-        check_count(comb(l, lp), what)
+        # C(l, j) grows with j up to l / 2; C(l, lp) = C(l, l - lp)
+        check_count((comb(l, j) for j in range(min(lp, l - lp) + 1)), what)
 
     def count_for(h: GroupElement) -> int:
         sup = support(h, F)

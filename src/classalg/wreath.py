@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter, defaultdict, namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from functools import cached_property, lru_cache, partial
 from math import factorial
@@ -73,32 +73,30 @@ def _limit() -> int:
     return DEFAULT_ELEMENT_BUDGET if limit is None else limit
 
 
-def check_count(size: int, what: str) -> None:
-    """Raise BudgetExceeded if enumerating `what`, of `size` elements, is
-    over the element budget; a size too long to print shows as more."""
-    limit = _limit()
-    if size > limit:
-        try:
-            count = str(size)
-        except ValueError:
+def check_count(sizes, what: str) -> None:
+    """Raise BudgetExceeded if enumerating `what`, of sizes[-1] elements, is
+    over the element budget.  The nondecreasing sizes are read up to the
+    first over the limit, which shows as a lower bound unless it is the last
+    and short enough to print."""
+    limit, sizes = _limit(), iter(sizes)
+    for size in sizes:
+        if size > limit:
             count = f"more than {limit}"
-        raise BudgetExceeded(f"{what} has {count} elements, budget is {limit}")
+            if next(sizes, None) is None:
+                with suppress(ValueError):
+                    count = str(size)
+            raise BudgetExceeded(f"{what} has {count} elements, budget is {limit}")
+
+
+@lru_cache(maxsize=None)
+def _check_level(order: int, n: int, limit: int) -> None:
+    sizes = (order**k * factorial(k) for k in range(n + 1))
+    check_count(sizes, f"level {n} over base of order {order}")
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
-    """check_count on level n, of |F|^n n! elements.  The order is multiplied
-    out one point at a time and no further than the first level over the
-    limit, so a huge n costs no more than that level; above it the message
-    gives the limit as a lower bound instead of the order."""
-    what, limit = f"level {n} over base of order {F.order}", _limit()
-    order = 1
-    for k in range(1, n + 1):
-        order *= k * F.order
-        if order > limit and k < n:
-            raise BudgetExceeded(
-                f"{what} has more than {limit} elements, budget is {limit}"
-            )
-    check_count(order, what)
+    """check_count on the orders |F|^k k! of levels 0..n; passes are cached."""
+    _check_level(F.order, n, _limit())
 
 
 def check_levels(F: FiniteGroup, n: int) -> None:

@@ -664,10 +664,15 @@ E18 = str(10**18)
       "--oracle"], 3,
      "error: the set of windows of size 7001 in {1..14400} has more than "
      "10000000 elements, budget is 10000000\n", ""),
+    # C(2000000, 1000001) has more than 600000 digits: it is never computed
+    (["xi", "--lprime", "1000001", "--class", "[1000000]", "--l", "2000000",
+      "--oracle"], 3,
+     "error: the set of windows of size 1000001 in {1..2000000} has more "
+     "than 10000000 elements, budget is 10000000\n", ""),
 ], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
         "classes-huge", "pconst-huge", "xi-20000", "xi-1e8", "xi-1e400",
         "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long",
-        "xi-oracle-too-long"])
+        "xi-oracle-too-long", "xi-oracle-huge-binomial"])
 def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     """The budget is decided without the order of a huge level, classes
     checks every level before it lists any, pconst reads no level above

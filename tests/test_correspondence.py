@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classalg.correspondence as correspondence_mod
 import classalg.suites as suites_mod
 import classalg.wreath as wreath_mod
 from classalg import (
@@ -514,6 +515,17 @@ class _EvenDecorationSum(FamilySpec):
         return sum(decode(code, self.base).deco) % 2 == 0
 
 
+class _FixesPointOne(FamilySpec):
+    """Admits the elements of the family of its kind that fix point 1: not
+    closed under relabelling the points from three points on, so every window
+    is checked.  With the d_type rule over cyclic(2), fusion first fails at
+    window {2,3}, not the first window of its size."""
+
+    def admits(self, code):
+        fixed = decode(code, self.base).perm[:1] in ((), (0,))
+        return fixed and super().admits(code)
+
+
 _AUDIT_CASES = (
     [(FamilySpec.symmetric(), n) for n in range(6)]
     + [(FamilySpec.wreath(Z2, "wreath:cyclic2"), n) for n in range(4)]
@@ -527,6 +539,9 @@ _AUDIT_CASES = (
        for n in range(4)]
     + [(_EvenDecorationSum("wreath", builtin_group("cyclic4"), "even-sum"), n)
        for n in range(4)]
+    + [(_FixesPointOne("symmetric", TRIVIAL, "sym-fixing-1"), n) for n in range(5)]
+    + [(_FixesPointOne("wreath", Z2, "cyclic2-fixing-1"), n) for n in range(4)]
+    + [(_FixesPointOne("d_type", Z2, "dtype-fixing-1"), n) for n in range(5)]
 )
 
 
@@ -538,6 +553,36 @@ def test_audit_matches_brute_force_oracle(spec, n):
     assert rep == _audit_oracle(spec, n)
     if isinstance(spec, _TranspositionsOnly):
         assert rep.closure_ok == (n < 3)
+
+
+def test_audit_checks_one_window_per_size_when_relabelling_keeps_the_family(
+    monkeypatch,
+):
+    """A family closed under relabelling the points gets one fusion orbit
+    search at the top and one per window size below it, N + 1 in all, up to
+    the first size that fails; any other family gets one per window, 2^N."""
+    searches = []
+
+    def spy(starts, successors):
+        searches.append(successors.__name__)
+        return orbit_partition(starts, successors)
+
+    monkeypatch.setattr(correspondence_mod, "orbit_partition", spy)
+    cases = [
+        (FamilySpec.symmetric(), 6, 7),
+        (FamilySpec.wreath(Z2, "wreath:cyclic2"), 4, 5),
+        (FamilySpec.d_type(), 2, 3),
+        # fusion fails at {1,2}: the top and the windows {}, {1}, {1,2}
+        (FamilySpec.d_type(), 5, 4),
+        (_FixesPointOne("symmetric", TRIVIAL, "fixing-1"), 4, 16),
+        (_FixesPointOne("wreath", Z2, "fixing-1"), 3, 8),
+    ]
+    for spec, N, expected in cases:
+        searches.clear()
+        admissibility_audit(spec, N)
+        assert searches.count("successors") == expected, (spec.name, N)
+    witness = admissibility_audit(_FixesPointOne("d_type", Z2, "fixing-1"), 3).witness
+    assert witness.window == 0b110
 
 
 _NON_ABELIAN_CASES = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classalg.wreath as wreath_mod
 from classalg import (
     BudgetExceeded,
     ClassLabel,
@@ -37,6 +38,7 @@ from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.oracles import factor_supports_oracle
 from classalg.wreath import (
     apply_perm_to_mask,
+    check_budget,
     code_class,
     code_inverse,
     compose,
@@ -333,6 +335,21 @@ def test_element_budget_is_scoped():
     level_group(TRIVIAL, 4)
     with pytest.raises(BudgetExceeded, match="budget is 10000000$"):
         level_group(TRIVIAL, 11)
+
+
+def test_check_budget_caches_passes_only():
+    """A level within the budget is checked once per limit; one over it
+    raises, with the same message, every time."""
+    wreath_mod._check_level.cache_clear()
+    for _ in range(3):
+        check_budget(Z2, 4)
+        with element_budget(383), pytest.raises(
+            BudgetExceeded,
+            match="^level 4 over base of order 2 has 384 elements, budget is 383$",
+        ):
+            check_budget(Z2, 4)
+    info = wreath_mod._check_level.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
 
 
 @pytest.mark.parametrize(
