@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
@@ -18,15 +19,7 @@ from math import comb, log10
 
 from .center_algebra import center_row, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
-from .errors import (
-    BudgetExceeded,
-    GroupTableError,
-    InvalidLabel,
-    LevelMismatch,
-    ParseError,
-    UnknownBuiltin,
-    WrongBaseGroup,
-)
+from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError
 from .finite_group import FiniteGroup, load_group_file
 from .partial_algebra import (
     OmegaLabel, level_omegas, p_constant, product_rows, truncation_basis,
@@ -52,17 +45,23 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
 
 
 def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    """Write the chunks to --out, or to stdout, as they come."""
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    """Write the chunks to --out, or to stdout, as they come.  A failed write
+    (a closed pipe, a full disk) is a ParseError."""
+    out = args.out
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
-        except OSError as exc:
-            raise ParseError(
-                f"cannot write {args.out}: {exc.strerror or exc}"
-            ) from None
-    else:
-        sys.stdout.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            # what is left in the buffer is flushed at exit, now to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError(
+            f"cannot write {out or 'stdout'}: {exc.strerror or exc}"
+        ) from None
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -190,7 +189,7 @@ def cmd_pconst(args: argparse.Namespace) -> int:
         flag: OmegaLabel.parse(text, F)
         for flag, text in (("--omega1", args.omega1), ("--omega2", args.omega2),
                            ("--omega", args.omega))
-        if text
+        if text is not None
     }
     for flag, w in labels.items():
         if w.l > N:
@@ -220,7 +219,7 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     labels = {
         flag: ClassLabel.parse(text, F)
         for flag, text in (("--c1", args.c1), ("--c2", args.c2), ("--c", args.c))
-        if text
+        if text is not None
     }
     for flag, c in labels.items():
         if c.alpha > l:
@@ -433,19 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_bounds(args)
         with element_budget(args.budget_elements):
             return args.func(args)
-    except BudgetExceeded as exc:
+    except ClassAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        UnknownBuiltin,
-        GroupTableError,
-        WrongBaseGroup,
-        LevelMismatch,
-        InvalidLabel,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -243,20 +243,13 @@ def parse_family(text: str, group: FiniteGroup | None = None) -> FamilySpec:
         return FamilySpec.symmetric()
     if s in ("dtype", "d_type"):
         return FamilySpec.d_type()
-    if s == "wreath":
+    if s in ("wreath", "wreath:file"):
         if group is None:
-            raise ParseError(
-                "family 'wreath' needs a base group; pass wreath:<builtin> "
-                "or supply a group file"
-            )
+            raise ParseError(f"family {s!r} needs a group file; "
+                             "pass --group-file or use wreath:<builtin>")
         return FamilySpec.wreath(group, "wreath:file")
     if s.startswith("wreath:"):
-        base_name = s.split(":", 1)[1]
-        if base_name == "file":
-            if group is None:
-                raise ParseError("family 'wreath:file' needs a group file")
-            return FamilySpec.wreath(group, "wreath:file")
-        return FamilySpec.wreath(builtin_group(base_name), f"wreath:{base_name}")
+        return FamilySpec.wreath(builtin_group(s[len("wreath:"):]), s)
     raise ParseError(f"unknown family {text!r}")
 
 

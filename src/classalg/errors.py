@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and parse_int for digit runs."""
 
 from __future__ import annotations
 
@@ -61,3 +61,14 @@ class InvalidLabel(ClassAlgError):
 
 class ParseError(ClassAlgError):
     """Malformed label text or group file."""
+
+
+def parse_int(digits: str, what: str) -> int:
+    """int(digits) for a run of decimal digits, or ParseError if the run is
+    longer than Python converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"{what} has an integer of {len(digits)} digits, too long to convert"
+        ) from None

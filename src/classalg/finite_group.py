@@ -21,6 +21,7 @@ from .errors import (
     NotClosed,
     ParseError,
     UnknownBuiltin,
+    parse_int,
 )
 
 DEFAULT_MAX_ORDER = 24
@@ -171,7 +172,7 @@ def load_group(spec: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         mult = spec["mult"]
     except KeyError as exc:
         raise ParseError(f"group description missing key {exc.args[0]!r}") from None
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ParseError(f"order must be a positive integer, got {order!r}")
     if order > max_order:
         raise BudgetExceeded(f"group order {order} exceeds cap {max_order}")
@@ -208,7 +209,8 @@ def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bytes not UTF-8, malformed JSON, an integer too long
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
     return load_group(spec, max_order=max_order)
 
@@ -243,16 +245,17 @@ def builtin_group(name: str) -> FiniteGroup:
         raise UnknownBuiltin(f"unknown builtin group {name!r}")
     kind = m.group(1)
     arg = m.group(2) or m.group(3)
+    k = parse_int(arg or "1", "builtin group parameter")
     if kind == "trivial":
         if arg is not None:
             raise UnknownBuiltin(f"trivial takes no parameter: {name!r}")
     elif arg is None:
         raise UnknownBuiltin(f"{kind} needs a parameter, e.g. {kind}(2): {name!r}")
-    elif kind == "cyclic" and not 1 <= int(arg) <= 12:
+    elif kind == "cyclic" and not 1 <= k <= 12:
         raise UnknownBuiltin(f"cyclic order out of range 1..12: {name!r}")
-    elif kind == "sym" and int(arg) != 3:
+    elif kind == "sym" and k != 3:
         raise UnknownBuiltin(f"only sym(3) is builtin: {name!r}")
-    return _builtin(kind, int(arg or 1))
+    return _builtin(kind, k)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidLabel, LevelMismatch, ParseError
+from .errors import InvalidLabel, LevelMismatch, ParseError, parse_int
 from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
@@ -94,7 +94,7 @@ class OmegaLabel(namedtuple("OmegaLabel", "l c")):
             raise ParseError(f"expected 'l:[...]', got {text!r}")
         c = ClassLabel.parse(m.group(2), F)
         try:
-            return OmegaLabel(int(m.group(1)), c)
+            return OmegaLabel(parse_int(m.group(1), "window size"), c)
         except InvalidLabel as exc:
             raise ParseError(f"invalid label {text!r}: {exc}") from None
 

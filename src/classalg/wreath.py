@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .errors import BudgetExceeded, InvalidLabel, ParseError
+from .errors import BudgetExceeded, InvalidLabel, ParseError, parse_int
 from .finite_group import FiniteGroup, cycle_str
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
@@ -202,12 +202,13 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
             if not re.fullmatch(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*", inner):
                 raise ParseError(f"bad class label syntax: {text!r}")
             pairs = [
-                (int(a), int(b)) for a, b in re.findall(r"\((\d+),(\d+)\)", inner)
+                (parse_int(a, "class label"), parse_int(b, "class label"))
+                for a, b in re.findall(r"\((\d+),(\d+)\)", inner)
             ]
         else:
             if not re.fullmatch(r"\d+(?:,\d+)*", inner):
                 raise ParseError(f"bad class label syntax: {text!r}")
-            pairs = [(int(p), 0) for p in inner.split(",")]
+            pairs = [(parse_int(p, "class label"), 0) for p in inner.split(",")]
         try:
             return ClassLabel.from_pairs(pairs, F)
         except InvalidLabel as exc:

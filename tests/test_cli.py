@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from classalg import cli
 from classalg.cli import _json_doc, main
+from classalg.errors import BudgetExceeded, ClassAlgError
 from classalg.wreath import _level_group_cached
 
 Z3_FILE = {
@@ -222,6 +224,12 @@ def test_group_file_invalid(tmp_path, capsys):
         ("classes", "--family", "sym", "--level", "2", "--budget-elements", "-5"),
         # an --out path that cannot be written
         ("classes", "--family", "sym", "--level", "2", "--out", "/nonexistent/dir/x"),
+        # wreath and wreath:file share one rule
+        ("classes", "--family", "wreath:file", "--level", "2"),
+        # empty label text is malformed, not absent
+        ("sconst", "--family", "sym", "--l", "2", "--c1", "", "--c2", "[]"),
+        ("sconst", "--family", "sym", "--l", "2", "--c1", "[]", "--c2", "[]", "--c", ""),
+        ("pconst", "--family", "sym", "--level", "2", "--omega1", "1:[]", "--omega2", ""),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -682,3 +690,82 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     the budget and too long to print is given as more than the budget."""
     proc = child("-m", "classalg", *argv, timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
+
+
+class _UnnamedError(ClassAlgError):
+    """An error type that the CLI does not name."""
+
+
+@pytest.mark.parametrize("error,code", [(_UnnamedError, 2), (BudgetExceeded, 3)])
+def test_every_classalg_error_has_an_exit_code(capsys, monkeypatch, error, code):
+    """Any ClassAlgError raised inside a command is a usage error, except a
+    budget one."""
+    def fail(*_):
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "check_levels", fail)
+    assert run(capsys, "classes", "--level", "2") == (
+        code, "", "error: raised inside a command\n")
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    (["sconst", "--l", "3", "--c1", f"[{LONG}]", "--c2", "[]"],
+     "error: class label has an integer of 5000 digits, too long to convert\n"),
+    (["pconst", "--level", "3", "--omega1", f"{LONG}:[]", "--omega2", "1:[]"],
+     "error: window size has an integer of 5000 digits, too long to convert\n"),
+    (["sconst", "--family", "wreath:cyclic2", "--l", "3", "--c1",
+      f"[({LONG},1)]", "--c2", "[]"],
+     "error: class label has an integer of 5000 digits, too long to convert\n"),
+    (["xi", "--lprime", "1", "--class", f"[{LONG}]", "--l", "2"],
+     "error: class label has an integer of 5000 digits, too long to convert\n"),
+    (["classes", "--family", f"wreath:cyclic({LONG})", "--level", "2"],
+     "error: builtin group parameter has an integer of 5000 digits, too long "
+     "to convert\n"),
+], ids=["sconst", "pconst", "sconst-wreath", "xi", "builtin"])
+def test_integer_too_long_to_convert_exits_2(argv, stderr):
+    """A digit run longer than Python converts (4300 digits by default) is
+    a usage error whose message does not repeat it."""
+    proc = child("-m", "classalg", *argv, timeout=10)
+    assert_one_error_line(proc)
+    assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'\xff\xfe{"order": 1, "mult": [[0]]}', "cannot read group file"),
+    (b'{"order": 1, "mult": [[' + b"9" * 5000 + b']]}', "cannot read group file"),
+    (b'{"order": 1, "mult": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+     "cannot read group file"),
+    (b'{"order": true, "mult": [[0]]}', "order must be a positive integer, got True"),
+], ids=["not-utf8", "long-entry", "deep-mult", "bool-order"])
+def test_malformed_group_file_exits_2(tmp_path, content, message):
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    proc = child("-m", "classalg", "classes", "--family", "wreath",
+                 "--group-file", str(path), "--level", "2", timeout=10)
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith(f"error: {message}")
+
+
+def test_closed_stdout_exits_2():
+    """A reader that stops early fails the write, as an unwritable --out
+    does, and the flush at exit stays quiet."""
+    # about 420 kB of JSON, more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-m", "classalg", "verify", "all", "--level", "4",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, "error: cannot write stdout: Broken pipe\n")

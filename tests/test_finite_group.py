@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classalg import (
     BudgetExceeded,
+    ClassAlgError,
     FamilySpec,
     NoIdentity,
     NoInverse,
@@ -131,6 +134,9 @@ def test_load_group_errors():
         load_group({"order": 2, "mult": [[0, 1]]})
     with pytest.raises(ParseError):
         load_group({"order": "two", "mult": [[0]]})
+    # a JSON true is not the order 1, as it is not an element index
+    with pytest.raises(ParseError, match="got True"):
+        load_group({"order": True, "mult": [[0]]})
     with pytest.raises(ParseError):
         load_group({"order": 1, "mult": [[0]], "names": ["a", "b"]})
     with pytest.raises(BudgetExceeded):
@@ -150,6 +156,34 @@ def test_load_group_file(tmp_path):
         load_group_file(str(bad))
     with pytest.raises(ParseError):
         load_group_file(str(tmp_path / "missing.json"))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+# square tables with entries near the index range, some of them groups
+_TABLES = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-1, n) | _JSON, min_size=n, max_size=n),
+    min_size=n, max_size=n,
+))
+_SPECS = _JSON | st.fixed_dictionaries(
+    {"order": st.integers(0, 4) | st.booleans() | _JSON, "mult": _TABLES | _JSON},
+    optional={"names": st.lists(st.text(max_size=2), max_size=4) | _JSON},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPECS)
+def test_load_group_gives_a_group_or_a_classalg_error(spec):
+    try:
+        F = load_group(spec)
+    except ClassAlgError:
+        return
+    assert type(F.order) is int and F.order == spec["order"]
+    assert F.mult == tuple(map(tuple, spec["mult"]))
 
 
 def test_default_names():

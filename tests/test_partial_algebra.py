@@ -115,6 +115,28 @@ def test_omega_label_validation_and_parse():
     assert OM(2, [2]).display(TRIVIAL) == "2:[2]"
 
 
+# digit runs on both sides of Python's 4300-digit int conversion limit
+_DIGITS = st.integers(0, 12).map(str) | st.integers(4290, 4310).map(lambda k: "7" * k)
+_INNER = st.lists(
+    _DIGITS | st.sampled_from(list("(),: ")) | st.text(max_size=2), max_size=8
+).map("".join)
+_CLASS_TEXT = _INNER.map(lambda s: f"[{s}]") | _INNER
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=_DIGITS, text=_CLASS_TEXT, F=st.sampled_from([TRIVIAL, Z2]))
+def test_label_parsers_give_a_label_or_a_parse_error(window, text, F):
+    """Any text, with integers too long to convert, parses to a label that
+    survives a display round trip, or raises ParseError and nothing else."""
+    for parse, s in ((ClassLabel.parse, text), (OmegaLabel.parse, text),
+                     (OmegaLabel.parse, f"{window}:{text}")):
+        try:
+            label = parse(s, F)
+        except ParseError:
+            continue
+        assert parse(label.display(F), F) == label
+
+
 _H = GroupElement(3, (1, 0, 2), (0, 0, 0))
 
 
