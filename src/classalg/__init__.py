@@ -35,7 +35,7 @@ _EXPORTS = {
     "oracles": (
         "center_product_oracle class_label conjugate conjugation_orbits "
         "d_type_membership enumerate_omega_class enumerate_partial_elements "
-        "identity_element inverse multiply omega_of "
+        "identity_element inverse level_views multiply omega_of "
         "p_constant_all_representatives partial_orbit_oracle phi_oracle "
         "pmultiply product_oracle support xi_count_oracle"
     ),
@@ -46,7 +46,7 @@ _EXPORTS = {
     "wreath": (
         "ClassLabel GroupElement class_label_representative class_members "
         "compose decode element_budget element_str encode enumerate_elements "
-        "group_order labels_with_alpha_up_to level_group mask_points mask_str"
+        "labels_with_alpha_up_to level_group mask_points mask_str"
     ),
 }
 # the submodule of each exported name

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup
@@ -25,7 +25,6 @@ from .partial_algebra import AlgebraVector
 from .wreath import (
     ClassLabel,
     check_budget,
-    group_order,
     label_ids,
     labels_with_alpha_up_to,
     representative_factors,
@@ -35,18 +34,19 @@ from .wreath import (
 def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
     """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l).
 
-    The group order over the centralizer order: with m the multiplicity of
-    each pair (r, k) in c padded by (1, 0) pairs to l points, and K_k the
-    k-th class of F, the centralizer has prod m! (r |F| / |K_k|)^m elements.
+    The group order |F|^l l! over the centralizer order: with m the
+    multiplicity of each pair (r, k) in c padded by (1, 0) pairs to l
+    points, and K_k the k-th class of F, prod m! (r |F| / |K_k|)^m.  The
+    padding's factor (l - alpha)! |F|^(l - alpha) cancels, so l is never
+    multiplied out.
     """
     if c.alpha > l:
         return 0
-    check_budget(F, l)
     base_class_size = Counter(F.class_of)
     centralizer = 1
-    for (r, k), m in Counter(c.pairs + ((1, 0),) * (l - c.alpha)).items():
+    for (r, k), m in Counter(c.pairs).items():
         centralizer *= factorial(m) * (r * F.order // base_class_size[k]) ** m
-    return group_order(F, l) // centralizer
+    return perm(l, c.alpha) * F.order**c.alpha // centralizer
 
 
 @lru_cache(maxsize=None)
@@ -99,14 +99,14 @@ def center_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup
 ) -> AlgebraVector:
     """Product of center vectors at a common level l, expanded in class
-    sums: the center_rows of the pairs of terms, summed."""
+    sums: the center_rows of the pairs of terms, summed, then labelled."""
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     l = a.level
-    labels = labels_with_alpha_up_to(l, F)
-    acc = [0] * len(labels)
+    acc: list[int] = []
     for c1, x in a.terms:
         for c2, y in b.terms:
-            acc = [s + x * y * v for s, v in zip(acc, center_row(c1, c2, l, F))]
+            row = center_row(c1, c2, l, F)
+            acc = [s + x * y * v for s, v in zip(acc or [0] * len(row), row)]
     # label order is the vectors' sort order
-    return AlgebraVector.from_row(l, labels, acc)
+    return AlgebraVector.from_row(l, labels_with_alpha_up_to(l, F), acc)

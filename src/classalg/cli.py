@@ -17,12 +17,12 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb, log10
 
-from .center_algebra import center_row, class_size, s_constant
+from .center_algebra import center_basis_vector, center_product, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
-from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError
+from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError, clip
 from .finite_group import FiniteGroup, load_group_file
 from .partial_algebra import (
-    OmegaLabel, level_omegas, p_constant, product_rows, truncation_basis,
+    OmegaLabel, basis_vector, ik_product, p_constant, truncation_basis,
 )
 from .wreath import ClassLabel, check_levels, element_budget, labels_with_alpha_up_to
 
@@ -35,7 +35,7 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
     group = load_group_file(args.group_file) if args.group_file else None
     spec = parse_family(args.family, group)
     if group is not None and spec.name != "wreath:file":
-        raise ParseError(f"--group-file needs --family wreath, got {args.family!r}")
+        raise ParseError(f"--group-file needs --family wreath, got {clip(args.family)!r}")
     if spec.kind == "d_type" and getattr(args, "suite", None) not in ("audit", "all"):
         raise ParseError(
             f"family dtype has no class machinery for {args.command}; "
@@ -60,7 +60,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
             # what is left in the buffer is flushed at exit, now to nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ParseError(
-            f"cannot write {out or 'stdout'}: {exc.strerror or exc}"
+            f"cannot write {clip(out or 'stdout')}: {exc.strerror or exc}"
         ) from None
 
 
@@ -201,12 +201,9 @@ def cmd_pconst(args: argparse.Namespace) -> int:
         w = labels["--omega"]
         found = [(w, p_constant(w1, w2, w, F))]
     else:
-        # the rows above level l1 + l2 are zero
+        # the terms above level l1 + l2 are zero
         top = min(N, w1.l + w2.l)
-        found = [
-            (w, v) for l, row in enumerate(product_rows(w1, w2, top, F))
-            for w, v in zip(level_omegas(l, F), row) if v
-        ]
+        found = ik_product(basis_vector(w1, top), basis_vector(w2, top), F).terms
     rows = [[w1.display(F), w2.display(F), w.display(F), v] for w, v in found]
     _render(args, spec, {"level": N}, ["omega1", "omega2", "omega", "P"], rows)
     return 0
@@ -231,8 +228,9 @@ def cmd_sconst(args: argparse.Namespace) -> int:
         c = labels["--c"]
         found = [(c, s_constant(c1, c2, c, l, F))]
     else:
-        row = center_row(c1, c2, l, F)
-        found = [(c, v) for c, v in zip(labels_with_alpha_up_to(l, F), row) if v]
+        found = center_product(
+            center_basis_vector(c1, l), center_basis_vector(c2, l), F
+        ).terms
     rows = [[c1.display(F), c2.display(F), c.display(F), l, v] for c, v in found]
     _render(args, spec, {"l": l}, ["c1", "c2", "c", "l", "S"], rows)
     return 0

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .center_algebra import center_row
-from .errors import InvalidLabel, LevelMismatch, ParseError
+from .errors import InvalidLabel, LevelMismatch, ParseError, clip
 from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
     AlgebraVector,
@@ -250,7 +250,7 @@ def parse_family(text: str, group: FiniteGroup | None = None) -> FamilySpec:
         return FamilySpec.wreath(group, "wreath:file")
     if s.startswith("wreath:"):
         return FamilySpec.wreath(builtin_group(s[len("wreath:"):]), s)
-    raise ParseError(f"unknown family {text!r}")
+    raise ParseError(f"unknown family {clip(text)!r}")
 
 
 class AuditWitness(namedtuple("AuditWitness", "window p1 p2")):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and parse_int for digit runs."""
+"""Exception types shared across the package, parse_int for digit runs, and
+clip for the user text that error messages quote."""
 
 from __future__ import annotations
 
@@ -72,3 +73,12 @@ def parse_int(digits: str, what: str) -> int:
         raise ParseError(
             f"{what} has an integer of {len(digits)} digits, too long to convert"
         ) from None
+
+
+CLIP_CHARS = 80
+
+
+def clip(text: str) -> str:
+    """text as an error message quotes it: its first CLIP_CHARS characters
+    and "..." if it is longer, so a huge argument gives a short message."""
+    return text if len(text) <= CLIP_CHARS else text[:CLIP_CHARS] + "..."

@@ -21,6 +21,7 @@ from .errors import (
     NotClosed,
     ParseError,
     UnknownBuiltin,
+    clip,
     parse_int,
 )
 
@@ -211,7 +212,9 @@ def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
             spec = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: bytes not UTF-8, malformed JSON, an integer too long
-        raise ParseError(f"cannot read group file {path}: {exc}") from exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename = clip(path)  # str(exc) quotes it again
+        raise ParseError(f"cannot read group file {clip(path)}: {exc}") from exc
     return load_group(spec, max_order=max_order)
 
 
@@ -242,19 +245,19 @@ def builtin_group(name: str) -> FiniteGroup:
     so the caches keyed on it are shared."""
     m = _BUILTIN_RE.match(name.strip().lower())
     if not m:
-        raise UnknownBuiltin(f"unknown builtin group {name!r}")
+        raise UnknownBuiltin(f"unknown builtin group {clip(name)!r}")
     kind = m.group(1)
     arg = m.group(2) or m.group(3)
     k = parse_int(arg or "1", "builtin group parameter")
     if kind == "trivial":
         if arg is not None:
-            raise UnknownBuiltin(f"trivial takes no parameter: {name!r}")
+            raise UnknownBuiltin(f"trivial takes no parameter: {clip(name)!r}")
     elif arg is None:
-        raise UnknownBuiltin(f"{kind} needs a parameter, e.g. {kind}(2): {name!r}")
+        raise UnknownBuiltin(f"{kind} needs a parameter, e.g. {kind}(2): {clip(name)!r}")
     elif kind == "cyclic" and not 1 <= k <= 12:
-        raise UnknownBuiltin(f"cyclic order out of range 1..12: {name!r}")
+        raise UnknownBuiltin(f"cyclic order out of range 1..12: {clip(name)!r}")
     elif kind == "sym" and k != 3:
-        raise UnknownBuiltin(f"only sym(3) is builtin: {name!r}")
+        raise UnknownBuiltin(f"only sym(3) is builtin: {clip(name)!r}")
     return _builtin(kind, k)
 
 

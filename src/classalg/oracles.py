@@ -6,25 +6,27 @@ with the product convention of classalg.wreath and shares no code with
 compose, code_inverse or code_class: the tests and the verify preflight
 check the codes against it.
 
-Every other function enumerates a whole level (or every window of one)
-and so costs time and memory that grow like |F|^n n!.  None of them reads a
-class's members through class_members: members come from a fully
-enumerated LevelGroup, products are made elementwise, and orbits are
-closed under conjugation by wreath.generating_set, the set class_members
-closes under; the tests check that set against closure under every
-element of the level, and compare the orbits with labels read by
-code_class, which shares nothing with it.  factor_supports_oracle groups
-a class taken from the enumerated level by GroupElement products, keeping
-each member's pair of supports, and _pair_count counts P over it window by
-window: the references for wreath.representative_factors and for the
-closed-form window count of partial_algebra.p_row.  The structure
-constants, class sizes and the CLI apart from the preflight and `xi
---oracle` never call into this module.
+Every other function enumerates a whole level (or every window of one) and
+so costs time and memory that grow like |F|^n n!.  None of them reads a
+class's members through class_members or labels by code_class: level_views
+labels the elements of a level by class_label, products are made
+elementwise, and orbits are closed under conjugation by
+wreath.generating_set, the set class_members closes under; the tests check
+that set against closure under every element of the level, and compare the
+orbits with labels read by code_class, which shares nothing with it.
+factor_supports_oracle groups a class taken from the level views by
+GroupElement products, keeping each member's pair of supports, and
+_pair_count counts P over it window by window: the references for
+wreath.representative_factors and for the closed-form window count of
+partial_algebra.p_row.  The structure constants, class sizes and the CLI
+apart from the preflight and `xi --oracle` never call into this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
 from .errors import LevelMismatch, WrongBaseGroup
@@ -34,10 +36,10 @@ from .wreath import (
     ClassLabel,
     GroupElement,
     apply_perm_to_mask,
-    check_budget,
     check_count,
     class_label_representative,
     encode,
+    enumerate_elements,
     generating_set,
     level_group,
     mask_points,
@@ -109,6 +111,25 @@ def d_type_membership(a: GroupElement, F: FiniteGroup) -> bool:
 
 # --- wreath products ---
 
+# group is level_group(F, n), elements[i] the element encoded by its codes[i],
+# sup[i] its support, by_label[c] the ids of class c, all by the reference above
+LevelViews = namedtuple("LevelViews", "group elements sup by_label")
+
+
+def level_views(F: FiniteGroup, n: int) -> LevelViews:
+    """The budget is checked on every call, the views built once per (F, n)."""
+    return LevelViews(level_group(F, n), *_reference_views(F, n))
+
+
+@lru_cache(maxsize=None)
+def _reference_views(F: FiniteGroup, n: int) -> tuple:
+    elements = tuple(enumerate_elements(F, n))
+    by_label: dict[ClassLabel, list[int]] = {}
+    for i, a in enumerate(elements):
+        by_label.setdefault(class_label(a, F), []).append(i)
+    return elements, tuple(support(a, F) for a in elements), by_label
+
+
 def conjugation_orbits(F: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """Conjugacy classes of F wr S_n as orbits of element indices.
 
@@ -135,15 +156,13 @@ def center_product_oracle(
 ) -> dict[ClassLabel, int]:
     """Literal class-sum multiplication in the group algebra at level l,
     tallied elementwise and reduced to per-class coefficients."""
-    G = level_group(F, l)
-    ids1 = G.by_label.get(c1, ())
-    ids2 = G.by_label.get(c2, ())
+    G, _, _, by_label = level_views(F, l)
     tally = [0] * G.order
-    for i in ids1:
-        for j in ids2:
+    for i in by_label.get(c1, ()):
+        for j in by_label.get(c2, ()):
             tally[G.mul(i, j)] += 1
     out: dict[ClassLabel, int] = {}
-    for lab, ids in G.by_label.items():
+    for lab, ids in by_label.items():
         vals = {tally[i] for i in ids}
         if len(vals) != 1:
             raise ArithmeticError(
@@ -171,13 +190,13 @@ def omega_of(p: PartialElement, F: FiniteGroup) -> OmegaLabel:
 def enumerate_partial_elements(F: FiniteGroup, N: int) -> list[PartialElement]:
     """All partial elements at level N, in canonical order
     (window size, window bits, element order)."""
-    G = level_group(F, N)
+    _, elements, sup, _ = level_views(F, N)
     masks = sorted(range(1 << N), key=lambda m: (bin(m).count("1"), m))
     return [
-        PartialElement(d, G.elements[i])
+        PartialElement(d, a)
         for d in masks
-        for i in range(G.order)
-        if G.sup[i] & ~d == 0
+        for a, s in zip(elements, sup)
+        if s & ~d == 0
     ]
 
 
@@ -185,15 +204,15 @@ def enumerate_omega_class(
     omega: OmegaLabel, within: int, F: FiniteGroup, N: int
 ) -> list[PartialElement]:
     """The partial elements of class omega whose window lies inside `within`."""
-    G = level_group(F, N)
-    ids = G.by_label.get(omega.c, ())
+    _, elements, sup, by_label = level_views(F, N)
+    ids = by_label.get(omega.c, ())
     pts = mask_points(within)
     out = []
     for combo in itertools.combinations(pts, omega.l):
         d = sum(1 << j for j in combo)
         for i in ids:
-            if G.sup[i] & ~d == 0:
-                out.append(PartialElement(d, G.elements[i]))
+            if sup[i] & ~d == 0:
+                out.append(PartialElement(d, elements[i]))
     out.sort(key=PartialElement.sort_key)
     return out
 
@@ -237,7 +256,7 @@ def partial_orbit_oracle(F: FiniteGroup, N: int) -> list[tuple[PartialElement, .
     """Orbits of partial elements at level N under simultaneous conjugation
     g.(d, h) = (g d, g h g^-1).  Independent of omega labels; this is the
     oracle the omega invariant is tested against."""
-    G = level_group(F, N)
+    G, elements, _, _ = level_views(F, N)
     pes = enumerate_partial_elements(F, N)
     index = {p: i for i, p in enumerate(pes)}
 
@@ -246,8 +265,8 @@ def partial_orbit_oracle(F: FiniteGroup, N: int) -> list[tuple[PartialElement, .
         hi = G.index[encode(p.h, F)]
         return [
             index[PartialElement(
-                apply_perm_to_mask(G.elements[g].perm, p.d),
-                G.elements[G.conj(g, hi)],
+                apply_perm_to_mask(elements[g].perm, p.d),
+                elements[G.conj(g, hi)],
             )]
             for g in range(G.order)
         ]
@@ -270,9 +289,9 @@ def factor_supports_oracle(
     reference for wreath.representative_factors, which keeps only the
     overlap of the two supports."""
     n = h.n
-    G = level_group(F, n)
+    _, elements, _, by_label = level_views(F, n)
     groups: dict[ClassLabel, list[int]] = {}
-    for x in (G.elements[i] for i in G.by_label.get(c1, ())):
+    for x in (elements[i] for i in by_label.get(c1, ())):
         y = multiply(inverse(x, F), h, F)
         groups.setdefault(class_label(y, F), []).append(
             support(x, F) | support(y, F) << n
@@ -314,10 +333,10 @@ def p_constant_all_representatives(
     test representative independence."""
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return []
-    G = level_group(F, o.l)
+    _, elements, _, by_label = level_views(F, o.l)
     return [
-        _pair_count(o.l, o1, o2, factor_supports_oracle(o1.c, G.elements[i], F))
-        for i in G.by_label.get(o.c, ())
+        _pair_count(o.l, o1, o2, factor_supports_oracle(o1.c, elements[i], F))
+        for i in by_label.get(o.c, ())
     ]
 
 
@@ -336,9 +355,7 @@ def xi_count_oracle(
     """
     if c.alpha > l or not 0 <= lp <= l:
         return 0
-    if all_members:
-        check_budget(F, l)
-    else:
+    if not all_members:
         what = f"the set of windows of size {lp} in {{1..{l}}}"
         # C(l, j) grows with j up to l / 2; C(l, lp) = C(l, l - lp)
         check_count((comb(l, j) for j in range(min(lp, l - lp) + 1)), what)
@@ -352,8 +369,8 @@ def xi_count_oracle(
 
     if not all_members:
         return count_for(class_label_representative(c, F, l))
-    G = level_group(F, l)
-    counts = {count_for(G.elements[i]) for i in G.by_label.get(c, ())}
+    _, elements, _, by_label = level_views(F, l)
+    counts = {count_for(elements[i]) for i in by_label.get(c, ())}
     if len(counts) != 1:
         raise ArithmeticError(f"window count is not constant on class {c}")
     return counts.pop()

@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidLabel, LevelMismatch, ParseError, parse_int
+from .errors import InvalidLabel, LevelMismatch, ParseError, clip, parse_int
 from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
@@ -91,12 +91,12 @@ class OmegaLabel(namedtuple("OmegaLabel", "l c")):
         s = re.sub(r"\s+", "", text)
         m = re.fullmatch(r"(\d+):(\[.*\])", s)
         if not m:
-            raise ParseError(f"expected 'l:[...]', got {text!r}")
+            raise ParseError(f"expected 'l:[...]', got {clip(text)!r}")
         c = ClassLabel.parse(m.group(2), F)
         try:
             return OmegaLabel(parse_int(m.group(1), "window size"), c)
         except InvalidLabel as exc:
-            raise ParseError(f"invalid label {text!r}: {exc}") from None
+            raise ParseError(f"invalid label {clip(text)!r}: {exc}") from None
 
 
 class AlgebraVector(namedtuple("AlgebraVector", "level terms")):
@@ -128,12 +128,6 @@ class AlgebraVector(namedtuple("AlgebraVector", "level terms")):
     def from_row(cls, level: int, keys, row) -> "AlgebraVector":
         """The vector with coefficient row[i] on keys[i], keys in sort order."""
         return cls(level, tuple((k, v) for k, v in zip(keys, row) if v))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def display(self, F: FiniteGroup) -> str:
         if not self.terms:
@@ -267,16 +261,14 @@ def ik_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup
 ) -> AlgebraVector:
     """Product in the truncated class algebra at level N = a.level: the
-    product_rows of the pairs of terms, summed."""
+    product_rows of the pairs of terms, summed, then labelled."""
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
     N = a.level
-    acc = [[0] * len(level_omegas(l, F)) for l in range(N + 1)]
+    acc: list[int] = []
     for w1, x in a.terms:
         for w2, y in b.terms:
-            for l, row in enumerate(product_rows(w1, w2, N, F)):
-                acc[l] = [s + x * y * v for s, v in zip(acc[l], row)]
+            flat = [v for row in product_rows(w1, w2, N, F) for v in row]
+            acc = [s + x * y * v for s, v in zip(acc or [0] * len(flat), flat)]
     # label order within a level is the vectors' sort order
-    return AlgebraVector.from_row(
-        N, truncation_basis(N, F), [v for row in acc for v in row]
-    )
+    return AlgebraVector.from_row(N, truncation_basis(N, F), acc)

@@ -25,9 +25,11 @@ Conjugacy classes are labeled by the multiset of (cycle length, F-class of
 the cycle product), with (1, identity-class) pairs dropped.  The members of
 a class are the orbit of one representative under conjugation by
 generating_set(F, n), built once per class and level and cached.  That the
-label is a complete invariant is tested, never assumed, against the orbits
-of a fully enumerated level under the same set (classalg.oracles), and
-those against the orbits under every element.  The S and P rows read
+label is a complete invariant is tested, never assumed: the tests group the
+codes of a fully enumerated level by code_class and compare the groups with
+the orbits under the same set (classalg.oracles), and those with the orbits
+under every element.  The oracles label and decode elements by the
+GroupElement reference, never by code_class.  The S and P rows read
 only representative_factors, which counts the members x of a class by the
 label of x^-1 h and the overlap of the supports of x and x^-1 h.
 """
@@ -39,11 +41,11 @@ import re
 from collections import Counter, defaultdict, namedtuple
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .errors import BudgetExceeded, InvalidLabel, ParseError, parse_int
+from .errors import BudgetExceeded, InvalidLabel, ParseError, clip, parse_int
 from .finite_group import FiniteGroup, cycle_str
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
@@ -61,11 +63,6 @@ def element_budget(limit: int | None):
         yield
     finally:
         _element_budget.reset(token)
-
-
-def group_order(F: FiniteGroup, n: int) -> int:
-    """|F wr S_n| = |F|^n * n!."""
-    return F.order**n * factorial(n)
 
 
 def _limit() -> int:
@@ -178,10 +175,6 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
         kept.sort(key=lambda pair: (-pair[0], pair[1]))
         return cls(tuple(kept))
 
-    @classmethod
-    def from_partition(cls, parts) -> "ClassLabel":
-        return cls.from_pairs((p, 0) for p in parts)
-
     def sort_key(self):
         return (self.alpha, self.pairs)
 
@@ -194,25 +187,25 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
     def parse(text: str, F: FiniteGroup) -> "ClassLabel":
         s = re.sub(r"\s+", "", text)
         if not (s.startswith("[") and s.endswith("]")):
-            raise ParseError(f"class label must be bracketed: {text!r}")
+            raise ParseError(f"class label must be bracketed: {clip(text)!r}")
         inner = s[1:-1]
         if not inner:
             return ClassLabel(())
         if inner.startswith("("):
             if not re.fullmatch(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*", inner):
-                raise ParseError(f"bad class label syntax: {text!r}")
+                raise ParseError(f"bad class label syntax: {clip(text)!r}")
             pairs = [
                 (parse_int(a, "class label"), parse_int(b, "class label"))
                 for a, b in re.findall(r"\((\d+),(\d+)\)", inner)
             ]
         else:
             if not re.fullmatch(r"\d+(?:,\d+)*", inner):
-                raise ParseError(f"bad class label syntax: {text!r}")
+                raise ParseError(f"bad class label syntax: {clip(text)!r}")
             pairs = [(parse_int(p, "class label"), 0) for p in inner.split(",")]
         try:
             return ClassLabel.from_pairs(pairs, F)
         except InvalidLabel as exc:
-            raise ParseError(f"invalid class label {text!r}: {exc}") from None
+            raise ParseError(f"invalid class label {clip(text)!r}: {exc}") from None
 
 
 # --- the encoding as a permutation of n |F| points (see the module docstring) ---
@@ -414,19 +407,18 @@ def enumerate_elements(F: FiniteGroup, n: int):
 
 
 class LevelGroup:
-    """F wr S_n fully enumerated, with index-based products and class data.
+    """F wr S_n fully enumerated, with index-based products: the level the
+    family audit works in.
 
     codes holds the encoded elements in the canonical order of
-    enumerate_elements, and index maps each code back to its position.  A
-    product composes two codes and looks the result up in index; no
-    product table is kept.  elements decodes them once, on first use, for
-    the oracles.  The structure constants and class sizes never build one
-    of these: the audit and classalg.oracles do.
+    enumerate_elements, and index maps each code back to its position; sup
+    holds their supports.  A product composes two codes and looks the
+    result up in index; no product table is kept.  The structure constants
+    and class sizes never build one of these: the audit does, and
+    classalg.oracles, which labels and decodes the elements itself.
     """
 
     def __init__(self, F: FiniteGroup, n: int):
-        self.F = F
-        self.n = n
         self.codes: tuple[tuple[int, ...], ...] = tuple(
             encode(a, F) for a in enumerate_elements(F, n)
         )
@@ -438,19 +430,7 @@ class LevelGroup:
         self.inv: tuple[int, ...] = tuple(
             self.index[code_inverse(a)] for a in self.codes
         )
-        classes = [code_class(a, F) for a in self.codes]
-        self.sup: tuple[int, ...] = tuple(sup for _, sup in classes)
-        self.label: tuple[ClassLabel, ...] = tuple(lab for lab, _ in classes)
-        by: dict[ClassLabel, list[int]] = {}
-        for i, lab in enumerate(self.label):
-            by.setdefault(lab, []).append(i)
-        self.by_label: dict[ClassLabel, tuple[int, ...]] = {
-            lab: tuple(ids) for lab, ids in by.items()
-        }
-
-    @cached_property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(decode(a, self.F) for a in self.codes)
+        self.sup: tuple[int, ...] = tuple(_cycle_key(a, F)[1] for a in self.codes)
 
     def mul(self, i: int, j: int) -> int:
         return self.index[compose(self.codes[i], self.codes[j])]

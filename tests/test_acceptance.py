@@ -21,6 +21,7 @@ from classalg.finite_group import TRIVIAL, builtin_group
 from classalg.oracles import (
     conjugation_orbits,
     enumerate_partial_elements,
+    level_views,
     omega_of,
     partial_orbit_oracle,
     xi_count_oracle,
@@ -38,7 +39,7 @@ from classalg.suites import (
     phi_suite,
     tower_suite,
 )
-from classalg.wreath import ClassLabel, labels_with_alpha_up_to, level_group
+from classalg.wreath import ClassLabel, labels_with_alpha_up_to
 
 Z2 = builtin_group("cyclic(2)")
 
@@ -64,14 +65,14 @@ def test_01_golden_products():
             basis_vector(OM(2, [(2, 0)]), 4), basis_vector(OM(2, [(2, 0)]), 4),
             TRIVIAL,
         )
-        assert v.as_dict() == {
+        assert dict(v.terms) == {
             OM(2, []): 1, OM(3, [(3, 0)]): 3, OM(4, [(2, 0), (2, 0)]): 2,
         }
         flip = OM(1, [(1, 1)])
         w = ik_product(basis_vector(flip, 3), basis_vector(flip, 3), Z2)
-        assert w.as_dict() == {OM(1, []): 1, OM(2, [(1, 1), (1, 1)]): 2}
+        assert dict(w.terms) == {OM(1, []): 1, OM(2, [(1, 1), (1, 1)]): 2}
         u = ik_product(basis_vector(OM(2, [(2, 1)]), 3), basis_vector(flip, 3), Z2)
-        assert u.as_dict() == {OM(2, [(2, 0)]): 2, OM(3, [(2, 1), (1, 1)]): 1}
+        assert dict(u.terms) == {OM(2, [(2, 0)]): 2, OM(3, [(2, 1), (1, 1)]): 1}
         assert time.monotonic() - t0 < 1.0
 
 
@@ -79,15 +80,12 @@ def test_02_orbit_oracles():
     with criterion(2, "orbit-oracles"):
         t0 = time.monotonic()
         for F, n in ((TRIVIAL, 5), (Z2, 4)):
-            G = level_group(F, n)
             orbits = {frozenset(o) for o in conjugation_orbits(F, n)}
-            fibers: dict = {}
-            for i in range(G.order):
-                fibers.setdefault(G.label[i], set()).add(i)
-            assert orbits == {frozenset(s) for s in fibers.values()}
+            by_label = level_views(F, n).by_label
+            assert orbits == {frozenset(ids) for ids in by_label.values()}
         for F, n in ((TRIVIAL, 4), (Z2, 3)):
             orbits = {frozenset(o) for o in partial_orbit_oracle(F, n)}
-            fibers = {}
+            fibers: dict = {}
             for p in enumerate_partial_elements(F, n):
                 fibers.setdefault(omega_of(p, F), set()).add(p)
             assert orbits == {frozenset(s) for s in fibers.values()}

@@ -648,6 +648,9 @@ E18 = str(10**18)
     (["pconst", "--level", HUGE, "--omega1", "1:[]", "--omega2", "1:[]",
       "--format", "csv"], 0, "",
      "omega1,omega2,omega,P\n1:[],1:[],1:[],1\n1:[],1:[],2:[],2\n"),
+    (["pconst", "--level", HUGE, "--omega1", f"{HUGE}:[]", "--omega2", "0:[]"],
+     3, f"error: level {HUGE} over base of order 1 has more than 10000000 "
+     "elements, budget is 10000000\n", ""),
     (["xi", "--lprime", "10000", "--class", "[]", "--l", "20000"], 2,
      "error: xi(10000, []; 20000) has more than 4300 digits and cannot be "
      "printed\n", ""),
@@ -678,13 +681,14 @@ E18 = str(10**18)
      "error: the set of windows of size 1000001 in {1..2000000} has more "
      "than 10000000 elements, budget is 10000000\n", ""),
 ], ids=["sconst-1e9", "sconst-2000", "audit-huge", "all-huge", "classes-45",
-        "classes-huge", "pconst-huge", "xi-20000", "xi-1e8", "xi-1e400",
+        "classes-huge", "pconst-huge", "pconst-huge-window", "xi-20000", "xi-1e8", "xi-1e400",
         "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long",
         "xi-oracle-too-long", "xi-oracle-huge-binomial"])
 def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     """The budget is decided without the order of a huge level, classes
     checks every level before it lists any, pconst reads no level above
-    l1 + l2, where every product is zero, and xi sizes a binomial too long
+    l1 + l2, where every product is zero, and lists no labels of a level
+    before its budget check, and xi sizes a binomial too long
     to print (more than Python's 4300-digit default) without computing it,
     while one just short of that prints at any level; a window count over
     the budget and too long to print is given as more than the budget."""
@@ -753,6 +757,35 @@ def test_malformed_group_file_exits_2(tmp_path, content, message):
                  "--group-file", str(path), "--level", "2", timeout=10)
     assert_one_error_line(proc)
     assert proc.stderr.startswith(f"error: {message}")
+
+
+HUGE_TEXT = "x" * 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ["sconst", "--l", "3", "--c1", f"[{HUGE_TEXT}]", "--c2", "[]"],
+    ["sconst", "--l", "3", "--c1", HUGE_TEXT, "--c2", "[]"],
+    ["pconst", "--level", "3", "--omega1", HUGE_TEXT, "--omega2", "1:[]"],
+    ["pconst", "--level", "3", "--omega1", "1:[" + "2," * 50000 + "2]",
+     "--omega2", "1:[]"],
+    ["classes", "--family", HUGE_TEXT, "--level", "2"],
+    ["sconst", "--family", f"wreath:cyclic({HUGE_TEXT})", "--l", "2",
+     "--c1", "[]", "--c2", "[]"],
+    ["classes", "--family", "sym" + " " * 100000, "--group-file", "{z3}",
+     "--level", "2"],
+    ["classes", "--family", "wreath", "--group-file", HUGE_TEXT, "--level", "2"],
+    ["classes", "--level", "2", "--out", f"/nonexistent/{HUGE_TEXT}"],
+], ids=["class-label", "class-label-bracket", "omega-label", "omega-window",
+        "family", "builtin", "group-file-family", "group-file", "out"])
+def test_error_quotes_a_bounded_part_of_user_text(tmp_path, argv):
+    """An error about an argument of 100000 characters is one short line:
+    the message quotes only the argument's first characters."""
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(Z3_FILE))
+    argv = [str(path) if a == "{z3}" else a for a in argv]
+    proc = child("-m", "classalg", *argv, timeout=10)
+    assert_one_error_line(proc)
+    assert len(proc.stderr.encode()) < 300, proc.stderr[:300]
 
 
 def test_closed_stdout_exits_2():

@@ -41,7 +41,9 @@ from classalg import (
 from classalg.center_algebra import class_size
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
-from classalg.oracles import _pair_count, center_product_oracle, phi_oracle
+from classalg.oracles import (
+    _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
+)
 from classalg.partial_algebra import level_omegas, vector_rows, window_pairs
 from classalg.wreath import (
     class_label_representative,
@@ -52,7 +54,6 @@ from classalg.wreath import (
     inverse_label,
     label_ids,
     labels_with_alpha_up_to,
-    level_group,
 )
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
@@ -234,21 +235,21 @@ def test_vector_display():
 
 def test_golden_products_trivial():
     v = ik_product(basis_vector(OM(1, []), 4), basis_vector(OM(1, []), 4), TRIVIAL)
-    assert v.as_dict() == {OM(1, []): 1, OM(2, []): 2}
+    assert dict(v.terms) == {OM(1, []): 1, OM(2, []): 2}
     w = ik_product(basis_vector(OM(2, [2]), 4), basis_vector(OM(2, [2]), 4), TRIVIAL)
-    assert w.as_dict() == {OM(2, []): 1, OM(3, [3]): 3, OM(4, [2, 2]): 2}
+    assert dict(w.terms) == {OM(2, []): 1, OM(3, [3]): 3, OM(4, [2, 2]): 2}
 
 
 def test_golden_products_signed():
     flip = OmegaLabel(1, ClassLabel(((1, 1),)))
     neg2 = OmegaLabel(2, ClassLabel(((2, 1),)))
     v = ik_product(basis_vector(flip, 3), basis_vector(flip, 3), Z2)
-    assert v.as_dict() == {
+    assert dict(v.terms) == {
         OmegaLabel(1, ClassLabel(())): 1,
         OmegaLabel(2, ClassLabel(((1, 1), (1, 1)))): 2,
     }
     w = ik_product(basis_vector(neg2, 3), basis_vector(flip, 3), Z2)
-    assert w.as_dict() == {
+    assert dict(w.terms) == {
         OmegaLabel(2, ClassLabel(((2, 0),))): 2,
         OmegaLabel(3, ClassLabel(((2, 1), (1, 1)))): 1,
     }
@@ -275,9 +276,9 @@ def test_products_agree_with_pairwise_oracle(F, N):
     basis = truncation_basis(N, F)
     for w1 in basis:
         for w2 in basis:
-            direct = ik_product(
+            direct = dict(ik_product(
                 basis_vector(w1, N), basis_vector(w2, N), F
-            ).as_dict()
+            ).terms)
             assert product_oracle(w1, w2, F, N) == direct, (w1, w2)
 
 
@@ -444,7 +445,7 @@ def test_product_bilinear(coeffs, coeffs2, coeffs3):
     c = AlgebraVector.make(3, dict(zip(basis, coeffs3)))
 
     def add(u, v):
-        out = u.as_dict()
+        out = dict(u.terms)
         for k, x in v.terms:
             out[k] = out.get(k, 0) + x
         return AlgebraVector.make(3, out)
@@ -459,7 +460,7 @@ def test_product_bilinear(coeffs, coeffs2, coeffs3):
 def test_project_drops_high_windows():
     v = ik_product(basis_vector(OM(2, [2]), 4), basis_vector(OM(2, [2]), 4), TRIVIAL)
     p3 = project(v, 3)
-    assert p3.as_dict() == {OM(2, []): 1, OM(3, [3]): 3}
+    assert dict(p3.terms) == {OM(2, []): 1, OM(3, [3]): 3}
     assert project(v, 4) == v
     assert project(project(v, 3), 2) == project(v, 2)
     with pytest.raises(LevelMismatch):
@@ -519,12 +520,12 @@ def test_row_kernels_match_oracles(data, name, N):
     assert terms(rows[:np + 1]) == (product_oracle(w1, w2, F, np) if fits else {})
     image = phi_rows(rows, F)
     for l in range(N + 1):
-        G = level_group(F, l)
-        tally = [0] * G.order
+        elements = level_views(F, l).elements
+        tally = [0] * len(elements)
         for w, v in expected.items():
             tally = [t + v * x for t, x in zip(tally, phi_oracle(w, l, F))]
         ids = label_ids(l, F)
-        assert [image[l][ids[G.label[i]]] for i in range(G.order)] == tally
+        assert [image[l][ids[class_label(a, F)]] for a in elements] == tally
         x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)
         S = center_product_oracle(w1.c, w2.c, l, F) if x else {}
         assert sides[l] == tuple(
@@ -540,7 +541,6 @@ def test_phi_rows_of_basis_vectors_match_oracle(data, name, N):
     w = data.draw(st.sampled_from(truncation_basis(N, F)))
     image = phi_rows(vector_rows(basis_vector(w, N), F), F)
     for l in range(N + 1):
-        G = level_group(F, l)
         ids = label_ids(l, F)
-        assert [image[l][ids[G.label[i]]] for i in range(G.order)] == \
-            phi_oracle(w, l, F)
+        assert [image[l][ids[class_label(a, F)]]
+                for a in level_views(F, l).elements] == phi_oracle(w, l, F)

@@ -26,7 +26,6 @@ from classalg import (
     element_budget,
     element_str,
     enumerate_elements,
-    group_order,
     identity_element,
     inverse,
     labels_with_alpha_up_to,
@@ -35,7 +34,7 @@ from classalg import (
     support,
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
-from classalg.oracles import factor_supports_oracle
+from classalg.oracles import factor_supports_oracle, level_views
 from classalg.wreath import (
     apply_perm_to_mask,
     check_budget,
@@ -306,8 +305,8 @@ def test_label_stable_under_promotion():
 # --- enumeration and label completeness ---
 
 def test_enumeration_counts_and_order():
-    assert group_order(TRIVIAL, 3) == 6
-    assert group_order(Z2, 3) == 48
+    assert level_group(TRIVIAL, 3).order == 6
+    assert level_group(Z2, 3).order == 48
     els = list(enumerate_elements(Z2, 2))
     assert len(els) == 8
     assert els[0] == identity_element(Z2, 2)
@@ -362,11 +361,12 @@ def test_check_budget_caches_passes_only():
     ],
 )
 def test_labels_are_complete_invariant(F, n):
-    """Label fibers coincide with brute-force conjugation orbits."""
-    G = level_group(F, n)
+    """The fibers of code_class coincide with brute-force conjugation orbits."""
+    fibers: dict = {}
+    for i, code in enumerate(level_group(F, n).codes):
+        fibers.setdefault(code_class(code, F)[0], set()).add(i)
     orbits = {frozenset(o) for o in conjugation_orbits(F, n)}
-    fibers = {frozenset(ids) for ids in G.by_label.values()}
-    assert orbits == fibers
+    assert orbits == {frozenset(ids) for ids in fibers.values()}
 
 
 @pytest.mark.parametrize(
@@ -401,16 +401,30 @@ _MEMBER_CASES = [
 )
 def test_class_members_match_level_group(name, F, n):
     """Members generated from a label are exactly the label's fiber in the
-    enumerated level group, each once, and each comes with its support."""
-    G = level_group(F, n)
+    enumerated level, each once, and each comes with its support."""
+    G, _, sup, by_label = level_views(F, n)
     for c in labels_with_alpha_up_to(n, F):
         generated = list(class_members(c, F, n))
         members = [G.index[x] for x, _ in generated]
         assert len(members) == len(set(members)), c
-        assert set(members) == set(G.by_label[c]), c
-        assert [G.sup[i] for i in members] == [s for _, s in generated], c
+        assert set(members) == set(by_label[c]), c
+        assert [sup[i] for i in members] == [s for _, s in generated], c
     with pytest.raises(InvalidLabel):
-        next(class_members(ClassLabel.from_partition([n + 2]), F, n))
+        next(class_members(ClassLabel.from_pairs([(n + 2, 0)]), F, n))
+
+
+@pytest.mark.parametrize(
+    "name,F,n", _MEMBER_CASES, ids=[f"{name}-{n}" for name, _, n in _MEMBER_CASES]
+)
+def test_code_class_matches_reference_on_every_element(name, F, n):
+    """code_class of every code of the level is the label and support that
+    the GroupElement reference gives the element at the same index, which
+    is the element the code encodes."""
+    V = level_views(F, n)
+    assert len(V.group.codes) == len(V.elements)
+    for code, a, s in zip(V.group.codes, V.elements, V.sup):
+        assert encode(a, F) == code, a
+        assert code_class(code, F) == (class_label(a, F), s), a
 
 
 def test_inverse_label_on_classes_that_are_not_real():
@@ -430,14 +444,14 @@ def test_inverse_label_on_classes_that_are_not_real():
 
 def test_label_enumeration_matches_realized_classes():
     for F, n in ((TRIVIAL, 4), (Z2, 3), (S3F, 2)):
-        G = level_group(F, n)
-        assert set(G.by_label) == set(labels_with_alpha_up_to(n, F))
+        by_label = level_views(F, n).by_label
+        assert set(by_label) == set(labels_with_alpha_up_to(n, F))
 
 
 def test_class_sizes_sum_to_group_order():
     for F, n in ((TRIVIAL, 4), (Z2, 3), (Z3, 3)):
-        G = level_group(F, n)
-        assert sum(len(v) for v in G.by_label.values()) == G.order
+        G, _, _, by_label = level_views(F, n)
+        assert sum(len(v) for v in by_label.values()) == G.order
 
 
 # --- d-type membership ---
