@@ -1,34 +1,25 @@
 """Centers of the group algebras of F wr S_l: class sums and their products.
 
 The center at level l has the class sums as a basis, indexed by class
-labels with alpha <= l.  A structure constant S(c1, c2, c; l) counts the x
-in class c1 with x^-1 h in class c2, for one fixed h in class c: the
-members of c1 are the cached conjugation orbit of one representative of
-its label (wreath.class_members), and each is multiplied against h once,
-so no level group is enumerated and no product table is built.  Grouping
-the members by the label of x^-1 h gives the whole S row of (c1, c), one
-count for every c2, stored by label id; center_row reads c1(l) c2(l) off
-those rows as one row over the targets.  Class sizes come from the
-centralizer order in closed form.  Correctness against literal class-sum
-multiplication and against enumerated classes is part of the test suite.
+labels with alpha <= l.  S(c1, c2, c; l) counts the x in class c1 with
+x^-1 h in class c2, for one fixed h in class c.  The partial elements with
+window {1..l} multiply as the elements of F wr S_l do, and one pair of
+windows joins to {1..l} there, so S(c1, c2, c; l) = P((l, c1), (l, c2),
+(l, c)): center_row and s_constant read those cells of the P rows
+(partial_algebra.p_row), and S is counted nowhere else.  Class sizes come
+from the centralizer order in closed form.  The tests check S against
+literal class-sum products and against enumerated classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import factorial, perm
 
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup
-from .partial_algebra import AlgebraVector
-from .wreath import (
-    ClassLabel,
-    check_budget,
-    label_ids,
-    labels_with_alpha_up_to,
-    representative_factors,
-)
+from .partial_algebra import AlgebraVector, OmegaLabel, level_omegas, p_row, p_rows
+from .wreath import ClassLabel, check_budget, label_ids, labels_with_alpha_up_to
 
 
 def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
@@ -49,46 +40,30 @@ def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
     return perm(l, c.alpha) * F.order**c.alpha // centralizer
 
 
-@lru_cache(maxsize=None)
-def s_row(c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup) -> tuple[int, ...]:
-    """S(c1, c2, c; l) for every label c2 with alpha <= l, by label id: the
-    member counts of the groups of representative_factors(c1, c, l).  The
-    caller checks the budget."""
-    row = [0] * len(labels_with_alpha_up_to(l, F))
-    ids = label_ids(l, F)
-    for c2, counts in representative_factors(c1, c, l, F).items():
-        row[ids[c2]] = sum(counts.values())
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def s_rows(c1: ClassLabel, l: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """The s_row of c1 into every target at level l >= alpha(c1), by the
-    target's label id.  The caller checks the budget."""
-    return tuple(s_row(c1, c, l, F) for c in labels_with_alpha_up_to(l, F))
-
-
 def center_row(
     c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup
 ) -> tuple[int, ...]:
     """c1(l) c2(l) as a row: S(c1, c2, c; l) for every target c, by label
-    id; c1 and c2 must be realized at level l."""
+    id, the cells at the full window of the P rows of (l, c1); c1 and c2
+    must be realized at level l."""
     check_budget(F, l)
-    j = label_ids(l, F)[c2]
-    return tuple(row[j] for row in s_rows(c1, l, F))
+    ids = label_ids(l, F)
+    j = ids[c2]
+    return tuple(row[j][l] for row in p_rows(level_omegas(l, F)[ids[c1]], l, F))
 
 
 def s_constant(
     c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
 ) -> int:
-    """Coefficient of the class sum c(l) in the product c1(l) * c2(l).
+    """Coefficient of the class sum c(l) in the product c1(l) * c2(l):
+    P((l, c1), (l, c2), (l, c)), read from p_row.
 
     Zero whenever any of the classes is not realized at level l.
     """
     if c1.alpha > l or c2.alpha > l or c.alpha > l:
         return 0
     check_budget(F, l)
-    return s_row(c1, c, l, F)[label_ids(l, F)[c2]]
+    return p_row(OmegaLabel(l, c1), OmegaLabel(l, c), F)[label_ids(l, F)[c2]][l]
 
 
 def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:

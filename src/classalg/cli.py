@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
@@ -19,7 +20,7 @@ from math import comb, log10
 
 from .center_algebra import center_basis_vector, center_product, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
-from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError, clip
+from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError, clip, clip_int
 from .finite_group import FiniteGroup, load_group_file
 from .partial_algebra import (
     OmegaLabel, basis_vector, ik_product, p_constant, truncation_basis,
@@ -65,25 +66,16 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [headers, *rows])
 
 
 def _csv(headers: list[str], rows: list[list[str]]) -> str:
     import csv
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
     return buf.getvalue()
 
 
@@ -193,9 +185,8 @@ def cmd_pconst(args: argparse.Namespace) -> int:
     }
     for flag, w in labels.items():
         if w.l > N:
-            raise InvalidLabel(
-                f"{flag} {w.display(F)} has a window larger than --level {N}"
-            )
+            raise InvalidLabel(f"{flag} {clip(w.display(F))} has a window "
+                               f"larger than --level {clip_int(N)}")
     w1, w2 = labels["--omega1"], labels["--omega2"]
     if "--omega" in labels:
         w = labels["--omega"]
@@ -220,9 +211,8 @@ def cmd_sconst(args: argparse.Namespace) -> int:
     }
     for flag, c in labels.items():
         if c.alpha > l:
-            raise InvalidLabel(
-                f"{flag} {c.display(F)} needs more than --l {l} points"
-            )
+            raise InvalidLabel(f"{flag} {clip(c.display(F))} needs more "
+                               f"than --l {clip_int(l)} points")
     c1, c2 = labels["--c1"], labels["--c2"]
     if "--c" in labels:
         c = labels["--c"]
@@ -326,8 +316,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; what its own errors quote is clipped (errors.clip)."""
+
+    def error(self, message: str):
+        head, sep, extras = message.partition("unrecognized arguments: ")
+        super().error(head + sep + clip(extras) if sep else re.sub(
+            r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"",
+            lambda m: m[0][0] + clip(m[0][1:-1]) + m[0][0], message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="classalg",
         description=(
             "Exact structure constants and identity checks for algebras of "
@@ -420,7 +420,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < low:
             name = "--" + flag.replace("_", "-")
-            raise ParseError(f"{name} must be at least {low}, got {value}")
+            raise ParseError(f"{name} must be at least {low}, got {clip_int(value)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -78,9 +78,10 @@ def identity_rows(
     """Both sides of the diagonal identity for the pair w1, w2 at every
     level l <= n, by target label id: the S side
     sides[l][id of c] = xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l), read from
-    center_row, and the counted P rows, product_rows(w1, w2, n).  The other
-    side, sum over lt <= l of xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the
-    P rows.  The budget is checked at every level either side reads."""
+    center_row (P rows at the full window), and the counted P rows,
+    product_rows(w1, w2, n).  The other side, sum over lt <= l of
+    xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
+    both read one P cell.  The budget is checked at every level read."""
     sides = []
     for l in range(n + 1):
         x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, parse_int for digit runs, and
-clip for the user text that error messages quote."""
+clip and clip_int for the user text and integers that error messages quote."""
 
 from __future__ import annotations
 
@@ -82,3 +82,10 @@ def clip(text: str) -> str:
     """text as an error message quotes it: its first CLIP_CHARS characters
     and "..." if it is longer, so a huge argument gives a short message."""
     return text if len(text) <= CLIP_CHARS else text[:CLIP_CHARS] + "..."
+
+
+def clip_int(n: int) -> str:
+    """clip(str(n)), converting only the leading digits (str() refuses an integer
+    past sys.get_int_max_str_digits()); n has 3 * n.bit_length() // 10 or more."""
+    drop = max(abs(n).bit_length() * 3 // 10 - CLIP_CHARS - 1, 0)
+    return clip("-" * (n < 0) + str(abs(n) // 10**drop))

@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .errors import InvalidLabel, LevelMismatch, ParseError, clip, parse_int
+from .errors import InvalidLabel, LevelMismatch, ParseError, clip, clip_int, parse_int
 from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
@@ -75,9 +75,8 @@ class OmegaLabel(namedtuple("OmegaLabel", "l c")):
 
     def __new__(cls, l: int, c: ClassLabel) -> "OmegaLabel":
         if l < 0 or c.alpha > l:
-            raise InvalidLabel(
-                f"label needs alpha={c.alpha} points but window size is {l}"
-            )
+            raise InvalidLabel(f"label needs alpha={clip_int(c.alpha)} points "
+                               f"but window size is {clip_int(l)}")
         return tuple.__new__(cls, (l, c))
 
     def sort_key(self):
@@ -114,9 +113,8 @@ class AlgebraVector(namedtuple("AlgebraVector", "level terms")):
         for key in coeffs:
             need = key.l if isinstance(key, OmegaLabel) else key.alpha
             if need > level:
-                raise InvalidLabel(
-                    f"label needs level >= {need}, vector level is {level}"
-                )
+                raise InvalidLabel(f"label needs level >= {clip_int(need)}, "
+                                   f"vector level is {clip_int(level)}")
         terms = tuple(
             (k, v)
             for k, v in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
@@ -210,9 +208,12 @@ def p_row(
     row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
     ids = label_ids(l, F)
     for c2, counts in representative_factors(o1.c, o.c, l, F).items():
-        row[ids[c2]] = tuple(
+        # a second window smaller than support(x^-1 h) or than the l - l1
+        # points outside the first holds no pair
+        lo = max(l - l1, c2.alpha)
+        row[ids[c2]] = (0,) * lo + tuple(
             sum(n * window_pairs(l, l1, l2, a, c2.alpha, t) for t, n in counts.items())
-            for l2 in range(l + 1)
+            for l2 in range(lo, l + 1)
         )
     return tuple(row)
 

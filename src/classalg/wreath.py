@@ -29,9 +29,9 @@ label is a complete invariant is tested, never assumed: the tests group the
 codes of a fully enumerated level by code_class and compare the groups with
 the orbits under the same set (classalg.oracles), and those with the orbits
 under every element.  The oracles label and decode elements by the
-GroupElement reference, never by code_class.  The S and P rows read
-only representative_factors, which counts the members x of a class by the
-label of x^-1 h and the overlap of the supports of x and x^-1 h.
+GroupElement reference, never by code_class.  The P rows, and S in them,
+read only representative_factors, which counts the members x of a class
+by the label of x^-1 h and the overlap of the supports of x and x^-1 h.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .errors import BudgetExceeded, InvalidLabel, ParseError, clip, parse_int
+from .errors import BudgetExceeded, InvalidLabel, ParseError, clip, clip_int, parse_int
 from .finite_group import FiniteGroup, cycle_str
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
@@ -167,9 +167,9 @@ class ClassLabel(namedtuple("ClassLabel", "pairs alpha")):
         kept = []
         for ln, k in pairs:
             if ln < 1:
-                raise InvalidLabel(f"cycle length must be >= 1, got {ln}")
+                raise InvalidLabel(f"cycle length must be >= 1, got {clip_int(ln)}")
             if k < 0 or (F is not None and k >= F.num_classes):
-                raise InvalidLabel(f"F-class index {k} out of range")
+                raise InvalidLabel(f"F-class index {clip_int(k)} out of range")
             if (ln, k) != (1, 0):
                 kept.append((ln, k))
         kept.sort(key=lambda pair: (-pair[0], pair[1]))
@@ -293,7 +293,8 @@ def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupEl
     """An element of F wr S_n with label c: packed cycles on the lowest points,
     one class representative decorating each cycle's minimal point."""
     if c.alpha > n:
-        raise InvalidLabel(f"label needs {c.alpha} points, level is {n}")
+        raise InvalidLabel(f"label needs {clip_int(c.alpha)} points, "
+                           f"level is {clip_int(n)}")
     perm = list(range(n))
     deco = [F.identity] * n
     pos = 0

@@ -138,8 +138,10 @@ def test_s_matches_literal_class_sum_products(F, l):
 @pytest.mark.parametrize(
     "F,l,max_alpha",
     [(SYM3_SHIFTED, 2, 2), (SYM3_SHIFTED, 3, 1),
-     (DIHEDRAL8, 2, 2), (DIHEDRAL8, 3, 1)],
-    ids=["sym3-shifted-2", "sym3-shifted-3", "dihedral8-2", "dihedral8-3"],
+     (DIHEDRAL8, 2, 2), (DIHEDRAL8, 3, 1),
+     (ALTERNATING4, 3, 1), (QUATERNION, 3, 1)],
+    ids=["sym3-shifted-2", "sym3-shifted-3", "dihedral8-2", "dihedral8-3",
+         "alternating4-3", "quaternion-3"],
 )
 def test_s_matches_literal_products_on_user_bases(F, l, max_alpha):
     """Non-abelian bases from user tables, one with element 0 not the

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from classalg import cli
 from classalg.cli import _json_doc, main
-from classalg.errors import BudgetExceeded, ClassAlgError
+from classalg.errors import BudgetExceeded, ClassAlgError, clip, clip_int
 from classalg.wreath import _level_group_cached
 
 Z3_FILE = {
@@ -367,9 +367,41 @@ def test_group_file_needs_family_wreath(tmp_path, capsys, family):
 
 
 @pytest.fixture
-def corrupt_p_rows(monkeypatch):
-    """Every p_row entry off by one; p_rows caches the rows it reads from
-    p_row, so its cache is cleared on the way in and on the way out."""
+def corrupt_product_rows(monkeypatch):
+    """Every P that the identity checks count off by one, and S untouched:
+    the product_rows that correspondence reads get 1 added at each level
+    that can be nonzero, max(l1, l2)..min(n, l1 + l2)."""
+    import classalg.correspondence as corr
+
+    real = corr.product_rows
+
+    def broken(w1, w2, n, F):
+        live = range(max(w1.l, w2.l), min(n, w1.l + w2.l) + 1)
+        return tuple(tuple(v + (l in live) for v in row)
+                     for l, row in enumerate(real(w1, w2, n, F)))
+
+    monkeypatch.setattr(corr, "product_rows", broken)
+
+
+@pytest.fixture
+def corrupt_center_row(monkeypatch):
+    """Every S off by one, and P untouched: the center_row that
+    correspondence reads gets 1 added to every entry."""
+    import classalg.correspondence as corr
+
+    real = corr.center_row
+
+    def broken(c1, c2, l, F):
+        return tuple(v + 1 for v in real(c1, c2, l, F))
+
+    monkeypatch.setattr(corr, "center_row", broken)
+
+
+@pytest.fixture
+def corrupt_p_row(monkeypatch):
+    """Every p_row cell off by one, which moves S with P, since S is read
+    from the same rows; p_rows caches the rows it reads from p_row, so its
+    cache is cleared on the way in and on the way out."""
     import classalg.partial_algebra as pa
 
     real = pa.p_row
@@ -384,25 +416,7 @@ def corrupt_p_rows(monkeypatch):
     pa.p_rows.cache_clear()
 
 
-@pytest.fixture
-def corrupt_s_rows(monkeypatch):
-    """Every s_row entry off by one, with the s_rows cache cleared on the
-    way in and on the way out."""
-    import classalg.center_algebra as ca
-
-    real = ca.s_row
-
-    def broken(c1, c, l, F):
-        return tuple(v + 1 for v in real(c1, c, l, F))
-
-    monkeypatch.setattr(ca, "s_row", broken)
-    ca.s_rows.cache_clear()
-    yield
-    monkeypatch.undo()
-    ca.s_rows.cache_clear()
-
-
-def test_verify_failure_exits_1(capsys, corrupt_p_rows):
+def test_verify_failure_exits_1(capsys, corrupt_product_rows):
     code, out, _ = run(
         capsys, "verify", "main-lemma", "--family", "sym", "--level", "2",
         "--jobs", "1",
@@ -412,7 +426,7 @@ def test_verify_failure_exits_1(capsys, corrupt_p_rows):
     assert "FAIL " in out
 
 
-def test_verify_failure_rendering(capsys, corrupt_p_rows):
+def test_verify_failure_rendering(capsys, corrupt_product_rows):
     """Table output shows the counts, the first five failing records in
     record order and how many more failed; JSON counts every failure."""
     argv = ("verify", "main-lemma", "--family", "sym", "--level", "2")
@@ -437,7 +451,7 @@ def test_verify_failure_rendering(capsys, corrupt_p_rows):
 
 
 @pytest.mark.parametrize("suite", ["main-lemma", "invert", "phi"])
-def test_verify_corrupted_p_row_exits_1(capsys, corrupt_p_rows, suite):
+def test_verify_corrupted_p_row_exits_1(capsys, corrupt_product_rows, suite):
     """Every P off by one: the counted P no longer matches the S side in
     main-lemma, invert or phi."""
     code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
@@ -447,11 +461,23 @@ def test_verify_corrupted_p_row_exits_1(capsys, corrupt_p_rows, suite):
 
 
 @pytest.mark.parametrize("suite", ["main-lemma", "invert", "phi"])
-def test_verify_corrupted_s_row_exits_1(capsys, corrupt_s_rows, suite):
+def test_verify_corrupted_s_row_exits_1(capsys, corrupt_center_row, suite):
     """Every S off by one: the S side no longer matches the counted P."""
     code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
     assert code == 1
     assert f"{suite}: checks=" in out and "FAILED" in out
+    assert "  FAIL " in out
+
+
+@pytest.mark.parametrize("suite, failures", [
+    ("main-lemma", 13), ("invert", 2), ("phi", 4),
+])
+def test_verify_corrupted_row_kernel_exits_1(capsys, corrupt_p_row, suite, failures):
+    """Every p_row cell off by one, S with it: the checks that read
+    different P cells on their two sides still fail."""
+    code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
+    assert code == 1
+    assert f"{suite}: checks=" in out and f"failures={failures} FAILED" in out
     assert "  FAIL " in out
 
 
@@ -760,6 +786,7 @@ def test_malformed_group_file_exits_2(tmp_path, content, message):
 
 
 HUGE_TEXT = "x" * 100000
+NINES, NINES_4300 = "9" * 4000, "9" * 4300
 
 
 @pytest.mark.parametrize("argv", [
@@ -775,8 +802,19 @@ HUGE_TEXT = "x" * 100000
      "--level", "2"],
     ["classes", "--family", "wreath", "--group-file", HUGE_TEXT, "--level", "2"],
     ["classes", "--level", "2", "--out", f"/nonexistent/{HUGE_TEXT}"],
+    ["sconst", "--l", "3", "--c1", f"[{NINES}]", "--c2", "[]"],
+    ["sconst", "--family", "wreath:cyclic2", "--l", "3", "--c1", f"[(1,{NINES})]",
+     "--c2", "[]"],
+    ["pconst", "--level", "3", "--omega1", f"1:[{NINES}]", "--omega2", "1:[]"],
+    ["pconst", "--level", "3", "--omega1", f"{NINES}:[]", "--omega2", "1:[]"],
+    # alpha has 4301 digits, more than str() converts
+    ["pconst", "--level", "3", "--omega1", f"1:[{NINES_4300},{NINES_4300}]",
+     "--omega2", "1:[]"],
+    ["classes", "--level", f"-{NINES}"],
 ], ids=["class-label", "class-label-bracket", "omega-label", "omega-window",
-        "family", "builtin", "group-file-family", "group-file", "out"])
+        "family", "builtin", "group-file-family", "group-file", "out",
+        "class-fit", "class-index", "omega-alpha", "omega-fit", "omega-alpha-past-str",
+        "negative-level"])
 def test_error_quotes_a_bounded_part_of_user_text(tmp_path, argv):
     """An error about an argument of 100000 characters is one short line:
     the message quotes only the argument's first characters."""
@@ -786,6 +824,58 @@ def test_error_quotes_a_bounded_part_of_user_text(tmp_path, argv):
     proc = child("-m", "classalg", *argv, timeout=10)
     assert_one_error_line(proc)
     assert len(proc.stderr.encode()) < 300, proc.stderr[:300]
+
+
+@pytest.mark.parametrize("n", [
+    0, -5, 10**80 - 1, 10**80, -(10**85) + 3, int("7" * 4300),
+])
+def test_clip_int_is_clip_of_str(n):
+    assert clip_int(n) == clip(str(n))
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_clip_int_past_str_limit(sign):
+    """The leading digits of an integer too long for str()."""
+    n = int(sign + "12345678" * 500) * 10**3200
+    assert clip_int(n) == clip(sign + "12345678" * 11)
+
+
+@pytest.mark.parametrize("argv,quoted", [
+    (["verify", HUGE_TEXT, "--level", "2"], "invalid choice: 'x"),
+    (["classes", "--level", "2", "--format", HUGE_TEXT], "invalid choice: 'x"),
+    (["classes", "--level", "9" * 100000], "invalid int value: '9"),
+    ([HUGE_TEXT], "invalid choice: 'x"),
+    (["verify", "all", "--level", "2", HUGE_TEXT], "unrecognized arguments: x"),
+    (["xi", f"--oracle={HUGE_TEXT}", "--lprime", "1", "--class", "[]", "--l", "2"],
+     "ignored explicit argument 'x"),
+], ids=["suite", "format", "level", "command", "unrecognized", "explicit"])
+def test_argparse_error_quotes_a_bounded_part(capsys, argv, quoted):
+    """argparse's own errors quote the first 80 characters of the value,
+    after the usage text, and exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: classalg") and len(err.encode()) < 1000
+    value = quoted[-1] * 80 + "..."
+    assert f"{quoted[:-1]}{value}" in err and quoted[-1] * 81 not in err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify", "foo", "--level", "2"],
+     "classalg verify: error: argument suite: invalid choice: 'foo' (choose from "
+     "'main-lemma', 'invert', 'phi', 'tower', 'audit', 'all')"),
+    (["classes", "--level", "2", "--format", "it's"],
+     "classalg classes: error: argument --format: invalid choice: \"it's\" "
+     "(choose from 'table', 'json', 'csv')"),
+    (["classes", "--level", "2", "a b"],
+     "classalg: error: unrecognized arguments: a b"),
+], ids=["suite", "quote", "unrecognized"])
+def test_argparse_error_quotes_short_values_whole(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(line + "\n")
 
 
 def test_closed_stdout_exits_2():

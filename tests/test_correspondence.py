@@ -613,13 +613,14 @@ def test_suites_over_non_abelian_bases(name, F, N):
 
 def test_suites_over_alternating4():
     """A_4 has two mutually inverse classes of 3-cycles; every suite
-    passes over it at two points (three points are sampled by the row
-    kernel tests)."""
+    passes over it at two and at three points."""
     spec = FamilySpec.wreath(ALTERNATING4, "wreath:file")
-    rep = run_suites(["main-lemma", "invert", "phi", "tower", "audit"], spec, 2)
-    assert rep["ok"]
-    assert [s.get("checks") for s in rep["suites"]] == [6859, 649, 91, 361, None]
-    assert rep["suites"][-1]["passed"]
+    for level, checks in ((2, [6859, 649, 91, 361]),
+                          (3, [205379, 8329, 363, 3481])):
+        rep = run_suites(["main-lemma", "invert", "phi", "tower", "audit"], spec, level)
+        assert rep["ok"]
+        assert [s.get("checks") for s in rep["suites"]] == checks + [None]
+        assert rep["suites"][-1]["passed"]
 
 
 def test_audit_symmetric_level_seven():
