@@ -16,7 +16,7 @@ import importlib
 
 _EXPORTS = {
     "center_algebra": (
-        "center_basis_vector center_product class_size s_constant"
+        "center_basis_vector center_product s_constant"
     ),
     "correspondence": (
         "AuditReport AuditWitness FamilySpec InversionRecord MainLemmaRecord "
@@ -45,8 +45,9 @@ _EXPORTS = {
     ),
     "wreath": (
         "ClassLabel GroupElement class_label_representative class_members "
-        "compose decode element_budget element_str encode enumerate_elements "
-        "labels_with_alpha_up_to level_group mask_points mask_str"
+        "class_size compose decode element_budget element_str encode "
+        "enumerate_elements labels_with_alpha_up_to level_group mask_points "
+        "mask_str"
     ),
 }
 # the submodule of each exported name

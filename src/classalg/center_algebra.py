@@ -5,39 +5,30 @@ labels with alpha <= l.  S(c1, c2, c; l) counts the x in class c1 with
 x^-1 h in class c2, for one fixed h in class c.  The partial elements with
 window {1..l} multiply as the elements of F wr S_l do, and one pair of
 windows joins to {1..l} there, so S(c1, c2, c; l) = P((l, c1), (l, c2),
-(l, c)): center_row and s_constant read those cells of the P rows
-(partial_algebra.p_row), and S is counted nowhere else.  Class sizes come
-from the centralizer order in closed form.  The tests check S against
-literal class-sum products and against enumerated classes.
+(l, c)): center_row reads the full-window column of the P block of
+(l, c1) (partial_algebra.p_block), a tuple over the targets, and
+s_constant sums the counts of representative_factors that the cell
+weighs by one; S is counted nowhere else.  Class sizes come from the
+centralizer order in closed form (wreath.class_size, imported here).  The
+tests check S against literal class-sum products and against enumerated
+classes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from math import factorial, perm
-
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup
-from .partial_algebra import AlgebraVector, OmegaLabel, level_omegas, p_row, p_rows
-from .wreath import ClassLabel, check_budget, label_ids, labels_with_alpha_up_to
-
-
-def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
-    """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l).
-
-    The group order |F|^l l! over the centralizer order: with m the
-    multiplicity of each pair (r, k) in c padded by (1, 0) pairs to l
-    points, and K_k the k-th class of F, prod m! (r |F| / |K_k|)^m.  The
-    padding's factor (l - alpha)! |F|^(l - alpha) cancels, so l is never
-    multiplied out.
-    """
-    if c.alpha > l:
-        return 0
-    base_class_size = Counter(F.class_of)
-    centralizer = 1
-    for (r, k), m in Counter(c.pairs).items():
-        centralizer *= factorial(m) * (r * F.order // base_class_size[k]) ** m
-    return perm(l, c.alpha) * F.order**c.alpha // centralizer
+from .partial_algebra import AlgebraVector, level_omegas, p_block
+# class_size is defined in wreath, whose representative_factors reads it,
+# and is imported here for this module's callers
+from .wreath import (
+    ClassLabel,
+    check_budget,
+    class_size,
+    label_ids,
+    labels_with_alpha_up_to,
+    representative_factors,
+)
 
 
 def center_row(
@@ -48,22 +39,22 @@ def center_row(
     must be realized at level l."""
     check_budget(F, l)
     ids = label_ids(l, F)
-    j = ids[c2]
-    return tuple(row[j][l] for row in p_rows(level_omegas(l, F)[ids[c1]], l, F))
+    return p_block(level_omegas(l, F)[ids[c1]], l, F)[ids[c2]][l]
 
 
 def s_constant(
     c1: ClassLabel, c2: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
 ) -> int:
     """Coefficient of the class sum c(l) in the product c1(l) * c2(l):
-    P((l, c1), (l, c2), (l, c)), read from p_row.
+    P((l, c1), (l, c2), (l, c)), in which one pair of windows holds every
+    pair of supports, so the counts of representative_factors summed.
 
     Zero whenever any of the classes is not realized at level l.
     """
     if c1.alpha > l or c2.alpha > l or c.alpha > l:
         return 0
     check_budget(F, l)
-    return p_row(OmegaLabel(l, c1), OmegaLabel(l, c), F)[label_ids(l, F)[c2]][l]
+    return sum(representative_factors(c1, c, l, F).get(c2, {}).values())
 
 
 def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
+from operator import add, mul
 
 from .center_algebra import center_row
 from .errors import InvalidLabel, LevelMismatch, ParseError, clip
@@ -28,6 +30,7 @@ from .partial_algebra import (
     partial_str,
     product_rows,
     vector_rows,
+    zero_rows,
 )
 from .wreath import (
     ClassLabel,
@@ -82,13 +85,14 @@ def identity_rows(
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
     both read one P cell.  The budget is checked at every level read."""
-    sides = []
-    for l in range(n + 1):
-        x = xi_closed_form(w1.l, w1.c, l) * xi_closed_form(w2.l, w2.c, l)
-        sides.append(
-            tuple(x * v for v in center_row(w1.c, w2.c, l, F)) if x
-            else (0,) * len(labels_with_alpha_up_to(l, F))
-        )
+    (l1, c1), (l2, c2) = w1, w2
+    a1, a2, lo = c1.alpha, c2.alpha, max(l1, l2)
+    # xi(l1, c1; l) xi(l2, c2; l), 0 below either window (xi_closed_form)
+    sides = list(zero_rows(n, F)[:lo])
+    for l in range(lo, n + 1):
+        x = comb(l - a1, l1 - a1) * comb(l - a2, l2 - a2)
+        row = center_row(c1, c2, l, F)
+        sides.append(row if x == 1 else tuple(map(x.__mul__, row)))
     return sides, product_rows(w1, w2, n, F)
 
 
@@ -114,6 +118,8 @@ def forward_substitute(svec, levels, c: ClassLabel) -> tuple[int, ...]:
     """The unique integer solution of the unipotent system (1 + R) P = svec
     at the given levels, R[i][j] = xi(levels[j], c; levels[i]) below the
     diagonal, by forward substitution."""
+    if not any(svec):
+        return tuple(svec)
     p: list[int] = []
     for s, l in zip(svec, levels):
         p.append(s - sum(xi_closed_form(lp, c, l) * x for lp, x in zip(levels, p)))
@@ -141,13 +147,13 @@ def inversion_rows(
     M = omega1.l + omega2.l
     levels = range(max(omega1.l, omega2.l), M + 1)
     sides, prows = identity_rows(omega1, omega2, M, F)
-
-    def column(rows, i: int) -> tuple[int, ...]:
-        return tuple(row[i] if i < len(row) else 0 for row in rows[levels.start:])
-
+    # the columns by label id; a row of a lower level is short of the
+    # labels that need more points, whose entries are 0
+    columns = zip(zip_longest(*sides[levels.start:], fillvalue=0),
+                  zip_longest(*prows[levels.start:], fillvalue=0))
     return [
-        (forward_substitute(column(sides, i), levels, c), column(prows, i))
-        for i, c in enumerate(labels_with_alpha_up_to(M, F))
+        (forward_substitute(s, levels, c), b)
+        for c, (s, b) in zip(labels_with_alpha_up_to(M, F), columns)
     ]
 
 
@@ -166,12 +172,17 @@ def verify_inversion(
 def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
     """phi of the truncated vector with coefficients rows[l'][id of c]: the
     center row at each level l, sum over l' <= l of xi(l', c; l) rows[l']."""
-    out = []
-    for l in range(len(rows)):
-        acc = [0] * len(rows[l])
-        for row, xis in zip(rows, _xi_table(l, F)):
-            if any(row):
-                acc[:len(row)] = [s + x * v for s, v, x in zip(acc, row, xis)]
+    live = [lp for lp, row in enumerate(rows) if any(row)]
+    first = live[0] if live else len(rows)
+    # below the first nonzero row the image is that row's zeros
+    out = list(map(tuple, rows[:first]))
+    for l in range(first, len(rows)):
+        xis = _xi_table(l, F)
+        acc = list(rows[l])  # xi(l, c; l) = 1
+        for lp in live:
+            if lp >= l:
+                break
+            acc[:len(rows[lp])] = map(add, acc, map(mul, rows[lp], xis[lp]))
         out.append(tuple(acc))
     return out
 

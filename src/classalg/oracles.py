@@ -18,7 +18,7 @@ factor_supports_oracle groups a class taken from the level views by
 GroupElement products, keeping each member's pair of supports, and
 _pair_count counts P over it window by window: the references for
 wreath.representative_factors and for the closed-form window count of
-partial_algebra.p_row.  The structure constants, class sizes and the CLI
+partial_algebra.weigh.  The structure constants, class sizes and the CLI
 apart from the preflight and `xi --oracle` never call into this module.
 """
 
@@ -29,7 +29,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .errors import LevelMismatch, WrongBaseGroup
+from .errors import LevelMismatch, WrongBaseGroup, clip_int
 from .finite_group import FiniteGroup, cycles, orbit_partition
 from .partial_algebra import OmegaLabel, PartialElement
 from .wreath import (
@@ -356,7 +356,7 @@ def xi_count_oracle(
     if c.alpha > l or not 0 <= lp <= l:
         return 0
     if not all_members:
-        what = f"the set of windows of size {lp} in {{1..{l}}}"
+        what = f"the set of windows of size {clip_int(lp)} in {{1..{clip_int(l)}}}"
         # C(l, j) grows with j up to l / 2; C(l, lp) = C(l, l - lp)
         check_count((comb(l, j) for j in range(min(lp, l - lp) + 1)), what)
 

@@ -7,17 +7,20 @@ label of h.  The product of class sums expands with nonnegative integer
 structure constants P, which do not depend on the truncation level.
 
 P is counted a row at a time: p_row fixes one representative h of the
-target omega and counts the members x of the first class omega1 by the
-label of x^-1 h and the overlap of the supports of x and x^-1 h, in which
-the window pairs holding both supports are a sum of binomials; one pass
-gives P(omega1, omega2, omega) for every omega2.
-Rows are stored by label id, a label's position in
-labels_with_alpha_up_to, so sweeps index lists instead of hashing labels.
-The product kernel, product_rows, reads e[omega1] e[omega2] off the P
-rows as one row per level, so a truncation is a slice of it; ik_product
-converts sparse vectors around it.  No level group is enumerated and no
-product table is built; enumerating partial elements and multiplying them
-pairwise is left to classalg.oracles.
+target omega and weighs the counts of representative_factors, the members
+x of the first class omega1 by the label of x^-1 h and the overlap of the
+supports of x and x^-1 h, in which the window pairs holding both supports
+are a sum of binomials; one pass gives P(omega1, omega2, omega) for every
+omega2.  p_block stores the rows of omega1 into every target of a level
+once, by column: block[id of c2][l2] is the tuple of P(omega1, (l2, c2),
+(l, c)) over the target ids (a label's id is its position in
+labels_with_alpha_up_to), the zero columns sharing one tuple.  So
+e[omega1] e[omega2] is one cell of a block per level, which product_rows,
+and block_rows, its unchecked kernel for the sweeps, read as rows; a
+truncation is a slice, and ik_product converts sparse vectors around them.
+p_constant weighs one count and builds no block.  No level group is
+enumerated and no product table is built; enumerating partial elements
+and multiplying them pairwise is left to classalg.oracles.
 """
 
 from __future__ import annotations
@@ -155,6 +158,12 @@ def level_omegas(l: int, F: FiniteGroup) -> tuple[OmegaLabel, ...]:
     return tuple(OmegaLabel(l, c) for c in labels_with_alpha_up_to(l, F))
 
 
+@lru_cache(maxsize=None)
+def zero_rows(n: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The zero row of each level l <= n, by label id."""
+    return tuple((0,) * len(level_omegas(l, F)) for l in range(n + 1))
+
+
 def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
     """All class labels alive at truncation level N, in canonical order."""
     return [w for l in range(N + 1) for w in level_omegas(l, F)]
@@ -195,15 +204,24 @@ def window_pairs(l: int, l1: int, l2: int, a: int, b: int, t: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+def weigh(counts: dict[int, int], l: int, l1: int, l2: int, a: int, b: int) -> int:
+    """P at window sizes l1, l2 and l from the counts by overlap t of one
+    row of representative_factors: each member x weighted by the
+    window_pairs that hold support(x), of a points, and support(x^-1 h),
+    of b points."""
+    total = 0
+    for t, n in counts.items():
+        total += n * window_pairs(l, l1, l2, a, b, t)
+    return total
+
+
 def p_row(
     o1: OmegaLabel, o: OmegaLabel, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """P(o1, (l2, c2), o) for every second class, as row[id of c2][l2] for
-    each label c2 with alpha <= o.l and each l2 <= o.l: the members x of
-    o1.c with x^-1 h in c2, each weighted by window_pairs at the overlap of
-    support(x) and support(x^-1 h) that representative_factors counts them
-    by.  The caller checks the budget."""
+    each label c2 with alpha <= o.l and each l2 <= o.l, weighed from the
+    counts of representative_factors.  The row kernel that p_block stores.
+    The caller checks the budget."""
     l, l1, a = o.l, o1.l, o1.c.alpha
     row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
     ids = label_ids(l, F)
@@ -212,19 +230,24 @@ def p_row(
         # points outside the first holds no pair
         lo = max(l - l1, c2.alpha)
         row[ids[c2]] = (0,) * lo + tuple(
-            sum(n * window_pairs(l, l1, l2, a, c2.alpha, t) for t, n in counts.items())
-            for l2 in range(lo, l + 1)
+            weigh(counts, l, l1, l2, a, c2.alpha) for l2 in range(lo, l + 1)
         )
     return tuple(row)
 
 
 @lru_cache(maxsize=None)
-def p_rows(
+def p_block(
     o1: OmegaLabel, l: int, F: FiniteGroup
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The p_row of o1 into every target at level l >= o1.l, by the
-    target's label id.  The caller checks the budget."""
-    return tuple(p_row(o1, o, F) for o in level_omegas(l, F))
+    """The p_rows of o1 into every target at level l >= o1.l, stored by
+    column: block[id of c2][l2][id of c] = P(o1, (l2, c2), (l, c)), so a
+    product row is one cell.  The caller checks the budget."""
+    rows = [p_row(o1, o, F) for o in level_omegas(l, F)]
+    # most columns are 0, and those share one tuple
+    zero = zero_rows(l, F)[l]
+    return tuple(
+        tuple(col if any(col) else zero for col in zip(*cells)) for cells in zip(*rows)
+    )
 
 
 def p_constant(
@@ -238,24 +261,36 @@ def p_constant(
     if not max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
         return 0
     check_budget(F, o.l)
-    return p_row(o1, o, F)[label_ids(o.l, F)[o2.c]][o2.l]
+    counts = representative_factors(o1.c, o.c, o.l, F).get(o2.c, {})
+    return weigh(counts, o.l, o1.l, o2.l, o1.c.alpha, o2.c.alpha)
+
+
+def block_rows(
+    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
+) -> tuple[tuple[int, ...], ...]:
+    """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
+    P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); only
+    levels max(l1, l2)..l1 + l2 can be nonzero.  The unchecked kernel of
+    product_rows, for the sweeps, which check every level first."""
+    (l1, _), (l2, c2) = w1, w2
+    lo = l1 if l1 > l2 else l2
+    hi = n if n < l1 + l2 else l1 + l2
+    zeros = zero_rows(n, F)
+    if hi < lo:
+        return zeros
+    j = label_ids(l2, F)[c2]
+    return (zeros[:lo] + tuple([p_block(w1, l, F)[j][l2] for l in range(lo, hi + 1)])
+            + zeros[hi + 1:])
 
 
 def product_rows(
     w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
-    """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
-    P(w1, w2, (l, c)) for l <= n, read off p_rows(w1, l); only levels
-    max(l1, l2)..l1 + l2 can be nonzero, and the budget is checked there."""
-    j, l2 = label_ids(w2.l, F)[w2.c], w2.l
-    live = range(max(w1.l, l2), min(n, w1.l + l2) + 1)
-    for l in live:
+    """block_rows(w1, w2, n, F), the budget checked at every level that
+    can be nonzero."""
+    for l in range(max(w1.l, w2.l), min(n, w1.l + w2.l) + 1):
         check_budget(F, l)
-    return tuple(
-        tuple(row[j][l2] for row in p_rows(w1, l, F)) if l in live
-        else (0,) * len(level_omegas(l, F))
-        for l in range(n + 1)
-    )
+    return block_rows(w1, w2, n, F)
 
 
 def ik_product(

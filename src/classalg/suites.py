@@ -25,7 +25,14 @@ from .correspondence import (
     phi_rows,
 )
 from .finite_group import FiniteGroup
-from .partial_algebra import OmegaLabel, level_omegas, p_constant, product_rows, vector_rows
+from .partial_algebra import (
+    OmegaLabel,
+    block_rows,
+    level_omegas,
+    p_constant,
+    vector_rows,
+    zero_rows,
+)
 from .wreath import (
     GroupElement,
     check_levels,
@@ -164,7 +171,7 @@ def phi_suite(spec: FamilySpec, N: int) -> dict:
     basis = _basis(N, F)
     labels = labels_with_alpha_up_to(N, F)
     shown = [c.display(F) for c in labels]
-    zero = [(0,) * len(level_omegas(l, F)) for l in range(N + 1)]
+    zero = list(zero_rows(N, F))
 
     def unit(l: int, i: int) -> list[tuple[int, ...]]:
         return zero[:l] + [zero[l][:i] + (1,) + zero[l][i + 1:]] + zero[l + 1:]
@@ -193,9 +200,10 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
     products: for every pair of basis labels, the product rows at level N
     cut to each np <= N equal the product computed separately at np.
 
-    This checks the level slicing of product_rows, which holds for any
+    This checks the level slicing of the P blocks, which holds for any
     level-independent P; a wrong P is caught by main-lemma, invert and phi,
-    which compare it with S."""
+    which compare it with S.  The rows are read through block_rows, since
+    _basis has checked the budget at every level."""
     F = spec.base
     basis = _basis(N, F)
     omegas = [level_omegas(l, F)[i] for l, i in basis]
@@ -203,8 +211,8 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
     records = []
     for w1, s1 in zip(omegas, shown):
         for w2, s2 in zip(omegas, shown):
-            rows = product_rows(w1, w2, N, F)
-            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F)
+            rows = block_rows(w1, w2, N, F)
+            ok = all(rows[:np + 1] == block_rows(w1, w2, np, F)
                      for np in range(N + 1))
             records.append({"omega1": s1, "omega2": s2, "ok": ok})
     return _suite_dict("tower", spec, N, records)

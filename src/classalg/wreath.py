@@ -31,18 +31,20 @@ the orbits under the same set (classalg.oracles), and those with the orbits
 under every element.  The oracles label and decode elements by the
 GroupElement reference, never by code_class.  The P rows, and S in them,
 read only representative_factors, which counts the members x of a class
-by the label of x^-1 h and the overlap of the supports of x and x^-1 h.
+by the label of x^-1 h and the overlap of the supports of x and x^-1 h,
+enumerating whichever class of the row is smaller at its level: the first
+class, or that of h, with an exact scaling by the ratio of class sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter, defaultdict, namedtuple
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, perm
 from operator import itemgetter
 
 from .errors import BudgetExceeded, InvalidLabel, ParseError, clip, clip_int, parse_int
@@ -74,21 +76,24 @@ def check_count(sizes, what: str) -> None:
     """Raise BudgetExceeded if enumerating `what`, of sizes[-1] elements, is
     over the element budget.  The nondecreasing sizes are read up to the
     first over the limit, which shows as a lower bound unless it is the last
-    and short enough to print."""
+    and short enough for str(); the numbers are clipped as errors.clip_int
+    clips them."""
     limit, sizes = _limit(), iter(sizes)
     for size in sizes:
         if size > limit:
-            count = f"more than {limit}"
+            count = f"more than {clip_int(limit)}"
             if next(sizes, None) is None:
                 with suppress(ValueError):
-                    count = str(size)
-            raise BudgetExceeded(f"{what} has {count} elements, budget is {limit}")
+                    count = clip(str(size))
+            raise BudgetExceeded(
+                f"{what} has {count} elements, budget is {clip_int(limit)}"
+            )
 
 
 @lru_cache(maxsize=None)
 def _check_level(order: int, n: int, limit: int) -> None:
     sizes = (order**k * factorial(k) for k in range(n + 1))
-    check_count(sizes, f"level {n} over base of order {order}")
+    check_count(sizes, f"level {clip_int(n)} over base of order {clip_int(order)}")
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
@@ -98,9 +103,15 @@ def check_budget(F: FiniteGroup, n: int) -> None:
 
 def check_levels(F: FiniteGroup, n: int) -> None:
     """check_budget at the levels 0..n in order: the first level over the
-    budget is the one reported."""
-    for l in range(n + 1):
-        check_budget(F, l)
+    budget is the one reported.  The orders are multiplied out once, up to
+    that level, and only there (or at n) is check_budget called."""
+    if n < 0:
+        return
+    limit, order, l = _limit(), 1, 0
+    while l < n and order <= limit:
+        l += 1
+        order *= F.order * l
+    check_budget(F, l)
 
 
 # --- support-set bitmask helpers (bit j <-> point j, displayed 1-based) ---
@@ -382,21 +393,70 @@ def class_members(
     return tuple(support_of.items())
 
 
+def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:
+    """|c(l)|, the number of elements of F wr S_l with label c (0 if alpha > l).
+
+    The group order |F|^l l! over the centralizer order: with m the
+    multiplicity of each pair (r, k) in c padded by (1, 0) pairs to l
+    points, and K_k the k-th class of F, prod m! (r |F| / |K_k|)^m.  The
+    padding's factor (l - alpha)! |F|^(l - alpha) cancels, so l is never
+    multiplied out.
+    """
+    if c.alpha > l:
+        return 0
+    centralizer = 1
+    # equal pairs are adjacent in a label
+    for (r, k), run in itertools.groupby(c.pairs):
+        m = len(list(run))
+        centralizer *= factorial(m) * (r * F.order // F.class_of.count(k)) ** m
+    return perm(l, c.alpha) * F.order**c.alpha // centralizer
+
+
 @lru_cache(maxsize=None)
 def representative_factors(
     c1: ClassLabel, c: ClassLabel, l: int, F: FiniteGroup
-) -> dict[ClassLabel, Counter]:
+) -> dict[ClassLabel, dict[int, int]]:
     """The members x of class c1 at level l counted by the label of x^-1 h,
     h = class_label_representative(c, F, l), and by the overlap
-    |support(x) & support(x^-1 h)|, cached.  The inverses z = x^-1, the
-    members of inverse_label(c1) with support(z) = support(x), are what is
-    enumerated: each costs one composition z h and one cycle walk."""
-    hc = encode(class_label_representative(c, F, l), F)
-    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-    for z, sz in class_members(inverse_label(c1, F), F, l):
-        key, sy = _cycle_key(compose(z, hc), F)
-        groups[key][(sz & sy).bit_count()] += 1
-    return {_key_label(key): counts for key, counts in groups.items()}
+    |support(x) & support(x^-1 h)|, cached, enumerating the smaller class.
+
+    The pairs (x, z) in c1(l) x c(l) with x^-1 z of a given label and
+    overlap number |c(l)| times the count at z = h and |c1(l)| times the
+    count at x = x0, the representative of c1, as conjugating both keeps
+    the label and the overlap.  So when c(l) is smaller its members z are
+    enumerated, counted by the label of x0^-1 z and |support(x0) &
+    support(x0^-1 z)|, and each count is scaled by |c1(l)| / |c(l)|, an
+    exact division or an ArithmeticError.  Otherwise the inverses z = x^-1
+    are enumerated, the members of inverse_label(c1), with support(z) =
+    support(x).  Each member costs one composition and one cycle walk.
+    """
+    # each member gives the code of x^-1 h (or x0^-1 z), composed inline,
+    # and the support of x (or x0) that it overlaps
+    num, den = class_size(c1, l, F), class_size(c, l, F)
+    if num <= den:
+        h = encode(class_label_representative(c, F, l), F)
+        pairs = ((tuple(map(z.__getitem__, h)), sz)
+                 for z, sz in class_members(inverse_label(c1, F), F, l))
+        num = den = 1  # no scaling
+    else:
+        x0_inv = code_inverse(encode(class_label_representative(c1, F, l), F))
+        # x0 moves or decorates exactly the first alpha(c1) points
+        sx = (1 << c1.alpha) - 1
+        pairs = ((tuple(map(x0_inv.__getitem__, z)), sx)
+                 for z, _ in class_members(c, F, l))
+    tally: dict[tuple, int] = {}
+    for y, s in pairs:
+        key, sy = _cycle_key(y, F)
+        pair = key, (s & sy).bit_count()
+        tally[pair] = tally.get(pair, 0) + 1
+    out: dict[ClassLabel, dict[int, int]] = {}
+    for (key, t), k in tally.items():
+        count, rest = divmod(k * num, den)
+        if rest:
+            raise ArithmeticError(f"{clip_int(k)} pairs times {clip_int(num)} "
+                                  f"is not a multiple of {clip_int(den)}")
+        out.setdefault(_key_label(key), {})[t] = count
+    return out
 
 
 def enumerate_elements(F: FiniteGroup, n: int):

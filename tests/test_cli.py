@@ -400,7 +400,7 @@ def corrupt_center_row(monkeypatch):
 @pytest.fixture
 def corrupt_p_row(monkeypatch):
     """Every p_row cell off by one, which moves S with P, since S is read
-    from the same rows; p_rows caches the rows it reads from p_row, so its
+    from the same rows; p_block stores the rows it reads from p_row, so its
     cache is cleared on the way in and on the way out."""
     import classalg.partial_algebra as pa
 
@@ -410,10 +410,10 @@ def corrupt_p_row(monkeypatch):
         return tuple(tuple(v + 1 for v in cells) for cells in real(o1, o, F))
 
     monkeypatch.setattr(pa, "p_row", broken)
-    pa.p_rows.cache_clear()
+    pa.p_block.cache_clear()
     yield
     monkeypatch.undo()
-    pa.p_rows.cache_clear()
+    pa.p_block.cache_clear()
 
 
 def test_verify_failure_exits_1(capsys, corrupt_product_rows):
@@ -720,6 +720,17 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     the budget and too long to print is given as more than the budget."""
     proc = child("-m", "classalg", *argv, timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
+
+
+def test_budget_message_clips_its_numbers():
+    """A budget of 4000 digits lets levels run to 1464, whose order has
+    about 4000 digits too; the message quotes both clipped, and the levels
+    up to it are multiplied out once."""
+    proc = child("-m", "classalg", "classes", "--level", "2000",
+                 "--budget-elements", "9" * 4000, timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 300
+    assert proc.stderr.startswith("error: level 1464 over base of order 1 has 3364")
 
 
 class _UnnamedError(ClassAlgError):

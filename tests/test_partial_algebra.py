@@ -38,13 +38,15 @@ from classalg import (
     verify_inversion,
     verify_main_lemma,
 )
-from classalg.center_algebra import class_size
+from classalg.center_algebra import center_row, class_size
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
 from classalg.oracles import (
     _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
 )
-from classalg.partial_algebra import level_omegas, vector_rows, window_pairs
+from classalg.partial_algebra import (
+    block_rows, level_omegas, product_rows, vector_rows, window_pairs,
+)
 from classalg.wreath import (
     class_label_representative,
     class_members,
@@ -531,6 +533,30 @@ def test_row_kernels_match_oracles(data, name, N):
         assert sides[l] == tuple(
             x * S.get(c, 0) for c in labels_with_alpha_up_to(l, F)
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
+       N=st.integers(0, 3))
+def test_block_readers_match_oracles(data, name, N):
+    """product_rows, block_rows and center_row, each a read of the stored
+    P blocks, against multiplying every pair of partial elements and
+    every pair of group elements, on sampled labels."""
+    F = KERNEL_BASES[name]
+    w1, w2 = data.draw(st.sampled_from(_oracle_pairs(F, N)))
+    expected = product_oracle(w1, w2, F, N)
+    rows = product_rows(w1, w2, N, F)
+    assert block_rows(w1, w2, N, F) == rows
+    assert {w: v for l, row in enumerate(rows)
+            for w, v in zip(level_omegas(l, F), row) if v} == expected
+    labels = labels_with_alpha_up_to(N, F)
+    c1, c2 = data.draw(st.sampled_from([
+        (c1, c2) for c1 in labels for c2 in labels
+        if class_size(c1, N, F) * class_size(c2, N, F) <= ORACLE_PAIRS
+    ]))
+    row = center_row(c1, c2, N, F)
+    assert dict((c, v) for c, v in zip(labels, row) if v) == \
+        center_product_oracle(c1, c2, N, F)
 
 
 @settings(max_examples=30, deadline=None)

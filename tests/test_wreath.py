@@ -184,6 +184,17 @@ def test_generating_set_encodes_the_generators(F):
         ), n
 
 
+def _overlap_counts(c1, c, l, F):
+    """factor_supports_oracle for the representative of c at level l, each
+    member's pair of supports reduced to their overlap."""
+    mask = (1 << l) - 1
+    h = class_label_representative(c, F, l)
+    return {
+        lab: dict(Counter((p & mask & p >> l).bit_count() for p in v))
+        for lab, v in factor_supports_oracle(c1, h, F).items()
+    }
+
+
 _GROUPING_CASES = [
     (name, F, n) for name, F in _CODE_BASES.items() for n in range(4)
 ]
@@ -193,20 +204,46 @@ _GROUPING_CASES = [
     "name,F,n", _GROUPING_CASES, ids=[f"{name}-{n}" for name, _, n in _GROUPING_CASES]
 )
 def test_factor_supports_match_reference(name, F, n):
-    """The grouping made from codes over the inverse class equals the
-    GroupElement reference over the enumerated class, each member's pair
-    of supports reduced to their overlap, for every first class and target
-    at level n."""
+    """The grouping made from codes, over the inverse of the first class or
+    over the target's class, whichever is smaller, equals the GroupElement
+    reference over the enumerated class, each member's pair of supports
+    reduced to their overlap, for every first class and target at level n."""
     labels = labels_with_alpha_up_to(n, F)
-    mask = (1 << n) - 1
     for c in labels:
-        h = class_label_representative(c, F, n)
         for c1 in labels:
-            want = {
-                lab: dict(Counter((p & mask & p >> n).bit_count() for p in v))
-                for lab, v in factor_supports_oracle(c1, h, F).items()
-            }
+            want = _overlap_counts(c1, c, n, F)
             assert representative_factors(c1, c, n, F) == want, (c1, c)
+
+
+# the bases of user_groups, given as multiplication tables
+_USER_BASES = {
+    "sym3-shifted": SYM3_SHIFTED, "dihedral8": DIHEDRAL8,
+    "quaternion": QUATERNION, "alternating4": ALTERNATING4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_USER_BASES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), l=st.integers(2, 3))
+def test_representative_factors_from_either_class(name, data, l):
+    """A row counted from the members of c1 (|c1(l)| <= |c(l)|) and one
+    counted from the members of c and scaled by |c1(l)| / |c(l)| (the
+    smaller c) both equal the reference grouping; a scaling that leaves a
+    remainder raises instead of rounding."""
+    F = _USER_BASES[name]
+    labels = labels_with_alpha_up_to(l, F)
+    size = {c: wreath_mod.class_size(c, l, F) for c in labels}
+    from_c1 = [(c1, c) for c1 in labels for c in labels if size[c1] <= size[c]]
+    from_c = [(c1, c) for c1 in labels for c in labels if size[c] < size[c1]]
+    for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in (from_c1, from_c)):
+        assert representative_factors(c1, c, l, F) == _overlap_counts(c1, c, l, F)
+    # c's class above every count and c1's one larger, so c is the side
+    # counted and k (big + 1) / big leaves k for every count k
+    big = 10**9
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(wreath_mod, "class_size", lambda c2, *_: big if c2 == c else big + 1)
+        with pytest.raises(ArithmeticError, match="is not a multiple of"):
+            representative_factors.__wrapped__(c1, c, l, F)
 
 
 # --- support ---
