@@ -7,18 +7,19 @@ window {1..l} multiply as the elements of F wr S_l do, and one pair of
 windows joins to {1..l} there, so S(c1, c2, c; l) = P((l, c1), (l, c2),
 (l, c)): center_row reads the full-window column of the P block of
 (l, c1) (partial_algebra.p_block), a tuple over the targets, and
-s_constant sums the counts of representative_factors that the cell
-weighs by one; S is counted nowhere else.  Class sizes come from the
-centralizer order in closed form (wreath.class_size, imported here).  The
-tests check S against literal class-sum products and against enumerated
-classes.
+s_constant is p_constant on full windows; S is counted nowhere else.
+Class sizes come from the centralizer order in closed form
+(wreath.class_size, imported here).  The tests check S against literal
+class-sum products and against enumerated classes.
 """
 
 from __future__ import annotations
 
 from .errors import LevelMismatch
 from .finite_group import FiniteGroup
-from .partial_algebra import AlgebraVector, level_omegas, p_block
+from .partial_algebra import (
+    AlgebraVector, OmegaLabel, level_omegas, p_block, p_constant,
+)
 # class_size is defined in wreath, whose representative_factors reads it,
 # and is imported here for this module's callers
 from .wreath import (
@@ -27,7 +28,6 @@ from .wreath import (
     class_size,
     label_ids,
     labels_with_alpha_up_to,
-    representative_factors,
 )
 
 
@@ -47,14 +47,13 @@ def s_constant(
 ) -> int:
     """Coefficient of the class sum c(l) in the product c1(l) * c2(l):
     P((l, c1), (l, c2), (l, c)), in which one pair of windows holds every
-    pair of supports, so the counts of representative_factors summed.
+    pair of supports.
 
     Zero whenever any of the classes is not realized at level l.
     """
     if c1.alpha > l or c2.alpha > l or c.alpha > l:
         return 0
-    check_budget(F, l)
-    return sum(representative_factors(c1, c, l, F).get(c2, {}).values())
+    return p_constant(OmegaLabel(l, c1), OmegaLabel(l, c2), OmegaLabel(l, c), F)
 
 
 def center_basis_vector(c: ClassLabel, l: int) -> AlgebraVector:

@@ -84,16 +84,16 @@ def identity_rows(
     center_row (P rows at the full window), and the counted P rows,
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
-    both read one P cell.  The budget is checked at every level read."""
+    both read one P cell.  The budget is checked at every level read, and
+    the levels below max(l1, l2), where xi is 0, are listed only after."""
     (l1, c1), (l2, c2) = w1, w2
-    a1, a2, lo = c1.alpha, c2.alpha, max(l1, l2)
-    # xi(l1, c1; l) xi(l2, c2; l), 0 below either window (xi_closed_form)
-    sides = list(zero_rows(n, F)[:lo])
+    lo = max(l1, l2)
+    sides = []
     for l in range(lo, n + 1):
-        x = comb(l - a1, l1 - a1) * comb(l - a2, l2 - a2)
+        x = xi_closed_form(l1, c1, l) * xi_closed_form(l2, c2, l)
         row = center_row(c1, c2, l, F)
         sides.append(row if x == 1 else tuple(map(x.__mul__, row)))
-    return sides, product_rows(w1, w2, n, F)
+    return list(zero_rows(n, F)[:lo]) + sides, product_rows(w1, w2, n, F)
 
 
 def verify_main_lemma(

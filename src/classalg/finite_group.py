@@ -164,8 +164,9 @@ def conjugacy_classes(F: FiniteGroup) -> list[tuple[int, ...]]:
     return [tuple(c) for c in out]
 
 
-def load_group(spec: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Build a FiniteGroup from a mapping with keys order, mult, names (optional)."""
+def load_group(spec: dict) -> FiniteGroup:
+    """Build a FiniteGroup from a mapping with keys order, mult, names
+    (optional), of order at most DEFAULT_MAX_ORDER."""
     if not isinstance(spec, dict):
         raise ParseError("group description must be a JSON object")
     try:
@@ -175,8 +176,8 @@ def load_group(spec: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         raise ParseError(f"group description missing key {exc.args[0]!r}") from None
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ParseError(f"order must be a positive integer, got {order!r}")
-    if order > max_order:
-        raise BudgetExceeded(f"group order {order} exceeds cap {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise BudgetExceeded(f"group order {order} exceeds cap {DEFAULT_MAX_ORDER}")
     if not isinstance(mult, list) or len(mult) != order or any(
         not isinstance(row, list) or len(row) != order for row in mult
     ):
@@ -203,7 +204,7 @@ def load_group(spec: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     )
 
 
-def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def load_group_file(path: str) -> FiniteGroup:
     """Load a JSON group file (keys: order, mult, names optional)."""
     import json
 
@@ -215,7 +216,7 @@ def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         if isinstance(exc, OSError) and exc.filename is not None:
             exc.filename = clip(path)  # str(exc) quotes it again
         raise ParseError(f"cannot read group file {clip(path)}: {exc}") from exc
-    return load_group(spec, max_order=max_order)
+    return load_group(spec)
 
 
 def _cyclic_spec(m: int) -> dict:

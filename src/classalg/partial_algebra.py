@@ -16,9 +16,9 @@ once, by column: block[id of c2][l2] is the tuple of P(omega1, (l2, c2),
 (l, c)) over the target ids (a label's id is its position in
 labels_with_alpha_up_to), the zero columns sharing one tuple.  So
 e[omega1] e[omega2] is one cell of a block per level, which product_rows,
-and block_rows, its unchecked kernel for the sweeps, read as rows; a
-truncation is a slice, and ik_product converts sparse vectors around them.
-p_constant weighs one count and builds no block.  No level group is
+the one reader of the blocks, reads as rows; a truncation is a slice, and
+ik_product converts sparse vectors around them.  p_constant weighs one
+count and builds no block; at full windows it is S.  No level group is
 enumerated and no product table is built; enumerating partial elements
 and multiplying them pairwise is left to classalg.oracles.
 """
@@ -265,32 +265,24 @@ def p_constant(
     return weigh(counts, o.l, o1.l, o2.l, o1.c.alpha, o2.c.alpha)
 
 
-def block_rows(
+def product_rows(
     w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
     P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); only
-    levels max(l1, l2)..l1 + l2 can be nonzero.  The unchecked kernel of
-    product_rows, for the sweeps, which check every level first."""
+    levels max(l1, l2)..l1 + l2 can be nonzero, and the budget is checked
+    at each of them before any row is built."""
     (l1, _), (l2, c2) = w1, w2
     lo = l1 if l1 > l2 else l2
     hi = n if n < l1 + l2 else l1 + l2
+    for l in range(lo, hi + 1):
+        check_budget(F, l)
     zeros = zero_rows(n, F)
     if hi < lo:
         return zeros
     j = label_ids(l2, F)[c2]
     return (zeros[:lo] + tuple([p_block(w1, l, F)[j][l2] for l in range(lo, hi + 1)])
             + zeros[hi + 1:])
-
-
-def product_rows(
-    w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
-) -> tuple[tuple[int, ...], ...]:
-    """block_rows(w1, w2, n, F), the budget checked at every level that
-    can be nonzero."""
-    for l in range(max(w1.l, w2.l), min(n, w1.l + w2.l) + 1):
-        check_budget(F, l)
-    return block_rows(w1, w2, n, F)
 
 
 def ik_product(

@@ -722,6 +722,34 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
 
 
+LIBRARY_CALL = """\
+from classalg.correspondence import inversion_rows, verify_main_lemma
+from classalg.errors import BudgetExceeded
+from classalg.finite_group import TRIVIAL
+from classalg.partial_algebra import OmegaLabel
+from classalg.wreath import ClassLabel
+e = ClassLabel(())
+try:
+    {call}
+except BudgetExceeded as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call,stdout", [
+    ("verify_main_lemma(1, e, 1, e, 10**6, e, TRIVIAL)", OVER_AT_11[7:]),
+    ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)",
+     "level 1000000 over base of order 1 has more than 10000000 elements, "
+     "budget is 10000000\n"),
+], ids=["main-lemma-1e6", "inversion-1e6"])
+def test_huge_level_library_calls_raise_at_once(call, stdout):
+    """The identity rows check the budget at each level before they list
+    the labels of the levels below the windows, so a library call at a
+    level of a million raises BudgetExceeded at the first level over it."""
+    proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+
 def test_budget_message_clips_its_numbers():
     """A budget of 4000 digits lets levels run to 1464, whose order has
     about 4000 digits too; the message quotes both clipped, and the levels

@@ -46,7 +46,9 @@ from classalg.correspondence import (
 from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.oracles import class_label, d_type_membership, level_views
 from classalg.partial_algebra import PartialElement
-from classalg.suites import SUITE_NAMES, audit_suite, main_lemma_suite, run_suites
+from classalg.suites import (
+    SUITE_NAMES, audit_suite, main_lemma_suite, run_suites, tower_suite,
+)
 from classalg.wreath import apply_perm_to_mask, decode, encode
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
@@ -239,6 +241,23 @@ def test_suites_keep_the_budget_they_are_given(monkeypatch):
             run_suites([name], spec, 3)
         with element_budget(6):
             assert run_suites([name], spec, 3)["ok"], name
+
+
+def test_tower_reads_each_truncation_once(monkeypatch):
+    """The tower reads the rows of each of the 1,444 pairs at wreath:cyclic2
+    level 4 through product_rows, once at level 4 and once at each lower
+    level it compares them with."""
+    calls = []
+    read = suites_mod.product_rows
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(suites_mod, "product_rows", counted)
+    res = tower_suite(FamilySpec.wreath(Z2, "wreath:cyclic2"), 4)
+    assert res["ok"] and res["checks"] == 1444
+    assert len(calls) == 1444 * 5 == 7220
 
 
 def test_preflight_counts_each_sampled_product(monkeypatch):

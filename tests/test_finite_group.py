@@ -22,6 +22,7 @@ from classalg import (
     load_group_file,
     parse_family,
 )
+from classalg import finite_group
 from classalg.finite_group import TRIVIAL, validate_table
 
 KLEIN = {
@@ -127,7 +128,7 @@ def test_load_group_klein():
     assert F.inv[2] == 2
 
 
-def test_load_group_errors():
+def test_load_group_errors(monkeypatch):
     with pytest.raises(ParseError):
         load_group({"order": 2})
     with pytest.raises(ParseError):
@@ -142,7 +143,8 @@ def test_load_group_errors():
     with pytest.raises(BudgetExceeded):
         load_group({"order": 25, "mult": [[0] * 25] * 25})
     big = {"order": 25, "mult": [[(i + j) % 25 for j in range(25)] for i in range(25)]}
-    assert load_group(big, max_order=30).order == 25
+    monkeypatch.setattr(finite_group, "DEFAULT_MAX_ORDER", 30)
+    assert load_group(big).order == 25
 
 
 def test_load_group_file(tmp_path):

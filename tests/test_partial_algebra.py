@@ -45,7 +45,7 @@ from classalg.oracles import (
     _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
 )
 from classalg.partial_algebra import (
-    block_rows, level_omegas, product_rows, vector_rows, window_pairs,
+    level_omegas, product_rows, vector_rows, window_pairs,
 )
 from classalg.wreath import (
     class_label_representative,
@@ -539,14 +539,13 @@ def test_row_kernels_match_oracles(data, name, N):
 @given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
        N=st.integers(0, 3))
 def test_block_readers_match_oracles(data, name, N):
-    """product_rows, block_rows and center_row, each a read of the stored
-    P blocks, against multiplying every pair of partial elements and
-    every pair of group elements, on sampled labels."""
+    """product_rows and center_row, each a read of the stored P blocks,
+    against multiplying every pair of partial elements and every pair of
+    group elements, on sampled labels."""
     F = KERNEL_BASES[name]
     w1, w2 = data.draw(st.sampled_from(_oracle_pairs(F, N)))
     expected = product_oracle(w1, w2, F, N)
     rows = product_rows(w1, w2, N, F)
-    assert block_rows(w1, w2, N, F) == rows
     assert {w: v for l, row in enumerate(rows)
             for w, v in zip(level_omegas(l, F), row) if v} == expected
     labels = labels_with_alpha_up_to(N, F)
