@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb, log10
 
-from .center_algebra import center_basis_vector, center_product, class_size, s_constant
+from .center_algebra import center_product, class_size, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
 from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError, clip, clip_int
 from .finite_group import FiniteGroup, load_group_file
@@ -218,9 +218,7 @@ def cmd_sconst(args: argparse.Namespace) -> int:
         c = labels["--c"]
         found = [(c, s_constant(c1, c2, c, l, F))]
     else:
-        found = center_product(
-            center_basis_vector(c1, l), center_basis_vector(c2, l), F
-        ).terms
+        found = center_product(basis_vector(c1, l), basis_vector(c2, l), F).terms
     rows = [[c1.display(F), c2.display(F), c.display(F), l, v] for c, v in found]
     _render(args, spec, {"l": l}, ["c1", "c2", "c", "l", "S"], rows)
     return 0

@@ -30,7 +30,6 @@ from .partial_algebra import (
     partial_str,
     product_rows,
     vector_rows,
-    zero_rows,
 )
 from .wreath import (
     ClassLabel,
@@ -84,8 +83,9 @@ def identity_rows(
     center_row (P rows at the full window), and the counted P rows,
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
-    both read one P cell.  The budget is checked at every level read, and
-    the levels below max(l1, l2), where xi is 0, are listed only after."""
+    both read one P cell.  The S side is read first, which checks the
+    budget at every level, and below max(l1, l2), where xi is 0, it takes
+    the zero rows of the P rows."""
     (l1, c1), (l2, c2) = w1, w2
     lo = max(l1, l2)
     sides = []
@@ -93,7 +93,8 @@ def identity_rows(
         x = xi_closed_form(l1, c1, l) * xi_closed_form(l2, c2, l)
         row = center_row(c1, c2, l, F)
         sides.append(row if x == 1 else tuple(map(x.__mul__, row)))
-    return list(zero_rows(n, F)[:lo]) + sides, product_rows(w1, w2, n, F)
+    prows = product_rows(w1, w2, n, F)
+    return list(prows[:lo]) + sides, prows
 
 
 def verify_main_lemma(

@@ -17,10 +17,12 @@ once, by column: block[id of c2][l2] is the tuple of P(omega1, (l2, c2),
 labels_with_alpha_up_to), the zero columns sharing one tuple.  So
 e[omega1] e[omega2] is one cell of a block per level, which product_rows,
 the one reader of the blocks, reads as rows; a truncation is a slice, and
-ik_product converts sparse vectors around them.  p_constant weighs one
-count and builds no block; at full windows it is S.  No level group is
-enumerated and no product table is built; enumerating partial elements
-and multiplying them pairwise is left to classalg.oracles.
+S is the full-window row (center_algebra.center_row).  expand turns the
+rows of the pairs of terms into a sparse product, for ik_product here and
+center_product there.  p_constant weighs one count and builds no block;
+at full windows it is S.  No level group is enumerated and no product
+table is built; enumerating partial elements and multiplying them
+pairwise is left to classalg.oracles.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class AlgebraVector(namedtuple("AlgebraVector", "level terms")):
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def basis_vector(omega: OmegaLabel, N: int) -> AlgebraVector:
-    return AlgebraVector.make(N, {omega: 1})
+def basis_vector(key, level: int) -> AlgebraVector:
+    """e[key] at a level; key is an OmegaLabel or a center's ClassLabel."""
+    return AlgebraVector.make(level, {key: 1})
 
 
 @lru_cache(maxsize=None)
@@ -269,14 +272,17 @@ def product_rows(
     w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
-    P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); only
-    levels max(l1, l2)..l1 + l2 can be nonzero, and the budget is checked
-    at each of them before any row is built."""
+    P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); the one
+    reader of the blocks.  Only levels max(l1, l2)..l1 + l2 can be nonzero;
+    the budget is checked at each of them, and at n, before any row is
+    built or any label listed."""
     (l1, _), (l2, c2) = w1, w2
     lo = l1 if l1 > l2 else l2
     hi = n if n < l1 + l2 else l1 + l2
     for l in range(lo, hi + 1):
         check_budget(F, l)
+    if n > hi:
+        check_budget(F, n)
     zeros = zero_rows(n, F)
     if hi < lo:
         return zeros
@@ -285,18 +291,26 @@ def product_rows(
             + zeros[hi + 1:])
 
 
+def expand(a: AlgebraVector, b: AlgebraVector, rows, keys) -> AlgebraVector:
+    """The product of a and b at their common level: rows(k1, k2), by key
+    position, of each pair of terms, scaled and summed, then labelled by
+    keys(), called after every row read has checked the budget."""
+    if a.level != b.level:
+        raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
+    acc: list[int] = []
+    for k1, x in a.terms:
+        for k2, y in b.terms:
+            row = rows(k1, k2)
+            acc = [s + x * y * v for s, v in zip(acc or [0] * len(row), row)]
+    return AlgebraVector.from_row(a.level, keys() if acc else (), acc)
+
+
 def ik_product(
     a: AlgebraVector, b: AlgebraVector, F: FiniteGroup
 ) -> AlgebraVector:
     """Product in the truncated class algebra at level N = a.level: the
-    product_rows of the pairs of terms, summed, then labelled."""
-    if a.level != b.level:
-        raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
+    expand of the product_rows of the pairs of terms, flattened, over
+    truncation_basis, in the vectors' sort order within a level."""
     N = a.level
-    acc: list[int] = []
-    for w1, x in a.terms:
-        for w2, y in b.terms:
-            flat = [v for row in product_rows(w1, w2, N, F) for v in row]
-            acc = [s + x * y * v for s, v in zip(acc or [0] * len(flat), flat)]
-    # label order within a level is the vectors' sort order
-    return AlgebraVector.from_row(N, truncation_basis(N, F), acc)
+    return expand(a, b, lambda w1, w2: [v for r in product_rows(w1, w2, N, F) for v in r],
+                  lambda: truncation_basis(N, F))

@@ -196,23 +196,24 @@ def phi_suite(spec: FamilySpec, N: int) -> dict:
 
 
 def tower_suite(spec: FamilySpec, N: int) -> dict:
-    """Check that truncation projections, slices of the rows, commute with
-    products: for every pair of basis labels, the product rows at level N
-    cut to each np < N equal the product computed separately at np.
-
-    This checks the level slicing of the P blocks, which holds for any
-    level-independent P; a wrong P is caught by main-lemma, invert and phi,
-    which compare it with S."""
+    """Check that products commute with truncation, a slice of the rows,
+    and with the order of the factors: for every ordered pair of basis
+    labels, its rows at level N, read once, cut to each np < N equal the
+    rows computed at np, and equal the rows of the other order.  The two
+    orders read the P blocks of different first factors, so a one-sided
+    miscount fails; a symmetric one is left to main-lemma, invert and phi,
+    which compare P with S."""
     F = spec.base
     basis = _basis(N, F)
     omegas = [level_omegas(l, F)[i] for l, i in basis]
     shown = [w.display(F) for w in omegas]
+    rows = [[product_rows(w1, w2, N, F) for w2 in omegas] for w1 in omegas]
     records = []
-    for w1, s1 in zip(omegas, shown):
-        for w2, s2 in zip(omegas, shown):
-            rows = product_rows(w1, w2, N, F)
-            ok = all(rows[:np + 1] == product_rows(w1, w2, np, F)
-                     for np in range(N))
+    for i, (w1, s1) in enumerate(zip(omegas, shown)):
+        for j, (w2, s2) in enumerate(zip(omegas, shown)):
+            top = rows[i][j]
+            ok = all(top[:np + 1] == product_rows(w1, w2, np, F)
+                     for np in range(N)) and top == rows[j][i]
             records.append({"omega1": s1, "omega2": s2, "ok": ok})
     return _suite_dict("tower", spec, N, records)
 

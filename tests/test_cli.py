@@ -722,11 +722,14 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
 
 
+OVER_AT_40 = ("level 40 over base of order 1 has more than 10000000 elements, "
+              "budget is 10000000\n")
+
 LIBRARY_CALL = """\
 from classalg.correspondence import inversion_rows, verify_main_lemma
 from classalg.errors import BudgetExceeded
 from classalg.finite_group import TRIVIAL
-from classalg.partial_algebra import OmegaLabel
+from classalg.partial_algebra import OmegaLabel, basis_vector, ik_product, product_rows
 from classalg.wreath import ClassLabel
 e = ClassLabel(())
 try:
@@ -741,11 +744,15 @@ except BudgetExceeded as exc:
     ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)",
      "level 1000000 over base of order 1 has more than 10000000 elements, "
      "budget is 10000000\n"),
-], ids=["main-lemma-1e6", "inversion-1e6"])
+    ("product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)", OVER_AT_40),
+    ("ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)", OVER_AT_40),
+], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40"])
 def test_huge_level_library_calls_raise_at_once(call, stdout):
     """The identity rows check the budget at each level before they list
     the labels of the levels below the windows, so a library call at a
-    level of a million raises BudgetExceeded at the first level over it."""
+    level of a million raises BudgetExceeded at the first level over it;
+    the product rows check the truncation level before they list its zero
+    rows, though only levels 1 and 2 can be nonzero."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
 

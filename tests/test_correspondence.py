@@ -260,6 +260,50 @@ def test_tower_reads_each_truncation_once(monkeypatch):
     assert len(calls) == 1444 * 5 == 7220
 
 
+@pytest.fixture
+def one_sided_miscount(monkeypatch):
+    """install(N): representative_factors with one overlap count off by one
+    in each row that it counts from c(l), the smaller class, at level N, so
+    that only the rows of some first factors are wrong.  p_block stores the
+    rows, so its cache is cleared on the way in and on the way out."""
+    import classalg.partial_algebra as pa
+
+    real = pa.representative_factors
+
+    def install(N):
+        def miscounted(c1, c, l, F):
+            out = real(c1, c, l, F)
+            if l != N or wreath_mod.class_size(c1, l, F) <= wreath_mod.class_size(c, l, F):
+                return out
+            out = {c2: dict(counts) for c2, counts in out.items()}
+            counts = next(iter(out.values()))
+            counts[next(iter(counts))] += 1
+            return out
+
+        monkeypatch.setattr(pa, "representative_factors", miscounted)
+        pa.p_block.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    pa.p_block.cache_clear()
+
+
+@pytest.mark.parametrize("family, N, checks, tower, lemma", [
+    ("sym", 5, 361, 86, 36), ("wreath:cyclic2", 3, 324, 16, 11),
+])
+def test_tower_catches_a_one_sided_miscount(
+    one_sided_miscount, family, N, checks, tower, lemma
+):
+    """A miscount in the rows of one first factor leaves the truncations
+    consistent but breaks the order of the factors, which the tower
+    compares; main-lemma, which compares P with S, fails as well."""
+    spec = parse_family(family)
+    one_sided_miscount(N)
+    res = tower_suite(spec, N)
+    assert (res["checks"], res["failures"]) == (checks, tower)
+    assert main_lemma_suite(spec, N)["failures"] == lemma
+
+
 def test_preflight_counts_each_sampled_product(monkeypatch):
     """A product x y is a factorization that S and P must count, so a
     constant read as 0 fails the preflight."""
