@@ -174,7 +174,9 @@ def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
 
 def vector_rows(a: AlgebraVector, F: FiniteGroup) -> list[list[int]]:
     """The coefficients of a truncated vector as one row per level
-    l <= a.level, indexed by label id."""
+    l <= a.level, indexed by label id; the budget is checked at a.level
+    before any label is listed."""
+    check_budget(F, a.level)
     rows = [[0] * len(level_omegas(l, F)) for l in range(a.level + 1)]
     for w, v in a.terms:
         rows[w.l][label_ids(w.l, F)[w.c]] = v
@@ -273,17 +275,16 @@ def product_rows(
 ) -> tuple[tuple[int, ...], ...]:
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
     P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); the one
-    reader of the blocks.  Only levels max(l1, l2)..l1 + l2 can be nonzero;
-    the budget is checked at each of them, and at n, before any row is
-    built or any label listed."""
+    reader of the blocks.  Only levels max(l1, l2)..min(n, l1 + l2) can be
+    nonzero.  The budget is checked once, at n, before any row is built or
+    any label listed: every level read is at most n, and |F|^l l! grows
+    with l."""
     (l1, _), (l2, c2) = w1, w2
     lo = l1 if l1 > l2 else l2
     hi = n if n < l1 + l2 else l1 + l2
-    for l in range(lo, hi + 1):
-        check_budget(F, l)
-    if n > hi:
-        check_budget(F, n)
+    check_budget(F, n)
     zeros = zero_rows(n, F)
+    # below both windows: no row to read, and no labels of l2 to list
     if hi < lo:
         return zeros
     j = label_ids(l2, F)[c2]

@@ -48,7 +48,7 @@ from math import factorial, perm
 from operator import itemgetter
 
 from .errors import BudgetExceeded, InvalidLabel, ParseError, clip, clip_int, parse_int
-from .finite_group import FiniteGroup, cycle_str
+from .finite_group import FiniteGroup, cycle_str, orbit_partition
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -371,9 +371,10 @@ def class_members(
     c: ClassLabel, F: FiniteGroup, n: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(code, support) for every element of F wr S_n with label c, each
-    once: the orbit of the label's representative under conjugation by
-    generating_set(F, n), built once per (c, F, n) and cached.  The search
-    carries supports: that of g x g^-1 is that of x moved by g's points."""
+    once, in the order found: the orbit of the representative's pair under
+    conjugation by generating_set(F, n), by finite_group.orbit_partition,
+    built once per (c, F, n) and cached.  The support of g x g^-1 is that
+    of x moved by g's points."""
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
     # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
     moves = [
@@ -381,16 +382,10 @@ def class_members(
         for g, g_inv in generating_set(F, n)
     ]
     rep = encode(class_label_representative(c, F, n), F)
-    stack = [rep]
-    support_of = {rep: _cycle_key(rep, F)[1]}
-    while stack:
-        x = stack.pop()
-        for g, after_g_inv, on_support in moves:
-            z = itemgetter(*after_g_inv(x))(g)
-            if z not in support_of:
-                support_of[z] = on_support(support_of[x])
-                stack.append(z)
-    return tuple(support_of.items())
+    return tuple(orbit_partition([(rep, _cycle_key(rep, F)[1])], lambda item: [
+        (itemgetter(*after_g_inv(item[0]))(g), on_support(item[1]))
+        for g, after_g_inv, on_support in moves
+    ]))
 
 
 def class_size(c: ClassLabel, l: int, F: FiniteGroup) -> int:

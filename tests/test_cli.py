@@ -724,9 +724,10 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
 
 OVER_AT_40 = ("level 40 over base of order 1 has more than 10000000 elements, "
               "budget is 10000000\n")
+OVER_AT_50 = OVER_AT_40.replace("level 40", "level 50")
 
 LIBRARY_CALL = """\
-from classalg.correspondence import inversion_rows, verify_main_lemma
+from classalg.correspondence import inversion_rows, phi, verify_main_lemma
 from classalg.errors import BudgetExceeded
 from classalg.finite_group import TRIVIAL
 from classalg.partial_algebra import OmegaLabel, basis_vector, ik_product, product_rows
@@ -746,13 +747,19 @@ except BudgetExceeded as exc:
      "budget is 10000000\n"),
     ("product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)", OVER_AT_40),
     ("ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)", OVER_AT_40),
-], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40"])
+    ("product_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
+    ("verify_main_lemma(60, e, 0, e, 50, e, TRIVIAL)", OVER_AT_50),
+    ("phi(basis_vector(OmegaLabel(1, e), 40), TRIVIAL)", OVER_AT_40),
+], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40",
+        "product-rows-below-windows", "main-lemma-below-windows", "phi-40"])
 def test_huge_level_library_calls_raise_at_once(call, stdout):
     """The identity rows check the budget at each level before they list
     the labels of the levels below the windows, so a library call at a
     level of a million raises BudgetExceeded at the first level over it;
     the product rows check the truncation level before they list its zero
-    rows, though only levels 1 and 2 can be nonzero."""
+    rows, though only levels 1 and 2 can be nonzero, and also when the
+    truncation is below both windows, where every row is zero; phi checks
+    the vector's level before it lists the labels of its rows."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
 
