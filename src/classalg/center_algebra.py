@@ -5,8 +5,8 @@ labels with alpha <= l.  S(c1, c2, c; l) counts the x in class c1 with
 x^-1 h in class c2, for one fixed h in class c.  The partial elements with
 window {1..l} multiply as the elements of F wr S_l do, and one pair of
 windows joins to {1..l} there, so S(c1, c2, c; l) = P((l, c1), (l, c2),
-(l, c)): center_row is the level-l row of partial_algebra.product_rows of
-(l, c1) and (l, c2), s_constant is p_constant on full windows, and
+(l, c)): center_row is the partial_algebra.product_column of (l, c1) and
+(l, c2) at level l, s_constant is p_constant on full windows, and
 center_product is the expand of center_rows; S is counted nowhere else.
 Class sizes come from the centralizer order in closed form
 (wreath.class_size, imported here).  The tests check S against literal
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from .finite_group import FiniteGroup
 from .partial_algebra import (
-    AlgebraVector, OmegaLabel, basis_vector, expand, p_constant, product_rows,
+    AlgebraVector, OmegaLabel, basis_vector, expand, p_constant, product_column,
 )
 # class_size is defined in wreath, whose representative_factors reads it,
 # and is imported here for this module's callers
-from .wreath import ClassLabel, class_size, labels_with_alpha_up_to
+from .wreath import ClassLabel, check_budget, class_size, labels_with_alpha_up_to
 
 center_basis_vector = basis_vector  # keyed by ClassLabel, sized by alpha
 
@@ -30,9 +30,10 @@ def center_row(
     c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup
 ) -> tuple[int, ...]:
     """c1(l) c2(l) as a row: S(c1, c2, c; l) for every target c, by label
-    id, the full-window row of product_rows((l, c1), (l, c2), l); c1 and
-    c2 must be realized at level l."""
-    return product_rows(OmegaLabel(l, c1), OmegaLabel(l, c2), l, F)[l]
+    id, the product_column of (l, c1) and (l, c2) at level l; c1 and c2
+    must be realized at level l."""
+    check_budget(F, l)
+    return product_column(OmegaLabel(l, c1), OmegaLabel(l, c2), l, F)
 
 
 def s_constant(

@@ -80,10 +80,10 @@ def identity_rows(
     """Both sides of the diagonal identity for the pair w1, w2 at every
     level l <= n, by target label id: the S side
     sides[l][id of c] = xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l), read from
-    center_row (P rows at the full window), and the counted P rows,
+    center_row (the full-window column of a P block), and the counted P rows,
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
-    both read one P cell.  The S side is read first, which checks the
+    both read one P column.  The S side is read first, which checks the
     budget at every level, and below max(l1, l2), where xi is 0, it takes
     the zero rows of the P rows."""
     (l1, c1), (l2, c2) = w1, w2

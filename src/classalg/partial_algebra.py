@@ -6,29 +6,28 @@ conjugation is labeled by omega = (l, c) where l = |d| and c is the class
 label of h.  The product of class sums expands with nonnegative integer
 structure constants P, which do not depend on the truncation level.
 
-P is counted a row at a time: p_row fixes one representative h of the
-target omega and weighs the counts of representative_factors, the members
-x of the first class omega1 by the label of x^-1 h and the overlap of the
-supports of x and x^-1 h, in which the window pairs holding both supports
-are a sum of binomials; one pass gives P(omega1, omega2, omega) for every
-omega2.  p_block stores the rows of omega1 into every target of a level
-once, by column: block[id of c2][l2] is the tuple of P(omega1, (l2, c2),
-(l, c)) over the target ids (a label's id is its position in
-labels_with_alpha_up_to), the zero columns sharing one tuple.  So
-e[omega1] e[omega2] is one cell of a block per level, which product_rows,
-the one reader of the blocks, reads as rows; a truncation is a slice, and
-S is the full-window row (center_algebra.center_row).  expand turns the
-rows of the pairs of terms into a sparse product, for ik_product here and
-center_product there.  p_constant weighs one count and builds no block;
-at full windows it is S.  No level group is enumerated and no product
-table is built; enumerating partial elements and multiplying them
-pairwise is left to classalg.oracles.
+P is counted a block at a time: p_block weighs, for one representative h
+of each target omega at a level, the counts of representative_factors, the
+members x of the first class omega1 by the label of x^-1 h and the overlap
+of the supports of x and x^-1 h, in which the window pairs holding both
+supports are a sum of binomials.  One pass over the targets fills
+P(omega1, omega2, omega) for every omega2, by column: block[id of c2][l2]
+is the tuple of P(omega1, (l2, c2), (l, c)) over the target ids (a label's
+id is its position in labels_with_alpha_up_to), the zero columns sharing
+one tuple.  So e[omega1] e[omega2] at a level is one column, which
+product_column, the one reader of the blocks, returns for product_rows at
+each level of a truncation and for S at the full window
+(center_algebra.center_row).  expand turns the rows of the pairs of terms
+into a sparse product, for ik_product here and center_product there.
+p_constant weighs one count and builds no block; at full windows it is S.
+No level group is enumerated and no product table is built; enumerating
+partial elements and multiplying them pairwise is left to classalg.oracles.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -220,39 +219,39 @@ def weigh(counts: dict[int, int], l: int, l1: int, l2: int, a: int, b: int) -> i
     return total
 
 
-def p_row(
-    o1: OmegaLabel, o: OmegaLabel, F: FiniteGroup
-) -> tuple[tuple[int, ...], ...]:
-    """P(o1, (l2, c2), o) for every second class, as row[id of c2][l2] for
-    each label c2 with alpha <= o.l and each l2 <= o.l, weighed from the
-    counts of representative_factors.  The row kernel that p_block stores.
-    The caller checks the budget."""
-    l, l1, a = o.l, o1.l, o1.c.alpha
-    row = [(0,) * (l + 1)] * len(labels_with_alpha_up_to(l, F))
-    ids = label_ids(l, F)
-    for c2, counts in representative_factors(o1.c, o.c, l, F).items():
-        # a second window smaller than support(x^-1 h) or than the l - l1
-        # points outside the first holds no pair
-        lo = max(l - l1, c2.alpha)
-        row[ids[c2]] = (0,) * lo + tuple(
-            weigh(counts, l, l1, l2, a, c2.alpha) for l2 in range(lo, l + 1)
-        )
-    return tuple(row)
-
-
 @lru_cache(maxsize=None)
 def p_block(
     o1: OmegaLabel, l: int, F: FiniteGroup
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The p_rows of o1 into every target at level l >= o1.l, stored by
-    column: block[id of c2][l2][id of c] = P(o1, (l2, c2), (l, c)), so a
-    product row is one cell.  The caller checks the budget."""
-    rows = [p_row(o1, o, F) for o in level_omegas(l, F)]
-    # most columns are 0, and those share one tuple
+    """P(o1, (l2, c2), (l, c)) for every second class and every target at
+    level l >= o1.l, by column: block[id of c2][l2][id of c], so a product
+    row is one column, filled in one pass over the targets.  The caller
+    checks the budget."""
+    l1, a = o1.l, o1.c.alpha
+    ids = label_ids(l, F)
     zero = zero_rows(l, F)[l]
+    # the nonzero columns by (id of c2, l2); the others share one tuple
+    cols = defaultdict(lambda: [0] * len(zero))
+    for k, c in enumerate(labels_with_alpha_up_to(l, F)):
+        for c2, counts in representative_factors(o1.c, c, l, F).items():
+            # a second window smaller than support(x^-1 h) or than the l - l1
+            # points outside the first holds no pair
+            for l2 in range(max(l - l1, c2.alpha), l + 1):
+                if v := weigh(counts, l, l1, l2, a, c2.alpha):
+                    cols[ids[c2], l2][k] = v
     return tuple(
-        tuple(col if any(col) else zero for col in zip(*cells)) for cells in zip(*rows)
+        tuple(tuple(cols[j, l2]) if (j, l2) in cols else zero for l2 in range(l + 1))
+        for j in range(len(zero))
     )
+
+
+def product_column(
+    w1: OmegaLabel, w2: OmegaLabel, l: int, F: FiniteGroup
+) -> tuple[int, ...]:
+    """P(w1, w2, (l, c)) for every target c at level l >= max(l1, l2), by
+    label id: one column of p_block(w1, l), the one read of the blocks.
+    The caller checks the budget."""
+    return p_block(w1, l, F)[label_ids(w2.l, F)[w2.c]][w2.l]
 
 
 def p_constant(
@@ -274,12 +273,11 @@ def product_rows(
     w1: OmegaLabel, w2: OmegaLabel, n: int, F: FiniteGroup
 ) -> tuple[tuple[int, ...], ...]:
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
-    P(w1, w2, (l, c)) for l <= n, each a column of p_block(w1, l); the one
-    reader of the blocks.  Only levels max(l1, l2)..min(n, l1 + l2) can be
-    nonzero.  The budget is checked once, at n, before any row is built or
-    any label listed: every level read is at most n, and |F|^l l! grows
-    with l."""
-    (l1, _), (l2, c2) = w1, w2
+    P(w1, w2, (l, c)) for l <= n, each the product_column at l.  Only
+    levels max(l1, l2)..min(n, l1 + l2) can be nonzero.  The budget is
+    checked once, at n, before any row is built or any label listed: every
+    level read is at most n, and |F|^l l! grows with l."""
+    l1, l2 = w1.l, w2.l
     lo = l1 if l1 > l2 else l2
     hi = n if n < l1 + l2 else l1 + l2
     check_budget(F, n)
@@ -287,8 +285,7 @@ def product_rows(
     # below both windows: no row to read, and no labels of l2 to list
     if hi < lo:
         return zeros
-    j = label_ids(l2, F)[c2]
-    return (zeros[:lo] + tuple([p_block(w1, l, F)[j][l2] for l in range(lo, hi + 1)])
+    return (zeros[:lo] + tuple([product_column(w1, w2, l, F) for l in range(lo, hi + 1)])
             + zeros[hi + 1:])
 
 

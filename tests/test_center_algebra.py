@@ -20,6 +20,7 @@ from classalg import (
     level_group,
     s_constant,
 )
+from classalg.center_algebra import center_row
 from classalg.finite_group import TRIVIAL
 from classalg.oracles import level_views
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
@@ -48,6 +49,15 @@ def test_center_basis_label_validation():
     with pytest.raises(InvalidLabel):
         center_basis_vector(CL([2]), 1)
     assert dict(center_basis_vector(CL([2]), 3).terms) == {CL([2]): 1}
+
+
+@pytest.mark.parametrize("c1,c2", [(CL([3]), CL([])), (CL([]), CL([3])),
+                                   (CL([2]), CL([2, 2]))])
+def test_center_row_unrealized_class_is_invalid_label(c1, c2):
+    """A c1 or c2 that needs more than l points is an InvalidLabel, not a
+    KeyError from the column read."""
+    with pytest.raises(InvalidLabel):
+        center_row(c1, c2, 2, TRIVIAL)
 
 
 def test_class_sizes():

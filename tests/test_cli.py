@@ -398,22 +398,23 @@ def corrupt_center_row(monkeypatch):
 
 
 @pytest.fixture
-def corrupt_p_row(monkeypatch):
-    """Every p_row cell off by one, which moves S with P, since S is read
-    from the same rows; p_block stores the rows it reads from p_row, so its
+def corrupt_p_block(monkeypatch):
+    """Every cell of every P block off by one, zero cells included, which
+    moves S with P, since S is read from the same blocks; the real block
     cache is cleared on the way in and on the way out."""
     import classalg.partial_algebra as pa
 
-    real = pa.p_row
+    real = pa.p_block
 
-    def broken(o1, o, F):
-        return tuple(tuple(v + 1 for v in cells) for cells in real(o1, o, F))
+    def broken(o1, l, F):
+        return tuple(tuple(tuple(v + 1 for v in col) for col in cols)
+                     for cols in real(o1, l, F))
 
-    monkeypatch.setattr(pa, "p_row", broken)
-    pa.p_block.cache_clear()
+    monkeypatch.setattr(pa, "p_block", broken)
+    real.cache_clear()
     yield
     monkeypatch.undo()
-    pa.p_block.cache_clear()
+    real.cache_clear()
 
 
 def test_verify_failure_exits_1(capsys, corrupt_product_rows):
@@ -472,8 +473,8 @@ def test_verify_corrupted_s_row_exits_1(capsys, corrupt_center_row, suite):
 @pytest.mark.parametrize("suite, failures", [
     ("main-lemma", 13), ("invert", 2), ("phi", 4),
 ])
-def test_verify_corrupted_row_kernel_exits_1(capsys, corrupt_p_row, suite, failures):
-    """Every p_row cell off by one, S with it: the checks that read
+def test_verify_corrupted_row_kernel_exits_1(capsys, corrupt_p_block, suite, failures):
+    """Every P block cell off by one, S with it: the checks that read
     different P cells on their two sides still fail."""
     code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
     assert code == 1
@@ -725,8 +726,10 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
 OVER_AT_40 = ("level 40 over base of order 1 has more than 10000000 elements, "
               "budget is 10000000\n")
 OVER_AT_50 = OVER_AT_40.replace("level 40", "level 50")
+OVER_AT_1E6 = OVER_AT_40.replace("level 40", "level 1000000")
 
 LIBRARY_CALL = """\
+from classalg.center_algebra import center_row
 from classalg.correspondence import inversion_rows, phi, verify_main_lemma
 from classalg.errors import BudgetExceeded
 from classalg.finite_group import TRIVIAL
@@ -742,16 +745,16 @@ except BudgetExceeded as exc:
 
 @pytest.mark.parametrize("call,stdout", [
     ("verify_main_lemma(1, e, 1, e, 10**6, e, TRIVIAL)", OVER_AT_11[7:]),
-    ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)",
-     "level 1000000 over base of order 1 has more than 10000000 elements, "
-     "budget is 10000000\n"),
+    ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)", OVER_AT_1E6),
     ("product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)", OVER_AT_40),
     ("ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)", OVER_AT_40),
     ("product_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
     ("verify_main_lemma(60, e, 0, e, 50, e, TRIVIAL)", OVER_AT_50),
     ("phi(basis_vector(OmegaLabel(1, e), 40), TRIVIAL)", OVER_AT_40),
+    ("center_row(e, e, 10**6, TRIVIAL)", OVER_AT_1E6),
 ], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40",
-        "product-rows-below-windows", "main-lemma-below-windows", "phi-40"])
+        "product-rows-below-windows", "main-lemma-below-windows", "phi-40",
+        "center-row-1e6"])
 def test_huge_level_library_calls_raise_at_once(call, stdout):
     """The identity rows check the budget at each level before they list
     the labels of the levels below the windows, so a library call at a
@@ -759,7 +762,8 @@ def test_huge_level_library_calls_raise_at_once(call, stdout):
     the product rows check the truncation level before they list its zero
     rows, though only levels 1 and 2 can be nonzero, and also when the
     truncation is below both windows, where every row is zero; phi checks
-    the vector's level before it lists the labels of its rows."""
+    the vector's level before it lists the labels of its rows, and
+    center_row its level before it reads a block column."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
 

@@ -45,7 +45,7 @@ from classalg.oracles import (
     _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
 )
 from classalg.partial_algebra import (
-    level_omegas, product_rows, vector_rows, window_pairs,
+    level_omegas, p_block, product_rows, vector_rows, window_pairs,
 )
 from classalg.wreath import (
     class_label_representative,
@@ -349,28 +349,33 @@ ROW_BASES = {
          for N in range(top + 1)],
 )
 def test_p_row_matches_pair_count(F, N):
-    """Every P read from a row equals the window-by-window pair count at
-    the same representative, for all triples of labels at level N.  The
-    count reads a grouping built here from class_members and code_class,
-    the shape factor_supports_oracle gives without enumerating the level.
-    Outside max(l1, l2) <= l <= l1 + l2 no pair of windows fits and
-    p_constant must read 0."""
+    """Every P, from p_constant and from its cell of the P block built in
+    one pass, equals the window-by-window pair count at the same
+    representative, for all triples of labels at level N.  The count reads
+    a grouping built here from class_members and code_class, the shape
+    factor_supports_oracle gives without enumerating the level.  Outside
+    max(l1, l2) <= l <= l1 + l2 no pair of windows fits and both must read
+    0; a block of o1 at level l holds the cells of every l2 <= l."""
     basis = truncation_basis(N, F)
     wrong = []
     for o in basis:
         grouped = {}
+        ids = label_ids(o.l, F)
         for o1 in basis:
-            factors = {}
+            factors, block = {}, None
             if o1.l <= o.l:
                 if o1.c not in grouped:
                     grouped[o1.c] = packed_factors(o1.c, o.c, o.l, F)
-                factors = grouped[o1.c]
+                factors, block = grouped[o1.c], p_block(o1, o.l, F)
             for o2 in basis:
                 expected = 0
                 if max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
                     expected = _pair_count(o.l, o1, o2, factors)
                 if p_constant(o1, o2, o, F) != expected:
-                    wrong.append((o1, o2, o))
+                    wrong.append(("p_constant", o1, o2, o))
+                if block is not None and o2.l <= o.l and \
+                        block[ids[o2.c]][o2.l][ids[o.c]] != expected:
+                    wrong.append(("p_block", o1, o2, o))
     assert not wrong, wrong[:5]
 
 
