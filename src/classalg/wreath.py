@@ -23,8 +23,8 @@ labels and supports are read off the code without decoding it.
 
 Conjugacy classes are labeled by the multiset of (cycle length, F-class of
 the cycle product), with (1, identity-class) pairs dropped.  The members of
-a class are the orbit of one representative under conjugation by
-generating_set(F, n), built once per class and level and cached.  That the
+a class, bare codes, are the orbit of one representative under conjugation
+by generating_set(F, n), built once per class and level and cached.  That the
 label is a complete invariant is tested, never assumed: the tests group the
 codes of a fully enumerated level by code_class and compare the groups with
 the orbits under the same set (classalg.oracles), and those with the orbits
@@ -133,8 +133,8 @@ def apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
 
 def mask_mover(code: tuple[int, ...], F: FiniteGroup):
     """apply_perm_to_mask by the permutation of the points that the element
-    encoded by code makes, cached: an orbit search moves the same few
-    supports or windows by one generator many times."""
+    encoded by code makes, cached: the audit's orbit search moves the same
+    few windows by one generator many times."""
     m = F.order
     perm = tuple(code[j * m] // m for j in range(len(code) // m))
     return lru_cache(maxsize=None)(partial(apply_perm_to_mask, perm))
@@ -367,24 +367,17 @@ def generating_set(
 
 
 @lru_cache(maxsize=None)
-def class_members(
-    c: ClassLabel, F: FiniteGroup, n: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(code, support) for every element of F wr S_n with label c, each
-    once, in the order found: the orbit of the representative's pair under
-    conjugation by generating_set(F, n), by finite_group.orbit_partition,
-    built once per (c, F, n) and cached.  The support of g x g^-1 is that
-    of x moved by g's points."""
+def class_members(c: ClassLabel, F: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+    """The code of every element of F wr S_n with label c, each once, in the
+    order found: the orbit of the representative under conjugation by
+    generating_set(F, n), by finite_group.orbit_partition, built once per
+    (c, F, n) and cached."""
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
     # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
-    moves = [
-        (g, itemgetter(*g_inv), mask_mover(g, F))
-        for g, g_inv in generating_set(F, n)
-    ]
+    moves = [(g, itemgetter(*g_inv)) for g, g_inv in generating_set(F, n)]
     rep = encode(class_label_representative(c, F, n), F)
-    return tuple(orbit_partition([(rep, _cycle_key(rep, F)[1])], lambda item: [
-        (itemgetter(*after_g_inv(item[0]))(g), on_support(item[1]))
-        for g, after_g_inv, on_support in moves
+    return tuple(orbit_partition([rep], lambda x: [
+        itemgetter(*after_g_inv(x))(g) for g, after_g_inv in moves
     ]))
 
 
@@ -419,30 +412,33 @@ def representative_factors(
     overlap number |c(l)| times the count at z = h and |c1(l)| times the
     count at x = x0, the representative of c1, as conjugating both keeps
     the label and the overlap.  So when c(l) is smaller its members z are
-    enumerated, counted by the label of x0^-1 z and |support(x0) &
-    support(x0^-1 z)|, and each count is scaled by |c1(l)| / |c(l)|, an
-    exact division or an ArithmeticError.  Otherwise the inverses z = x^-1
-    are enumerated, the members of inverse_label(c1), with support(z) =
-    support(x).  Each member costs one composition and one cycle walk.
+    enumerated, counted by the label of y = x0^-1 z and |support(x0) &
+    support(y)|, support(x0) being the first alpha(c1) points, and each
+    count is scaled by |c1(l)| / |c(l)|, an exact division or an
+    ArithmeticError.  Otherwise the inverses z = x^-1 are enumerated, the
+    members of inverse_label(c1), and the overlap is read from y = x^-1 h
+    alone: h moves or decorates exactly H, the first alpha(c) points.  Off
+    H, y acts as x^-1 does, so support(x) and support(y) agree there, and
+    y moves each point of H that x fixes, since x y = h moves it.  So their
+    union is H and support(x) off H, and the overlap is
+    alpha(c1) - alpha(c) + |support(y) & H|.  Each member costs one
+    composition and one cycle walk.
     """
-    # each member gives the code of x^-1 h (or x0^-1 z), composed inline,
-    # and the support of x (or x0) that it overlaps
     num, den = class_size(c1, l, F), class_size(c, l, F)
     if num <= den:
         h = encode(class_label_representative(c, F, l), F)
-        pairs = ((tuple(map(z.__getitem__, h)), sz)
-                 for z, sz in class_members(inverse_label(c1, F), F, l))
+        ys = (tuple(map(z.__getitem__, h))
+              for z in class_members(inverse_label(c1, F), F, l))
+        base, mask = c1.alpha - c.alpha, (1 << c.alpha) - 1
         num = den = 1  # no scaling
     else:
         x0_inv = code_inverse(encode(class_label_representative(c1, F, l), F))
-        # x0 moves or decorates exactly the first alpha(c1) points
-        sx = (1 << c1.alpha) - 1
-        pairs = ((tuple(map(x0_inv.__getitem__, z)), sx)
-                 for z, _ in class_members(c, F, l))
+        ys = (tuple(map(x0_inv.__getitem__, z)) for z in class_members(c, F, l))
+        base, mask = 0, (1 << c1.alpha) - 1
     tally: dict[tuple, int] = {}
-    for y, s in pairs:
+    for y in ys:
         key, sy = _cycle_key(y, F)
-        pair = key, (s & sy).bit_count()
+        pair = key, base + (sy & mask).bit_count()
         tally[pair] = tally.get(pair, 0) + 1
     out: dict[ClassLabel, dict[int, int]] = {}
     for (key, t), k in tally.items():

@@ -326,9 +326,9 @@ def packed_factors(c1, c, l, F):
     enumerated level."""
     hc = encode(class_label_representative(c, F, l), F)
     groups = {}
-    for z, sz in class_members(inverse_label(c1, F), F, l):
+    for z in class_members(inverse_label(c1, F), F, l):
         lab, sy = code_class(compose(z, hc), F)
-        groups.setdefault(lab, []).append(sz | sy << l)
+        groups.setdefault(lab, []).append(code_class(z, F)[1] | sy << l)
     return groups
 
 

@@ -222,6 +222,16 @@ _USER_BASES = {
 }
 
 
+def _row_sides(F, l):
+    """The (c1, c) pairs at level l whose row is counted from the members
+    of c1 (|c1(l)| <= |c(l)|), and those counted from the members of c."""
+    labels = labels_with_alpha_up_to(l, F)
+    size = {c: wreath_mod.class_size(c, l, F) for c in labels}
+    from_c1 = [(c1, c) for c1 in labels for c in labels if size[c1] <= size[c]]
+    from_c = [(c1, c) for c1 in labels for c in labels if size[c] < size[c1]]
+    return from_c1, from_c
+
+
 @pytest.mark.parametrize("name", sorted(_USER_BASES))
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), l=st.integers(2, 3))
@@ -231,11 +241,7 @@ def test_representative_factors_from_either_class(name, data, l):
     smaller c) both equal the reference grouping; a scaling that leaves a
     remainder raises instead of rounding."""
     F = _USER_BASES[name]
-    labels = labels_with_alpha_up_to(l, F)
-    size = {c: wreath_mod.class_size(c, l, F) for c in labels}
-    from_c1 = [(c1, c) for c1 in labels for c in labels if size[c1] <= size[c]]
-    from_c = [(c1, c) for c1 in labels for c in labels if size[c] < size[c1]]
-    for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in (from_c1, from_c)):
+    for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in _row_sides(F, l)):
         assert representative_factors(c1, c, l, F) == _overlap_counts(c1, c, l, F)
     # c's class above every count and c1's one larger, so c is the side
     # counted and k (big + 1) / big leaves k for every count k
@@ -244,6 +250,21 @@ def test_representative_factors_from_either_class(name, data, l):
         m.setattr(wreath_mod, "class_size", lambda c2, *_: big if c2 == c else big + 1)
         with pytest.raises(ArithmeticError, match="is not a multiple of"):
             representative_factors.__wrapped__(c1, c, l, F)
+
+
+@pytest.mark.parametrize(
+    "F,l", [(TRIVIAL, 6), (TRIVIAL, 7), (Z2, 5)], ids=["sym-6", "sym-7", "cyclic2-5"]
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_representative_factors_sampled_above_exhaustive_levels(F, l, data):
+    """Rows drawn from both sides, as in
+    test_representative_factors_from_either_class, equal the reference
+    grouping at levels test_factor_supports_match_reference does not
+    enumerate: the overlap read from x^-1 h alone, at more points outside
+    the support of h."""
+    for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in _row_sides(F, l)):
+        assert representative_factors(c1, c, l, F) == _overlap_counts(c1, c, l, F), (c1, c)
 
 
 # --- support ---
@@ -438,14 +459,12 @@ _MEMBER_CASES = [
 )
 def test_class_members_match_level_group(name, F, n):
     """Members generated from a label are exactly the label's fiber in the
-    enumerated level, each once, and each comes with its support."""
-    G, _, sup, by_label = level_views(F, n)
+    enumerated level, each once."""
+    G, _, _, by_label = level_views(F, n)
     for c in labels_with_alpha_up_to(n, F):
-        generated = list(class_members(c, F, n))
-        members = [G.index[x] for x, _ in generated]
+        members = [G.index[x] for x in class_members(c, F, n)]
         assert len(members) == len(set(members)), c
         assert set(members) == set(by_label[c]), c
-        assert [sup[i] for i in members] == [s for _, s in generated], c
     with pytest.raises(InvalidLabel):
         next(class_members(ClassLabel.from_pairs([(n + 2, 0)]), F, n))
 
