@@ -21,7 +21,7 @@ from math import comb
 from operator import add, mul
 
 from .center_algebra import center_row
-from .errors import InvalidLabel, LevelMismatch, ParseError, clip
+from .errors import InvalidLabel, LevelMismatch, ParseError, clip, clip_int
 from .finite_group import FiniteGroup, builtin_group, orbit_partition
 from .partial_algebra import (
     AlgebraVector,
@@ -205,11 +205,12 @@ def phi_preimage(
     by forward_substitute."""
     if target_c.alpha > target_l:
         raise InvalidLabel(
-            f"class needs alpha={target_c.alpha} points, level is {target_l}"
+            f"class needs alpha={clip_int(target_c.alpha)} points, "
+            f"level is {clip_int(target_l)}"
         )
     if target_l > N:
         raise LevelMismatch(
-            f"target level {target_l} exceeds truncation level {N}"
+            f"target level {clip_int(target_l)} exceeds truncation level {clip_int(N)}"
         )
     levels = range(target_l, N + 1)
     gamma = forward_substitute((1,) + (0,) * (N - target_l), levels, target_c)

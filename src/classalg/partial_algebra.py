@@ -185,9 +185,8 @@ def vector_rows(a: AlgebraVector, F: FiniteGroup) -> list[list[int]]:
 def project(a: AlgebraVector, new_level: int) -> AlgebraVector:
     """Truncation projection: drop every term with window size above new_level."""
     if new_level > a.level:
-        raise LevelMismatch(
-            f"cannot project from level {a.level} up to {new_level}"
-        )
+        raise LevelMismatch(f"cannot project from level {clip_int(a.level)} "
+                            f"up to {clip_int(new_level)}")
     # a sorted vector stays sorted when terms are dropped
     return AlgebraVector(
         new_level, tuple(t for t in a.terms if t[0].l <= new_level)
@@ -294,7 +293,7 @@ def expand(a: AlgebraVector, b: AlgebraVector, rows, keys) -> AlgebraVector:
     position, of each pair of terms, scaled and summed, then labelled by
     keys(), called after every row read has checked the budget."""
     if a.level != b.level:
-        raise LevelMismatch(f"levels differ: {a.level} != {b.level}")
+        raise LevelMismatch(f"levels differ: {clip_int(a.level)} != {clip_int(b.level)}")
     acc: list[int] = []
     for k1, x in a.terms:
         for k2, y in b.terms:

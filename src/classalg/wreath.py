@@ -31,9 +31,9 @@ the orbits under the same set (classalg.oracles), and those with the orbits
 under every element.  The oracles label and decode elements by the
 GroupElement reference, never by code_class.  The P rows, and S in them,
 read only representative_factors, which counts the members x of a class
-by the label of x^-1 h and the overlap of the supports of x and x^-1 h,
-enumerating whichever class of the row is smaller at its level: the first
-class, or that of h, with an exact scaling by the ratio of class sizes.
+by the label of x^-1 h and the overlap of the supports of x and x^-1 h in
+one loop over the inverses of x; when the class of h comes first, by size
+and then label, the row is read transposed from the row counted from it.
 """
 
 from __future__ import annotations
@@ -406,47 +406,42 @@ def representative_factors(
 ) -> dict[ClassLabel, dict[int, int]]:
     """The members x of class c1 at level l counted by the label of x^-1 h,
     h = class_label_representative(c, F, l), and by the overlap
-    |support(x) & support(x^-1 h)|, cached, enumerating the smaller class.
+    |support(x) & support(x^-1 h)|, cached.
 
-    The pairs (x, z) in c1(l) x c(l) with x^-1 z of a given label and
-    overlap number |c(l)| times the count at z = h and |c1(l)| times the
-    count at x = x0, the representative of c1, as conjugating both keeps
-    the label and the overlap.  So when c(l) is smaller its members z are
-    enumerated, counted by the label of y = x0^-1 z and |support(x0) &
-    support(y)|, support(x0) being the first alpha(c1) points, and each
-    count is scaled by |c1(l)| / |c(l)|, an exact division or an
-    ArithmeticError.  Otherwise the inverses z = x^-1 are enumerated, the
-    members of inverse_label(c1), and the overlap is read from y = x^-1 h
-    alone: h moves or decorates exactly H, the first alpha(c) points.  Off
-    H, y acts as x^-1 does, so support(x) and support(y) agree there, and
-    y moves each point of H that x fixes, since x y = h moves it.  So their
-    union is H and support(x) off H, and the overlap is
-    alpha(c1) - alpha(c) + |support(y) & H|.  Each member costs one
-    composition and one cycle walk.
+    The inverses z = x^-1, the members of inverse_label(c1), are enumerated
+    and the overlap is read from y = x^-1 h alone: h moves or decorates
+    exactly H, the first alpha(c) points.  Off H, y acts as x^-1 does, and y
+    moves each point of H that x fixes, since x y = h moves it; so the
+    overlap is alpha(c1) - alpha(c) + |support(y) & H|.
+
+    The pairs (x, z) in c1(l) x c(l) with x^-1 z of label c2 and overlap t
+    number |c(l)| times the count, and |c1(l)| times the count of the row
+    (c, c1) at inverse_label(c2) and overlap t + alpha(c) - alpha(c1), as x
+    and z = x y agree off support(y).  So when (|c1(l)|, c1) is after
+    (|c(l)|, c), by size and then sort_key, the row is that one scaled by
+    |c1(l)| / |c(l)|, an exact division or an ArithmeticError.
     """
     num, den = class_size(c1, l, F), class_size(c, l, F)
-    if num <= den:
-        h = encode(class_label_representative(c, F, l), F)
-        ys = (tuple(map(z.__getitem__, h))
-              for z in class_members(inverse_label(c1, F), F, l))
-        base, mask = c1.alpha - c.alpha, (1 << c.alpha) - 1
-        num = den = 1  # no scaling
-    else:
-        x0_inv = code_inverse(encode(class_label_representative(c1, F, l), F))
-        ys = (tuple(map(x0_inv.__getitem__, z)) for z in class_members(c, F, l))
-        base, mask = 0, (1 << c1.alpha) - 1
+    base = c1.alpha - c.alpha
+    out: dict[ClassLabel, dict[int, int]] = {}
+    if (num, c1.sort_key()) > (den, c.sort_key()):
+        for c2, counts in representative_factors(c, c1, l, F).items():
+            row = out[inverse_label(c2, F)] = {}
+            for t, k in counts.items():
+                row[base + t], rest = divmod(k * num, den)
+                if rest:
+                    raise ArithmeticError(f"{clip_int(k)} pairs times {clip_int(num)} "
+                                          f"is not a multiple of {clip_int(den)}")
+        return out
+    h = encode(class_label_representative(c, F, l), F)
+    mask = (1 << c.alpha) - 1
     tally: dict[tuple, int] = {}
-    for y in ys:
-        key, sy = _cycle_key(y, F)
+    for z in class_members(inverse_label(c1, F), F, l):
+        key, sy = _cycle_key(tuple(map(z.__getitem__, h)), F)
         pair = key, base + (sy & mask).bit_count()
         tally[pair] = tally.get(pair, 0) + 1
-    out: dict[ClassLabel, dict[int, int]] = {}
     for (key, t), k in tally.items():
-        count, rest = divmod(k * num, den)
-        if rest:
-            raise ArithmeticError(f"{clip_int(k)} pairs times {clip_int(num)} "
-                                  f"is not a multiple of {clip_int(den)}")
-        out.setdefault(_key_label(key), {})[t] = count
+        out.setdefault(_key_label(key), {})[t] = k
     return out
 
 

@@ -204,10 +204,11 @@ _GROUPING_CASES = [
     "name,F,n", _GROUPING_CASES, ids=[f"{name}-{n}" for name, _, n in _GROUPING_CASES]
 )
 def test_factor_supports_match_reference(name, F, n):
-    """The grouping made from codes, over the inverse of the first class or
-    over the target's class, whichever is smaller, equals the GroupElement
-    reference over the enumerated class, each member's pair of supports
-    reduced to their overlap, for every first class and target at level n."""
+    """The grouping made from codes, counted over the inverse of the first
+    class or read transposed from the row of the target's class, equals the
+    GroupElement reference over the enumerated class, each member's pair of
+    supports reduced to their overlap, for every first class and target at
+    level n."""
     labels = labels_with_alpha_up_to(n, F)
     for c in labels:
         for c1 in labels:
@@ -224,27 +225,28 @@ _USER_BASES = {
 
 def _row_sides(F, l):
     """The (c1, c) pairs at level l whose row is counted from the members
-    of c1 (|c1(l)| <= |c(l)|), and those counted from the members of c."""
+    of inverse_label(c1), and those read transposed from the row of
+    (c, c1): (|c1(l)|, c1) after (|c(l)|, c), by size and then sort_key."""
     labels = labels_with_alpha_up_to(l, F)
-    size = {c: wreath_mod.class_size(c, l, F) for c in labels}
-    from_c1 = [(c1, c) for c1 in labels for c in labels if size[c1] <= size[c]]
-    from_c = [(c1, c) for c1 in labels for c in labels if size[c] < size[c1]]
-    return from_c1, from_c
+    order = {c: (wreath_mod.class_size(c, l, F), c.sort_key()) for c in labels}
+    counted = [(c1, c) for c1 in labels for c in labels if order[c1] <= order[c]]
+    transposed = [(c1, c) for c1 in labels for c in labels if order[c] < order[c1]]
+    return counted, transposed
 
 
 @pytest.mark.parametrize("name", sorted(_USER_BASES))
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), l=st.integers(2, 3))
 def test_representative_factors_from_either_class(name, data, l):
-    """A row counted from the members of c1 (|c1(l)| <= |c(l)|) and one
-    counted from the members of c and scaled by |c1(l)| / |c(l)| (the
-    smaller c) both equal the reference grouping; a scaling that leaves a
-    remainder raises instead of rounding."""
+    """A row counted from the members of inverse_label(c1) and one read
+    transposed from the row of (c, c1) and scaled by |c1(l)| / |c(l)| both
+    equal the reference grouping; a scaling that leaves a remainder raises
+    instead of rounding."""
     F = _USER_BASES[name]
     for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in _row_sides(F, l)):
         assert representative_factors(c1, c, l, F) == _overlap_counts(c1, c, l, F)
-    # c's class above every count and c1's one larger, so c is the side
-    # counted and k (big + 1) / big leaves k for every count k
+    # c's class above every count and c1's one larger, so the row is read
+    # transposed and k (big + 1) / big leaves k for every count k
     big = 10**9
     with pytest.MonkeyPatch.context() as m:
         m.setattr(wreath_mod, "class_size", lambda c2, *_: big if c2 == c else big + 1)
@@ -253,16 +255,18 @@ def test_representative_factors_from_either_class(name, data, l):
 
 
 @pytest.mark.parametrize(
-    "F,l", [(TRIVIAL, 6), (TRIVIAL, 7), (Z2, 5)], ids=["sym-6", "sym-7", "cyclic2-5"]
+    "F,l", [(TRIVIAL, 6), (TRIVIAL, 7), (Z2, 5), (Z3, 4)],
+    ids=["sym-6", "sym-7", "cyclic2-5", "cyclic3-4"],
 )
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_representative_factors_sampled_above_exhaustive_levels(F, l, data):
-    """Rows drawn from both sides, as in
+    """Rows drawn from both sides, counted and read transposed, as in
     test_representative_factors_from_either_class, equal the reference
     grouping at levels test_factor_supports_match_reference does not
     enumerate: the overlap read from x^-1 h alone, at more points outside
-    the support of h."""
+    the support of h, and over cyclic3, whose classes are not all their own
+    inverses, the transposed label inverse_label(c2)."""
     for c1, c in (data.draw(st.sampled_from(pairs)) for pairs in _row_sides(F, l)):
         assert representative_factors(c1, c, l, F) == _overlap_counts(c1, c, l, F), (c1, c)
 
