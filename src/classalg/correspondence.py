@@ -80,7 +80,7 @@ def identity_rows(
     """Both sides of the diagonal identity for the pair w1, w2 at every
     level l <= n, by target label id: the S side
     sides[l][id of c] = xi(l1,c1;l) xi(l2,c2;l) S(c1,c2,c;l), read from
-    center_row (the full-window column of a P block), and the counted P rows,
+    center_row (the full-window P column), and the counted P rows,
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
     both read one P column.  The S side is read first, which checks the

@@ -6,20 +6,20 @@ conjugation is labeled by omega = (l, c) where l = |d| and c is the class
 label of h.  The product of class sums expands with nonnegative integer
 structure constants P, which do not depend on the truncation level.
 
-P is counted a block at a time: p_block weighs, for one representative h
-of each target omega at a level, the counts of representative_factors, the
-members x of the first class omega1 by the label of x^-1 h and the overlap
-of the supports of x and x^-1 h, in which the window pairs holding both
-supports are a sum of binomials.  One pass over the targets fills
-P(omega1, omega2, omega) for every omega2, by column: block[id of c2][l2]
-is the tuple of P(omega1, (l2, c2), (l, c)) over the target ids (a label's
-id is its position in labels_with_alpha_up_to), the zero columns sharing
-one tuple.  So e[omega1] e[omega2] at a level is one column, which
-product_column, the one reader of the blocks, returns for product_rows at
-each level of a truncation and for S at the full window
-(center_algebra.center_row).  expand turns the rows of the pairs of terms
-into a sparse product, for ik_product here and center_product there.
-p_constant weighs one count and builds no block; at full windows it is S.
+P is weighed when it is read.  representative_factors counts, for one
+representative h of a target class c at level l, the members x of the first
+class c1 by the label of x^-1 h and by the overlap of the supports of x and
+x^-1 h; weigh sums those counts against window_pairs, the pairs of windows
+holding both supports, a sum of binomials.  factor_rows(c1, l) files the
+rows of every target under each second class c2 in one pass, shared by
+every first window size.  So e[omega1] e[omega2] at level l is one column,
+P(omega1, omega2, (l, c)) over the target ids (a label's id is its position
+in labels_with_alpha_up_to), which product_column weighs from the entries
+filed under c2 and returns for product_rows at each level of a truncation
+and for S at the full window (center_algebra.center_row).  expand turns the
+rows of the pairs of terms into a sparse product, for ik_product here and
+center_product there.  p_constant weighs one count of one row; at full
+windows it is S.
 No level group is enumerated and no product table is built; enumerating
 partial elements and multiplying them pairwise is left to classalg.oracles.
 """
@@ -27,7 +27,7 @@ partial elements and multiplying them pairwise is left to classalg.oracles.
 from __future__ import annotations
 
 import re
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -219,38 +219,32 @@ def weigh(counts: dict[int, int], l: int, l1: int, l2: int, a: int, b: int) -> i
 
 
 @lru_cache(maxsize=None)
-def p_block(
-    o1: OmegaLabel, l: int, F: FiniteGroup
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """P(o1, (l2, c2), (l, c)) for every second class and every target at
-    level l >= o1.l, by column: block[id of c2][l2][id of c], so a product
-    row is one column, filled in one pass over the targets.  The caller
-    checks the budget."""
-    l1, a = o1.l, o1.c.alpha
-    ids = label_ids(l, F)
-    zero = zero_rows(l, F)[l]
-    # the nonzero columns by (id of c2, l2); the others share one tuple
-    cols = defaultdict(lambda: [0] * len(zero))
+def factor_rows(
+    c1: ClassLabel, l: int, F: FiniteGroup
+) -> dict[ClassLabel, list[tuple[int, dict[int, int]]]]:
+    """For each second class c2, the (id of c, counts) of every target c at
+    level l whose representative_factors(c1, c, l) row holds c2, by id of c:
+    one pass over the targets, shared by every first window size.  The
+    caller checks the budget."""
+    rows: dict[ClassLabel, list[tuple[int, dict[int, int]]]] = {}
     for k, c in enumerate(labels_with_alpha_up_to(l, F)):
-        for c2, counts in representative_factors(o1.c, c, l, F).items():
-            # a second window smaller than support(x^-1 h) or than the l - l1
-            # points outside the first holds no pair
-            for l2 in range(max(l - l1, c2.alpha), l + 1):
-                if v := weigh(counts, l, l1, l2, a, c2.alpha):
-                    cols[ids[c2], l2][k] = v
-    return tuple(
-        tuple(tuple(cols[j, l2]) if (j, l2) in cols else zero for l2 in range(l + 1))
-        for j in range(len(zero))
-    )
+        for c2, counts in representative_factors(c1, c, l, F).items():
+            rows.setdefault(c2, []).append((k, counts))
+    return rows
 
 
 def product_column(
     w1: OmegaLabel, w2: OmegaLabel, l: int, F: FiniteGroup
 ) -> tuple[int, ...]:
     """P(w1, w2, (l, c)) for every target c at level l >= max(l1, l2), by
-    label id: one column of p_block(w1, l), the one read of the blocks.
-    The caller checks the budget."""
-    return p_block(w1, l, F)[label_ids(w2.l, F)[w2.c]][w2.l]
+    label id: the factor_rows of c1 at l that hold c2, each weighed when
+    read.  window_pairs is 0 wherever no pair of windows fits, so every l2
+    is read alike.  The caller checks the budget."""
+    (l1, c1), (l2, c2) = w1, w2
+    col = [0] * len(labels_with_alpha_up_to(l, F))
+    for k, counts in factor_rows(c1, l, F).get(c2, ()):
+        col[k] = weigh(counts, l, l1, l2, c1.alpha, c2.alpha)
+    return tuple(col)
 
 
 def p_constant(

@@ -200,7 +200,7 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
     and with the order of the factors: for every ordered pair of basis
     labels, its rows at level N, read once, cut to each np < N equal the
     rows computed at np, and equal the rows of the other order.  The two
-    orders read the P blocks of different first factors, so a one-sided
+    orders read the factor_rows of different first classes, so a one-sided
     miscount fails; a symmetric one is left to main-lemma, invert and phi,
     which compare P with S."""
     F = spec.base

@@ -398,23 +398,21 @@ def corrupt_center_row(monkeypatch):
 
 
 @pytest.fixture
-def corrupt_p_block(monkeypatch):
-    """Every cell of every P block off by one, zero cells included, which
-    moves S with P, since S is read from the same blocks; the real block
-    cache is cleared on the way in and on the way out."""
+def corrupt_product_column(monkeypatch):
+    """Every cell of every P column off by one, zero cells included, which
+    moves S with P, since S is read as a column too: both the
+    partial_algebra binding, which product_rows reads, and the
+    center_algebra one, which center_row reads, are patched."""
+    import classalg.center_algebra as ca
     import classalg.partial_algebra as pa
 
-    real = pa.p_block
+    real = pa.product_column
 
-    def broken(o1, l, F):
-        return tuple(tuple(tuple(v + 1 for v in col) for col in cols)
-                     for cols in real(o1, l, F))
+    def broken(w1, w2, l, F):
+        return tuple(v + 1 for v in real(w1, w2, l, F))
 
-    monkeypatch.setattr(pa, "p_block", broken)
-    real.cache_clear()
-    yield
-    monkeypatch.undo()
-    real.cache_clear()
+    monkeypatch.setattr(pa, "product_column", broken)
+    monkeypatch.setattr(ca, "product_column", broken)
 
 
 def test_verify_failure_exits_1(capsys, corrupt_product_rows):
@@ -473,8 +471,9 @@ def test_verify_corrupted_s_row_exits_1(capsys, corrupt_center_row, suite):
 @pytest.mark.parametrize("suite, failures", [
     ("main-lemma", 13), ("invert", 2), ("phi", 4),
 ])
-def test_verify_corrupted_row_kernel_exits_1(capsys, corrupt_p_block, suite, failures):
-    """Every P block cell off by one, S with it: the checks that read
+def test_verify_corrupted_row_kernel_exits_1(capsys, corrupt_product_column, suite,
+                                            failures):
+    """Every P column cell off by one, S with it: the checks that read
     different P cells on their two sides still fail."""
     code, out, _ = run(capsys, "verify", suite, "--family", "sym", "--level", "2")
     assert code == 1

@@ -45,7 +45,7 @@ from classalg.oracles import (
     _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
 )
 from classalg.partial_algebra import (
-    level_omegas, p_block, product_rows, vector_rows, window_pairs,
+    level_omegas, product_column, product_rows, vector_rows, window_pairs,
 )
 from classalg.wreath import (
     class_label_representative,
@@ -349,33 +349,39 @@ ROW_BASES = {
          for N in range(top + 1)],
 )
 def test_p_row_matches_pair_count(F, N):
-    """Every P, from p_constant and from its cell of the P block built in
-    one pass, equals the window-by-window pair count at the same
-    representative, for all triples of labels at level N.  The count reads
-    a grouping built here from class_members and code_class, the shape
-    factor_supports_oracle gives without enumerating the level.  Outside
-    max(l1, l2) <= l <= l1 + l2 no pair of windows fits and both must read
-    0; a block of o1 at level l holds the cells of every l2 <= l."""
+    """Every P, from p_constant and from its cell of product_column, equals
+    the window-by-window pair count at the same representative, for all
+    triples of labels at level N.  The count reads a grouping built here
+    from class_members and code_class, the shape factor_supports_oracle
+    gives without enumerating the level.  Outside max(l1, l2) <= l <= l1 +
+    l2 no pair of windows fits and both must read 0; a column is read for
+    every l1, l2 <= l, once per pair and level."""
     basis = truncation_basis(N, F)
     wrong = []
+    columns, level = {}, None
     for o in basis:
+        if o.l != level:
+            # the basis is in level order: keep one level's columns
+            columns, level = {}, o.l
         grouped = {}
         ids = label_ids(o.l, F)
-        for o1 in basis:
-            factors, block = {}, None
+        for i, o1 in enumerate(basis):
+            factors, read = {}, columns.setdefault(i, {})
             if o1.l <= o.l:
                 if o1.c not in grouped:
                     grouped[o1.c] = packed_factors(o1.c, o.c, o.l, F)
-                factors, block = grouped[o1.c], p_block(o1, o.l, F)
-            for o2 in basis:
+                factors = grouped[o1.c]
+            for j, o2 in enumerate(basis):
                 expected = 0
                 if max(o1.l, o2.l) <= o.l <= o1.l + o2.l:
                     expected = _pair_count(o.l, o1, o2, factors)
                 if p_constant(o1, o2, o, F) != expected:
                     wrong.append(("p_constant", o1, o2, o))
-                if block is not None and o2.l <= o.l and \
-                        block[ids[o2.c]][o2.l][ids[o.c]] != expected:
-                    wrong.append(("p_block", o1, o2, o))
+                if max(o1.l, o2.l) <= o.l:
+                    if j not in read:
+                        read[j] = product_column(o1, o2, o.l, F)
+                    if read[j][ids[o.c]] != expected:
+                        wrong.append(("product_column", o1, o2, o))
     assert not wrong, wrong[:5]
 
 
@@ -391,6 +397,25 @@ def test_p_row_matches_pair_count_random_labels(data, F, N):
     if o1.c.alpha <= o.l:
         expected = _pair_count(o.l, o1, o2, packed_factors(o1.c, o.c, o.l, F))
     assert p_constant(o1, o2, o, F) == expected
+
+
+@pytest.mark.parametrize(
+    "F,l", [(TRIVIAL, 7), (TRIVIAL, 8), (Z2, 5), (builtin_group("cyclic3"), 4)],
+    ids=["sym-7", "sym-8", "cyclic2-5", "cyclic3-4"],
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_product_column_matches_p_constant(F, l, data):
+    """The product_column of a sampled pair of labels at level l equals
+    p_constant at every target, above the levels test_p_row_matches_pair_count
+    enumerates.  p_constant reads one representative_factors row itself and
+    shares neither factor_rows nor its indexing by label id; a pair whose
+    windows cannot join to l must read 0 in every cell."""
+    basis = truncation_basis(l, F)
+    o1, o2 = (data.draw(st.sampled_from(basis)) for _ in range(2))
+    assert product_column(o1, o2, l, F) == tuple(
+        p_constant(o1, o2, o, F) for o in level_omegas(l, F)
+    ), (o1, o2)
 
 
 def test_window_pairs_match_enumeration():
@@ -544,7 +569,7 @@ def test_row_kernels_match_oracles(data, name, N):
 @given(data=st.data(), name=st.sampled_from(sorted(KERNEL_BASES)),
        N=st.integers(0, 3))
 def test_block_readers_match_oracles(data, name, N):
-    """product_rows and center_row, each a read of the stored P blocks,
+    """product_rows and center_row, each read as P columns weighed on read,
     against multiplying every pair of partial elements and every pair of
     group elements, on sampled labels."""
     F = KERNEL_BASES[name]
