@@ -5,7 +5,8 @@ partial elements of (possibly decorated) symmetric groups, counts all
 structure constants over class members, each class the conjugation orbit
 of its label's representative, and checks the identities tying them to
 centers of group algebras as exact integer equalities.  The brute-force
-references that enumerate whole levels live in classalg.oracles.
+references that enumerate whole levels live in classalg.oracles and are
+imported from there: the package exports none of them.
 
 The names below are loaded from their submodules on first access, so
 importing the package, or one submodule such as classalg.cli, loads only
@@ -15,33 +16,20 @@ what is used.
 import importlib
 
 _EXPORTS = {
-    "center_algebra": (
-        "center_basis_vector center_product s_constant"
-    ),
+    "center_algebra": "center_product s_constant",
     "correspondence": (
-        "AuditReport AuditWitness FamilySpec InversionRecord MainLemmaRecord "
-        "admissibility_audit forward_substitute parse_family phi phi_preimage "
-        "verify_inversion verify_main_lemma xi_closed_form"
+        "AuditReport AuditWitness FamilySpec admissibility_audit "
+        "forward_substitute parse_family phi_preimage xi_closed_form"
     ),
     "errors": (
         "BudgetExceeded ClassAlgError GroupTableError InvalidLabel "
         "LevelMismatch NoIdentity NoInverse NotAssociative NotClosed "
         "ParseError UnknownBuiltin WrongBaseGroup"
     ),
-    "finite_group": (
-        "TRIVIAL FiniteGroup builtin_group conjugacy_classes load_group "
-        "load_group_file"
-    ),
-    "oracles": (
-        "center_product_oracle class_label conjugate conjugation_orbits "
-        "d_type_membership enumerate_omega_class enumerate_partial_elements "
-        "identity_element inverse level_views multiply omega_of "
-        "p_constant_all_representatives partial_orbit_oracle phi_oracle "
-        "pmultiply product_oracle support xi_count_oracle"
-    ),
+    "finite_group": "TRIVIAL FiniteGroup builtin_group load_group load_group_file",
     "partial_algebra": (
         "AlgebraVector OmegaLabel PartialElement basis_vector ik_product "
-        "p_constant partial_element partial_str project truncation_basis"
+        "p_constant partial_str project truncation_basis"
     ),
     "wreath": (
         "ClassLabel GroupElement class_label_representative class_members "

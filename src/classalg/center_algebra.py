@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from .finite_group import FiniteGroup
 from .partial_algebra import (
-    AlgebraVector, OmegaLabel, basis_vector, expand, p_constant, product_column,
+    AlgebraVector, OmegaLabel, expand, p_constant, product_column,
 )
 # class_size is defined in wreath, whose representative_factors reads it,
 # and is imported here for this module's callers
 from .wreath import ClassLabel, check_budget, class_size, labels_with_alpha_up_to
-
-center_basis_vector = basis_vector  # keyed by ClassLabel, sized by alpha
 
 
 def center_row(

@@ -156,14 +156,6 @@ def _conjugacy_data(
     return tuple(class_of[x] for x in range(order)), tuple(reps)
 
 
-def conjugacy_classes(F: FiniteGroup) -> list[tuple[int, ...]]:
-    """The classes of F as sorted tuples of element indices, in class order."""
-    out: list[list[int]] = [[] for _ in range(F.num_classes)]
-    for x in range(F.order):
-        out[F.class_of[x]].append(x)
-    return [tuple(c) for c in out]
-
-
 def load_group(spec: dict) -> FiniteGroup:
     """Build a FiniteGroup from a mapping with keys order, mult, names
     (optional), of order at most DEFAULT_MAX_ORDER."""

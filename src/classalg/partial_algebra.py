@@ -35,11 +35,8 @@ from .errors import InvalidLabel, LevelMismatch, ParseError, clip, clip_int, par
 from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
-    GroupElement,
     check_budget,
-    code_class,
     element_str,
-    encode,
     label_ids,
     labels_with_alpha_up_to,
     mask_str,
@@ -54,18 +51,6 @@ class PartialElement(namedtuple("PartialElement", "d h")):
 
     def sort_key(self):
         return (bin(self.d).count("1"), self.d, self.h.sort_key())
-
-
-def partial_element(d: int, h: GroupElement, F: FiniteGroup) -> PartialElement:
-    """Validated constructor: d must fit the level and contain support(h)."""
-    if d < 0 or d >> h.n:
-        raise InvalidLabel(f"window {mask_str(d)} does not fit level {h.n}")
-    sup = code_class(encode(h, F), F)[1]
-    if sup & ~d:
-        raise InvalidLabel(
-            f"support {mask_str(sup)} not inside window {mask_str(d)}"
-        )
-    return PartialElement(d, h)
 
 
 def partial_str(p: PartialElement, F: FiniteGroup) -> str:

@@ -11,10 +11,9 @@ from classalg import (
     ClassLabel,
     InvalidLabel,
     LevelMismatch,
+    basis_vector,
     builtin_group,
-    center_basis_vector,
     center_product,
-    center_product_oracle,
     class_size,
     labels_with_alpha_up_to,
     level_group,
@@ -22,7 +21,7 @@ from classalg import (
 )
 from classalg.center_algebra import center_row
 from classalg.finite_group import TRIVIAL
-from classalg.oracles import level_views
+from classalg.oracles import center_product_oracle, level_views
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -47,8 +46,8 @@ def test_center_basis_counts():
 def test_center_basis_label_validation():
     # a class sum c(l) exists only when c fits in l points
     with pytest.raises(InvalidLabel):
-        center_basis_vector(CL([2]), 1)
-    assert dict(center_basis_vector(CL([2]), 3).terms) == {CL([2]): 1}
+        basis_vector(CL([2]), 1)
+    assert dict(basis_vector(CL([2]), 3).terms) == {CL([2]): 1}
 
 
 @pytest.mark.parametrize("c1,c2", [(CL([3]), CL([])), (CL([]), CL([3])),
@@ -193,7 +192,7 @@ def test_s_matches_literal_products_random_labels(data, F):
 
 def test_center_product_vectors():
     v = center_product(
-        center_basis_vector(CL([2]), 3), center_basis_vector(CL([2]), 3), TRIVIAL
+        basis_vector(CL([2]), 3), basis_vector(CL([2]), 3), TRIVIAL
     )
     assert dict(v.terms) == {CL([]): 3, CL([3]): 3}
     assert center_product(unit(3), v, TRIVIAL) == v
@@ -203,7 +202,7 @@ def test_center_product_vectors():
 
 def test_center_product_commutative_and_associative():
     labels = labels_with_alpha_up_to(3, TRIVIAL)
-    vecs = [center_basis_vector(c, 3) for c in labels]
+    vecs = [basis_vector(c, 3) for c in labels]
     for a in vecs:
         for b in vecs:
             ab = center_product(a, b, TRIVIAL)

@@ -158,6 +158,21 @@ def test_xi_oracle_bounded_by_windows(capsys):
     assert row["xi"] == row["oracle"] == 435 and row["agree"] is True
 
 
+def test_xi_oracle_disagreement_exits_1(capsys, monkeypatch):
+    """A recount that differs from the closed form is reported with agree
+    false, and the command exits 1."""
+    import classalg.oracles as oracles
+
+    monkeypatch.setattr(oracles, "xi_count_oracle", lambda *args: 3)
+    code, out, _ = run(
+        capsys, "xi", "--lprime", "3", "--class", "[2]", "--l", "4", "--oracle",
+        "--format", "json",
+    )
+    assert code == 1
+    row = json.loads(out)["rows"][0]
+    assert row["xi"] == 2 and row["oracle"] == 3 and row["agree"] is False
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "classes.json"
     code, out, _ = run(
@@ -640,8 +655,16 @@ def test_cli_import_loads_no_command_specific_module():
 def test_package_exports_resolve_to_their_submodules():
     import classalg
 
-    # the 78 names the package imported eagerly before its exports were lazy
-    assert len(classalg.__all__) == len(set(classalg.__all__)) == 78
+    # the production API: no oracle, and no name that only tests called
+    assert len(classalg.__all__) == len(set(classalg.__all__)) == 51
+    assert "project" in classalg.__all__
+    unexported = {"partial_element", "conjugacy_classes", "center_basis_vector",
+                  "MainLemmaRecord", "InversionRecord", "verify_main_lemma",
+                  "verify_inversion", "phi"}
+    oracles = importlib.import_module("classalg.oracles")
+    unexported |= {name for name, value in vars(oracles).items()
+                   if getattr(value, "__module__", None) == oracles.__name__}
+    assert not unexported & set(classalg.__all__)
     for name in classalg.__all__:
         home = importlib.import_module(f"classalg.{classalg._HOME[name]}")
         assert getattr(classalg, name) is getattr(home, name)
@@ -729,10 +752,12 @@ OVER_AT_1E6 = OVER_AT_40.replace("level 40", "level 1000000")
 
 LIBRARY_CALL = """\
 from classalg.center_algebra import center_row
-from classalg.correspondence import inversion_rows, phi, verify_main_lemma
+from classalg.correspondence import identity_rows, inversion_rows, phi_rows
 from classalg.errors import BudgetExceeded
 from classalg.finite_group import TRIVIAL
-from classalg.partial_algebra import OmegaLabel, basis_vector, ik_product, product_rows
+from classalg.partial_algebra import (
+    OmegaLabel, basis_vector, ik_product, product_rows, vector_rows,
+)
 from classalg.wreath import ClassLabel
 e = ClassLabel(())
 try:
@@ -743,13 +768,14 @@ except BudgetExceeded as exc:
 
 
 @pytest.mark.parametrize("call,stdout", [
-    ("verify_main_lemma(1, e, 1, e, 10**6, e, TRIVIAL)", OVER_AT_11[7:]),
+    ("identity_rows(OmegaLabel(1, e), OmegaLabel(1, e), 10**6, TRIVIAL)", OVER_AT_11[7:]),
     ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)", OVER_AT_1E6),
     ("product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)", OVER_AT_40),
     ("ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)", OVER_AT_40),
     ("product_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
-    ("verify_main_lemma(60, e, 0, e, 50, e, TRIVIAL)", OVER_AT_50),
-    ("phi(basis_vector(OmegaLabel(1, e), 40), TRIVIAL)", OVER_AT_40),
+    ("identity_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
+    ("phi_rows(vector_rows(basis_vector(OmegaLabel(1, e), 40), TRIVIAL), TRIVIAL)",
+     OVER_AT_40),
     ("center_row(e, e, 10**6, TRIVIAL)", OVER_AT_1E6),
 ], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40",
         "product-rows-below-windows", "main-lemma-below-windows", "phi-40",
@@ -760,9 +786,9 @@ def test_huge_level_library_calls_raise_at_once(call, stdout):
     level of a million raises BudgetExceeded at the first level over it;
     the product rows check the truncation level before they list its zero
     rows, though only levels 1 and 2 can be nonzero, and also when the
-    truncation is below both windows, where every row is zero; phi checks
-    the vector's level before it lists the labels of its rows, and
-    center_row its level before it reads a block column."""
+    truncation is below both windows, where every row is zero; vector_rows
+    checks the vector's level before it lists the labels of its rows, and
+    center_row its level before it reads a column."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
 

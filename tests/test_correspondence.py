@@ -10,6 +10,7 @@ import classalg.correspondence as correspondence_mod
 import classalg.suites as suites_mod
 import classalg.wreath as wreath_mod
 from classalg import (
+    AlgebraVector,
     BudgetExceeded,
     ClassLabel,
     FamilySpec,
@@ -28,29 +29,31 @@ from classalg import (
     ik_product,
     labels_with_alpha_up_to,
     level_group,
+    p_constant,
     parse_family,
-    phi,
-    phi_oracle,
     phi_preimage,
     project,
+    s_constant,
     truncation_basis,
-    verify_inversion,
-    verify_main_lemma,
     xi_closed_form,
-    xi_count_oracle,
 )
 from classalg.correspondence import (
     _AUDIT_NOTES,
     AuditReport,
     AuditWitness,
+    identity_rows,
+    inversion_rows,
+    phi_rows,
 )
 from classalg.finite_group import TRIVIAL, orbit_partition
-from classalg.oracles import class_label, d_type_membership, level_views
-from classalg.partial_algebra import PartialElement
+from classalg.oracles import (
+    class_label, d_type_membership, level_views, phi_oracle, xi_count_oracle,
+)
+from classalg.partial_algebra import PartialElement, vector_rows
 from classalg.suites import (
     SUITE_NAMES, audit_suite, main_lemma_suite, run_suites, tower_suite,
 )
-from classalg.wreath import apply_perm_to_mask, decode, encode
+from classalg.wreath import apply_perm_to_mask, decode, encode, label_ids
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -62,6 +65,17 @@ def CL(parts):
 
 def OM(l, parts):
     return OmegaLabel(l, CL(parts))
+
+
+def inversion_entry(w1, w2, c, F=TRIVIAL):
+    """The (solved, brute) pair of target c in inversion_rows."""
+    return inversion_rows(w1, w2, F)[label_ids(w1.l + w2.l, F)[c]]
+
+
+def phi_image(v, F):
+    """phi(v) as one center vector per level, from phi_rows of its rows."""
+    return [AlgebraVector.from_row(l, labels_with_alpha_up_to(l, F), row)
+            for l, row in enumerate(phi_rows(vector_rows(v, F), F))]
 
 
 # --- xi ---
@@ -110,24 +124,26 @@ def test_xi_diagonal_and_monotone(lp, l, parts):
 # --- the diagonal identity ---
 
 def test_main_lemma_worked_instance():
-    rec = verify_main_lemma(1, CL([]), 1, CL([]), 2, CL([]), TRIVIAL)
-    assert rec.lhs == rec.rhs == 4
-    rec = verify_main_lemma(1, CL([]), 1, CL([]), 2, CL([2]), TRIVIAL)
-    assert rec.lhs == rec.rhs == 0
+    # both sides at level 2, on the targets [] and [2]
+    sides, prows = identity_rows(OM(1, []), OM(1, []), 2, TRIVIAL)
+    assert sides[2] == phi_rows(prows, TRIVIAL)[2] == (4, 0)
 
 
 def test_main_lemma_empty_class_inputs():
-    # a class that needs more points than its window labels an empty class
-    rec = verify_main_lemma(1, CL([2]), 1, CL([]), 3, CL([]), TRIVIAL)
-    assert rec.lhs == rec.rhs == 0
-    rec = verify_main_lemma(2, CL([2]), 2, CL([2]), 1, CL([]), TRIVIAL)
-    assert rec.lhs == rec.rhs == 0
+    # a class that needs more points than its window labels no partial
+    # element, and below both windows both sides are zero rows
+    with pytest.raises(InvalidLabel):
+        OM(1, [2])
+    sides, prows = identity_rows(OM(2, [2]), OM(2, [2]), 1, TRIVIAL)
+    assert sides == phi_rows(prows, TRIVIAL) == [(0,), (0,)]
 
 
 @pytest.mark.parametrize("family,N", [("sym", 4), ("wreath:cyclic2", 3)])
 def test_main_lemma_suite_matches_single_records(family, N):
     """The row-driven suite emits, record for record and in (first,
-    second, target) order, what the one-record reader gives."""
+    second, target) order, the two sides of the identity as the
+    single-constant readers give them: xi' xi'' s_constant and the sum
+    over lt of xi(lt, c; l) p_constant."""
     spec = parse_family(family)
     F = spec.base
     basis = truncation_basis(N, F)
@@ -135,12 +151,15 @@ def test_main_lemma_suite_matches_single_records(family, N):
     triples = [(w1, w2, w) for w1 in basis for w2 in basis for w in basis]
     assert len(records) == len(triples)
     for got, (w1, w2, w) in zip(records, triples):
-        one = verify_main_lemma(w1.l, w1.c, w2.l, w2.c, w.l, w.c, F)
+        x = xi_closed_form(w1.l, w1.c, w.l) * xi_closed_form(w2.l, w2.c, w.l)
+        lhs = x * s_constant(w1.c, w2.c, w.c, w.l, F)
+        rhs = sum(xi_closed_form(lt, w.c, w.l) * p_constant(w1, w2, OmegaLabel(lt, w.c), F)
+                  for lt in range(w.c.alpha, w.l + 1))
         assert got == {
             "l1": w1.l, "c1": w1.c.display(F),
             "l2": w2.l, "c2": w2.c.display(F),
             "l": w.l, "c": w.c.display(F),
-            "lhs": one.lhs, "rhs": one.rhs, "ok": one.ok,
+            "lhs": lhs, "rhs": rhs, "ok": lhs == rhs,
         }
 
 
@@ -162,8 +181,6 @@ def test_main_lemma_suite_holds_no_record_dicts():
 def test_main_lemma_diagonal_reduces_to_s_equals_p():
     """At l' = l'' = l the only surviving term is xi(l,c;l) = 1, so the
     identity pins P on the diagonal to S."""
-    from classalg import p_constant, s_constant
-
     for F, l in ((TRIVIAL, 4), (Z2, 2)):
         labels = labels_with_alpha_up_to(l, F)
         for c1 in labels:
@@ -180,24 +197,23 @@ def test_r_system_frozen_example():
     # xi xi S at levels 1, 2: S = 1 at both, xi(1, []; 2) = 2 twice
     assert xi_closed_form(1, CL([]), 2) == 2
     assert forward_substitute((1, 4), (1, 2), CL([])) == (1, 2)
-    rec = verify_inversion(OM(1, []), OM(1, []), CL([]), TRIVIAL)
-    assert rec.levels == (1, 2)
-    assert rec.solved == rec.brute == (1, 2)
+    # solved and counted at the levels 1, 2
+    assert inversion_entry(OM(1, []), OM(1, []), CL([])) == ((1, 2), (1, 2))
 
 
 def test_r_system_with_gap():
     assert forward_substitute((0, 3, 3), (2, 3, 4), CL([3])) == (0, 3, 0)
-    rec = verify_inversion(OM(2, [2]), OM(2, [2]), CL([3]), TRIVIAL)
-    assert rec.levels == (2, 3, 4)
-    assert rec.solved == (0, 3, 0)
+    # solved at the levels 2, 3, 4
+    assert inversion_entry(OM(2, [2]), OM(2, [2]), CL([3]))[0] == (0, 3, 0)
 
 
 def test_r_system_strictly_lower_triangular():
     """1 + R is unipotent lower triangular: xi(levels[j], c; levels[i]) is
     1 on the diagonal and 0 above it, so forward substitution reads only
     the entries below."""
-    levels = verify_inversion(OM(2, [2]), OM(1, []), CL([2]), TRIVIAL).levels
-    assert levels == (2, 3)
+    levels = (2, 3)  # max(l1, l2)..l1 + l2
+    solved, brute = inversion_entry(OM(2, [2]), OM(1, []), CL([2]))
+    assert len(solved) == len(brute) == len(levels)
     for i in range(len(levels)):
         assert xi_closed_form(levels[i], CL([2]), levels[i]) == 1
         for j in range(i + 1, len(levels)):
@@ -205,31 +221,30 @@ def test_r_system_strictly_lower_triangular():
 
 
 def test_inversion_record():
-    rec = verify_inversion(OM(2, [2]), OM(2, [2]), CL([3]), TRIVIAL)
-    assert rec.ok
-    assert rec.solved == rec.brute == (0, 3, 0)
+    solved, brute = inversion_entry(OM(2, [2]), OM(2, [2]), CL([3]))
+    assert solved == brute == (0, 3, 0)
 
 
 def test_inversion_keeps_a_budget_above_the_default():
     """11! is over the default budget of 10^7 elements; a larger budget
     reaches every row the inversion reads."""
-    args = (OM(6, []), OM(5, []), CL([]), TRIVIAL)
+    args = (OM(6, []), OM(5, []), CL([]))
     with pytest.raises(BudgetExceeded):
-        verify_inversion(*args)
+        inversion_entry(*args)
     with element_budget(10**8):
-        rec = verify_inversion(*args)
-    assert rec.ok and rec.brute == (6, 105, 560, 1260, 1260, 462)
+        solved, brute = inversion_entry(*args)
+    assert solved == brute == (6, 105, 560, 1260, 1260, 462)
 
 
 def test_main_lemma_keeps_a_budget_above_the_default():
-    """identity_rows checks the budget at every level it reads, so the
-    single-check reader stops at level 11 unless it is given more."""
-    args = (6, CL([]), 5, CL([]), 11, CL([]), TRIVIAL)
+    """identity_rows checks the budget at every level it reads, so it stops
+    at level 11 unless it is given more."""
+    args = (OM(6, []), OM(5, []), 11, TRIVIAL)
     with pytest.raises(BudgetExceeded):
-        verify_main_lemma(*args)
+        identity_rows(*args)
     with element_budget(10**8):
-        rec = verify_main_lemma(*args)
-    assert rec.ok and rec.lhs == rec.rhs == 462 * 462
+        sides, prows = identity_rows(*args)
+    assert sides[11][0] == phi_rows(prows, TRIVIAL)[11][0] == 462 * 462
 
 
 def test_suites_keep_the_budget_they_are_given(monkeypatch):
@@ -340,8 +355,8 @@ def test_preflight_checks_codes_against_reference(monkeypatch):
 # --- phi ---
 
 def test_phi_of_singleton_class():
-    img = phi(basis_vector(OM(1, []), 3), TRIVIAL)
-    assert set(img) == {0, 1, 2, 3}
+    img = phi_image(basis_vector(OM(1, []), 3), TRIVIAL)
+    assert len(img) == 4
     for l in range(4):
         assert dict(img[l].terms) == ({CL([]): l} if l else {})
 
@@ -349,7 +364,7 @@ def test_phi_of_singleton_class():
 def test_phi_is_triangular_with_unit_diagonal():
     for F, N in ((TRIVIAL, 4), (Z2, 3)):
         for w in truncation_basis(N, F):
-            img = phi(basis_vector(w, N), F)
+            img = phi_image(basis_vector(w, N), F)
             assert dict(img[w.l].terms) == {w.c: 1}
             for l in range(w.l):
                 assert not img[l].terms
@@ -363,8 +378,8 @@ def test_phi_multiplicative_on_untruncated_products():
                 if w1.l + w2.l > N:
                     continue
                 e1, e2 = basis_vector(w1, N), basis_vector(w2, N)
-                img1, img2 = phi(e1, F), phi(e2, F)
-                rhs = phi(ik_product(e1, e2, F), F)
+                img1, img2 = phi_image(e1, F), phi_image(e2, F)
+                rhs = phi_image(ik_product(e1, e2, F), F)
                 for l in range(N + 1):
                     assert center_product(img1[l], img2[l], F) == rhs[l], (w1, w2, l)
 
@@ -395,7 +410,7 @@ def test_phi_preimage_round_trip():
         for l in range(N + 1):
             for c in labels_with_alpha_up_to(l, F):
                 v = phi_preimage(c, l, N, F)
-                img = phi(v, F)
+                img = phi_image(v, F)
                 for j in range(N + 1):
                     expected = {c: 1} if j == l else {}
                     assert dict(img[j].terms) == expected, (c, l, j)

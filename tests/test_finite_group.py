@@ -17,7 +17,6 @@ from classalg import (
     ParseError,
     UnknownBuiltin,
     builtin_group,
-    conjugacy_classes,
     load_group,
     load_group_file,
     parse_family,
@@ -65,19 +64,20 @@ def test_cyclic_structure():
     assert F.inv[1] == 2
     # abelian: all classes are singletons
     assert F.num_classes == 3
-    assert all(len(c) == 1 for c in conjugacy_classes(F))
+    assert sorted(F.class_of) == [0, 1, 2]
 
 
 def test_sym3_structure():
     F = builtin_group("sym(3)")
     assert F.order == 6
-    sizes = sorted(len(c) for c in conjugacy_classes(F))
+    sizes = sorted(F.class_of.count(k) for k in range(F.num_classes))
     assert sizes == [1, 2, 3]
     # class 0 is the identity's class
-    assert conjugacy_classes(F)[0] == (F.identity,)
+    assert F.class_of[F.identity] == 0 and F.class_of.count(0) == 1
     assert F.names[F.identity] == "e"
     # conjugating a transposition never leaves its class
-    transpositions = conjugacy_classes(F)[F.class_of[F.names.index("(12)")]]
+    k = F.class_of[F.names.index("(12)")]
+    transpositions = [t for t in range(6) if F.class_of[t] == k]
     for g in range(6):
         for t in transpositions:
             assert F.class_of[F.mult[F.mult[g][t]][F.inv[g]]] == F.class_of[t]
@@ -197,4 +197,4 @@ def test_identity_not_first():
     # identity at index 1; class 0 must still be the identity class
     F = load_group({"order": 2, "mult": [[1, 0], [0, 1]]})
     assert F.identity == 1
-    assert conjugacy_classes(F)[0] == (1,)
+    assert F.class_of == (1, 0)  # element 1 alone in class 0

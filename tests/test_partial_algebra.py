@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from classalg import (
     AlgebraVector,
+    BudgetExceeded,
     ClassLabel,
     FamilySpec,
     GroupElement,
@@ -22,27 +23,29 @@ from classalg import (
     admissibility_audit,
     basis_vector,
     builtin_group,
-    enumerate_omega_class,
-    enumerate_partial_elements,
-    identity_element,
+    element_budget,
     ik_product,
-    omega_of,
     p_constant,
-    p_constant_all_representatives,
-    partial_element,
-    partial_orbit_oracle,
-    pmultiply,
-    product_oracle,
     project,
     truncation_basis,
-    verify_inversion,
-    verify_main_lemma,
 )
 from classalg.center_algebra import center_row, class_size
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
 from classalg.oracles import (
-    _pair_count, center_product_oracle, class_label, level_views, phi_oracle,
+    _pair_count,
+    center_product_oracle,
+    class_label,
+    enumerate_omega_class,
+    enumerate_partial_elements,
+    identity_element,
+    level_views,
+    omega_of,
+    p_constant_all_representatives,
+    partial_orbit_oracle,
+    phi_oracle,
+    pmultiply,
+    product_oracle,
 )
 from classalg.partial_algebra import (
     level_omegas, product_column, product_rows, vector_rows, window_pairs,
@@ -73,36 +76,29 @@ def OM(l, parts):
 # --- partial elements ---
 
 def test_pmultiply_windows_join():
-    a = partial_element(0b011, identity_element(TRIVIAL, 3), TRIVIAL)
-    b = partial_element(0b100, identity_element(TRIVIAL, 3), TRIVIAL)
+    a = PartialElement(0b011, identity_element(TRIVIAL, 3))
+    b = PartialElement(0b100, identity_element(TRIVIAL, 3))
     ab = pmultiply(a, b, TRIVIAL)
     assert ab.d == 0b111
     assert ab.h == identity_element(TRIVIAL, 3)
 
 
 def test_pmultiply_transpositions():
-    a = partial_element(0b011, GroupElement(3, (1, 0, 2), (0,) * 3), TRIVIAL)
-    b = partial_element(0b110, GroupElement(3, (0, 2, 1), (0,) * 3), TRIVIAL)
+    a = PartialElement(0b011, GroupElement(3, (1, 0, 2), (0,) * 3))
+    b = PartialElement(0b110, GroupElement(3, (0, 2, 1), (0,) * 3))
     ab = pmultiply(a, b, TRIVIAL)
     assert ab.d == 0b111
     assert ab.h.perm == (1, 2, 0)
+    assert omega_of(a, TRIVIAL) == OM(2, [2])
+    assert omega_of(PartialElement(0b111, a.h), TRIVIAL) == OM(3, [2])
+    assert omega_of(ab, TRIVIAL) == OM(3, [3])
 
 
 def test_pmultiply_level_mismatch():
-    a = partial_element(0, identity_element(TRIVIAL, 2), TRIVIAL)
-    b = partial_element(0, identity_element(TRIVIAL, 3), TRIVIAL)
+    a = PartialElement(0, identity_element(TRIVIAL, 2))
+    b = PartialElement(0, identity_element(TRIVIAL, 3))
     with pytest.raises(LevelMismatch):
         pmultiply(a, b, TRIVIAL)
-
-
-def test_partial_element_validation():
-    h = GroupElement(3, (1, 0, 2), (0, 0, 0))
-    with pytest.raises(InvalidLabel):
-        partial_element(0b001, h, TRIVIAL)  # support {1,2} not inside {1}
-    with pytest.raises(InvalidLabel):
-        partial_element(0b1000, identity_element(TRIVIAL, 3), TRIVIAL)
-    p = partial_element(0b111, h, TRIVIAL)
-    assert omega_of(p, TRIVIAL) == OM(3, [2])
 
 
 def test_omega_label_validation_and_parse():
@@ -149,14 +145,11 @@ _H = GroupElement(3, (1, 0, 2), (0, 0, 0))
     lambda: OM(3, [2]),
     lambda: PartialElement(0b011, _H),
     lambda: basis_vector(OM(2, [2]), 3),
-    lambda: verify_main_lemma(1, CL([]), 2, CL([2]), 2, CL([2]), TRIVIAL),
-    lambda: verify_inversion(OM(1, []), OM(2, [2]), CL([2]), TRIVIAL),
     lambda: FamilySpec.symmetric(),
     lambda: admissibility_audit(FamilySpec.symmetric(), 2),
     lambda: admissibility_audit(FamilySpec.d_type(), 3).witness,
 ], ids=["GroupElement", "ClassLabel", "OmegaLabel", "PartialElement",
-        "AlgebraVector", "MainLemmaRecord", "InversionRecord", "FamilySpec",
-        "AuditReport", "AuditWitness"])
+        "AlgebraVector", "FamilySpec", "AuditReport", "AuditWitness"])
 def test_value_types_compare_and_hash_by_value(make):
     """Two equal constructions are equal, hash alike and count once in a
     set; a copy is equal too."""
@@ -231,6 +224,27 @@ def test_vector_display():
     v = AlgebraVector.make(3, {OM(1, []): 1, OM(2, [2]): -2})
     assert v.display(TRIVIAL) == "e[1:[]] - 2*e[2:[2]]"
     assert AlgebraVector.make(3, {}).display(TRIVIAL) == "0"
+
+
+def test_readme_product_display():
+    """The product printed by the README's library example, and a leading
+    coefficient of -1: display writes a coefficient of 1 or -1 as a bare
+    sign and any other as k*."""
+    w = OmegaLabel.parse("2:[2]", TRIVIAL)
+    v = ik_product(basis_vector(w, 4), basis_vector(w, 4), TRIVIAL)
+    assert v.display(TRIVIAL) == "e[2:[]] + 3*e[3:[3]] + 2*e[4:[2,2]]"
+    v = AlgebraVector.make(2, {OM(1, []): -1, OM(2, [2]): 3})
+    assert v.display(TRIVIAL) == "-e[1:[]] + 3*e[2:[2]]"
+
+
+def test_readme_budget_example():
+    """The README's budget example: |S_11| is over the default budget, and
+    a larger one answers 462 = C(11, 5)."""
+    w1, w2, w = (OmegaLabel.parse(t, TRIVIAL) for t in ("6:[]", "5:[]", "11:[]"))
+    with pytest.raises(BudgetExceeded):
+        p_constant(w1, w2, w, TRIVIAL)
+    with element_budget(10**8):
+        assert p_constant(w1, w2, w, TRIVIAL) == 462
 
 
 # --- structure constants ---

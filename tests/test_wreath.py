@@ -17,24 +17,27 @@ from classalg import (
     ParseError,
     WrongBaseGroup,
     builtin_group,
-    class_label,
     class_label_representative,
     class_members,
-    conjugate,
-    conjugation_orbits,
-    d_type_membership,
     element_budget,
     element_str,
     enumerate_elements,
-    identity_element,
-    inverse,
     labels_with_alpha_up_to,
     level_group,
+)
+from classalg.finite_group import TRIVIAL, orbit_partition
+from classalg.oracles import (
+    class_label,
+    conjugate,
+    conjugation_orbits,
+    d_type_membership,
+    factor_supports_oracle,
+    identity_element,
+    inverse,
+    level_views,
     multiply,
     support,
 )
-from classalg.finite_group import TRIVIAL, orbit_partition
-from classalg.oracles import factor_supports_oracle, level_views
 from classalg.wreath import (
     apply_perm_to_mask,
     check_budget,
