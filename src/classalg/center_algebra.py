@@ -8,9 +8,9 @@ windows joins to {1..l} there, so S(c1, c2, c; l) = P((l, c1), (l, c2),
 (l, c)): center_row is the partial_algebra.product_column of (l, c1) and
 (l, c2) at level l, s_constant is p_constant on full windows, and
 center_product is the expand of center_rows; S is counted nowhere else.
-Class sizes come from the centralizer order in closed form
-(wreath.class_size, imported here).  The tests check S against literal
-class-sum products and against enumerated classes.
+Class sizes come from the centralizer order in closed form, in
+wreath.class_size.  The tests check S against literal class-sum products
+and against enumerated classes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .finite_group import FiniteGroup
 from .partial_algebra import (
     AlgebraVector, OmegaLabel, expand, p_constant, product_column,
 )
-# class_size is defined in wreath, whose representative_factors reads it,
-# and is imported here for this module's callers
+# class_size is read from wreath; bench/test_bench.py still imports it from here
 from .wreath import ClassLabel, check_budget, class_size, labels_with_alpha_up_to
 
 

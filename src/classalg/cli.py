@@ -18,14 +18,16 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from math import comb, log10
 
-from .center_algebra import center_product, class_size, s_constant
+from .center_algebra import center_product, s_constant
 from .correspondence import FamilySpec, parse_family, xi_closed_form
 from .errors import BudgetExceeded, ClassAlgError, InvalidLabel, ParseError, clip, clip_int
 from .finite_group import FiniteGroup, load_group_file
 from .partial_algebra import (
     OmegaLabel, basis_vector, ik_product, p_constant, truncation_basis,
 )
-from .wreath import ClassLabel, check_levels, element_budget, labels_with_alpha_up_to
+from .wreath import (
+    ClassLabel, check_levels, class_size, element_budget, labels_with_alpha_up_to,
+)
 
 VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
 

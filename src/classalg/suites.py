@@ -2,11 +2,11 @@
 
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a dict of summary counts
-and its records, one per check.  The sweeps work on integer rows indexed
-by label id (a label's position in labels_with_alpha_up_to); main-lemma
-and invert keep only label ids and integers, and render their records one
-at a time when they are written.  The element budget is checked once per
-level before a sweep."""
+and its records, one per check.  The sweeps walk truncation_basis, the
+OmegaLabels (l, c), and work on integer rows indexed by label id (a
+label's position in labels_with_alpha_up_to); main-lemma and invert keep
+only integers, and render their records one at a time when they are
+written.  The element budget is checked once per level before a sweep."""
 
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from .correspondence import (
 from .finite_group import FiniteGroup
 from .partial_algebra import (
     OmegaLabel,
-    level_omegas,
     p_constant,
     product_rows,
+    truncation_basis,
     vector_rows,
     zero_rows,
 )
@@ -40,7 +40,7 @@ from .wreath import (
     code_inverse,
     compose,
     encode,
-    labels_with_alpha_up_to,
+    label_ids,
 )
 
 SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
@@ -66,22 +66,15 @@ def _suite_dict(
     }
 
 
-def _basis(N: int, F: FiniteGroup) -> list[tuple[int, int]]:
-    """(level, label id) of every class label at truncation level N, in
-    truncation_basis order; the budget is checked at every level."""
+def _basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
+    """truncation_basis(N, F), after the budget is checked at every level."""
     check_levels(F, N)
-    return [
-        (l, j) for l in range(N + 1)
-        for j in range(len(labels_with_alpha_up_to(l, F)))
-    ]
+    return truncation_basis(N, F)
 
 
-def _pairs(basis: list[tuple[int, int]], N: int) -> Iterator[tuple]:
-    """(l1, i1, l2, i2) for every pair of basis labels with l1 + l2 <= N."""
-    for l1, i1 in basis:
-        for l2, i2 in basis:
-            if l1 + l2 <= N:
-                yield l1, i1, l2, i2
+def _pairs(basis: list[OmegaLabel], N: int) -> Iterator[tuple[OmegaLabel, OmegaLabel]]:
+    """Every pair of basis labels (l1, c1), (l2, c2) with l1 + l2 <= N."""
+    return ((w1, w2) for w1 in basis for w2 in basis if w1.l + w2.l <= N)
 
 
 class Records:
@@ -113,25 +106,21 @@ def main_lemma_suite(spec: FamilySpec, N: int) -> dict:
     sides, in target order."""
     F = spec.base
     basis = _basis(N, F)
-    labels = labels_with_alpha_up_to(N, F)
     lhs: list[int] = []
     rhs: list[int] = []
-    omegas = [level_omegas(l, F)[i] for l, i in basis]
-    for w1 in omegas:
-        for w2 in omegas:
+    for w1 in basis:
+        for w2 in basis:
             sides, prows = identity_rows(w1, w2, N, F)
             lhs.extend(chain.from_iterable(sides))
             rhs.extend(chain.from_iterable(phi_rows(prows, F)))
-    shown = [c.display(F) for c in labels]
 
     def records(enc):
-        names, flags = [enc(c) for c in shown], (enc(False), enc(True))
-        sides = zip(lhs, rhs)
-        for l1, i1 in basis:
-            for l2, i2 in basis:
-                for (l, i), (a, b) in zip(basis, sides):
-                    yield (l1, names[i1], l2, names[i2], l, names[i],
-                           a, b, flags[a == b])
+        names = [(w.l, enc(w.c.display(F))) for w in basis]
+        flags, sides = (enc(False), enc(True)), zip(lhs, rhs)
+        for l1, c1 in names:
+            for l2, c2 in names:
+                for (l, c), (a, b) in zip(names, sides):
+                    yield l1, c1, l2, c2, l, c, a, b, flags[a == b]
 
     fields = ("l1", "c1", "l2", "c2", "l", "c", "lhs", "rhs", "ok")
     return _suite_dict("main-lemma", spec, N, Records(fields, len(lhs), records),
@@ -144,18 +133,18 @@ def inversion_suite(spec: FamilySpec, N: int) -> dict:
     compare against directly counted P; only the P values are kept."""
     F = spec.base
     basis = _basis(N, F)
-    sides = [side for l1, i1, l2, i2 in _pairs(basis, N) for side in inversion_rows(
-        level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], F)]
-    shown = [c.display(F) for c in labels_with_alpha_up_to(N, F)]
+    sides = [side for w1, w2 in _pairs(basis, N) for side in inversion_rows(w1, w2, F)]
 
     def records(enc):
+        # the targets of a pair are the classes of level l1 + l2, by label id
+        shown = {w: w.display(F) for w in basis}
+        targets = [[w.c.display(F) for w in basis if w.l == l] for l in range(N + 1)]
         each = iter(sides)
-        for l1, i1, l2, i2 in _pairs(basis, N):
-            levels = range(max(l1, l2), l1 + l2 + 1)
-            for i, (s, b) in zip(range(len(level_omegas(l1 + l2, F))), each):
+        for w1, w2 in _pairs(basis, N):
+            levels = range(max(w1.l, w2.l), w1.l + w2.l + 1)
+            for c, (s, b) in zip(targets[w1.l + w2.l], each):
                 yield tuple(map(enc, (
-                    f"{l1}:{shown[i1]}", f"{l2}:{shown[i2]}", shown[i],
-                    list(levels), list(s), list(b), s == b,
+                    shown[w1], shown[w2], c, list(levels), list(s), list(b), s == b,
                 )))
 
     fields = ("omega1", "omega2", "c", "levels", "solved", "brute", "ok")
@@ -169,29 +158,26 @@ def phi_suite(spec: FamilySpec, N: int) -> dict:
     triangular with unit diagonal, and that preimages map back."""
     F = spec.base
     basis = _basis(N, F)
-    labels = labels_with_alpha_up_to(N, F)
-    shown = [c.display(F) for c in labels]
+    shown = {w: w.display(F) for w in basis}
     zero = list(zero_rows(N, F))
 
-    def unit(l: int, i: int) -> list[tuple[int, ...]]:
-        return zero[:l] + [zero[l][:i] + (1,) + zero[l][i + 1:]] + zero[l + 1:]
+    def unit(w: OmegaLabel) -> list[tuple[int, ...]]:
+        row = list(zero[w.l])
+        row[label_ids(w.l, F)[w.c]] = 1
+        return zero[:w.l] + [tuple(row)] + zero[w.l + 1:]
 
     records = []
-    for l1, i1, l2, i2 in _pairs(basis, N):
-        sides, prows = identity_rows(
-            level_omegas(l1, F)[i1], level_omegas(l2, F)[i2], N, F
-        )
-        records.append({"kind": "product", "omega1": f"{l1}:{shown[i1]}",
-                        "omega2": f"{l2}:{shown[i2]}",
+    for w1, w2 in _pairs(basis, N):
+        sides, prows = identity_rows(w1, w2, N, F)
+        records.append({"kind": "product", "omega1": shown[w1], "omega2": shown[w2],
                         "ok": sides == phi_rows(prows, F)})
-    for l, i in basis:
-        img = phi_rows(unit(l, i), F)
-        ok = img[l] == unit(l, i)[l] and img[:l] == zero[:l]
-        records.append({"kind": "triangular", "omega": f"{l}:{shown[i]}", "ok": ok})
-    for l, i in basis:
-        img = phi_rows(vector_rows(phi_preimage(labels[i], l, N, F), F), F)
-        ok = img == unit(l, i)
-        records.append({"kind": "preimage", "target": f"{shown[i]}({l})", "ok": ok})
+    for w in basis:
+        ok = phi_rows(unit(w), F)[:w.l + 1] == unit(w)[:w.l + 1]
+        records.append({"kind": "triangular", "omega": shown[w], "ok": ok})
+    for w in basis:
+        img = phi_rows(vector_rows(phi_preimage(w.c, w.l, N, F), F), F)
+        records.append({"kind": "preimage", "target": f"{w.c.display(F)}({w.l})",
+                        "ok": img == unit(w)})
     return _suite_dict("phi", spec, N, records)
 
 
@@ -205,12 +191,11 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
     which compare P with S."""
     F = spec.base
     basis = _basis(N, F)
-    omegas = [level_omegas(l, F)[i] for l, i in basis]
-    shown = [w.display(F) for w in omegas]
-    rows = [[product_rows(w1, w2, N, F) for w2 in omegas] for w1 in omegas]
+    shown = [w.display(F) for w in basis]
+    rows = [[product_rows(w1, w2, N, F) for w2 in basis] for w1 in basis]
     records = []
-    for i, (w1, s1) in enumerate(zip(omegas, shown)):
-        for j, (w2, s2) in enumerate(zip(omegas, shown)):
+    for i, (w1, s1) in enumerate(zip(basis, shown)):
+        for j, (w2, s2) in enumerate(zip(basis, shown)):
             top = rows[i][j]
             ok = all(top[:np + 1] == product_rows(w1, w2, np, F)
                      for np in range(N)) and top == rows[j][i]

@@ -320,7 +320,7 @@ def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupEl
 
 @lru_cache(maxsize=None)
 def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
-    """All class labels with alpha <= m, in canonical label order."""
+    """All class labels with alpha <= m, each built once, in canonical order."""
     kinds = [
         (ln, k)
         for ln in range(1, m + 1)
@@ -338,7 +338,7 @@ def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
             rec(i + 1, room - cnt * ln, acc + [(ln, k)] * cnt)
 
     rec(0, m, [])
-    return tuple(sorted(set(out), key=ClassLabel.sort_key))
+    return tuple(sorted(out, key=ClassLabel.sort_key))
 
 
 @lru_cache(maxsize=None)

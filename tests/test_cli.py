@@ -571,6 +571,26 @@ def test_verify_all_json_digest(capsys, family, level):
     assert digest == VERIFY_JSON_SHA256[(family, level)]
 
 
+# sha256 of the table stdout of the benchmark's two verify runs, as
+# bench/workloads.py pins them at seed 0
+BENCH_VERIFY_SHA256 = {
+    ("sym", "6", "1"): "aeb03f0d39f6c6ddfbddcd2eec98ce8382c844160ee3c66f690ef67ad0095655",
+    ("wreath:cyclic2", "4", "2"):
+        "d5528b43cd98ebea784b274be6daf40fddc0bf66cba03bc364a115e0cedd4ae4",
+}
+
+
+@pytest.mark.parametrize("family,level,jobs", list(BENCH_VERIFY_SHA256))
+def test_verify_all_matches_bench_pin(capsys, family, level, jobs):
+    code, out, _ = run(
+        capsys, "verify", "all", "--family", family, "--level", level,
+        "--jobs", jobs, "--seed", "0",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == BENCH_VERIFY_SHA256[(family, level, jobs)]
+
+
 @pytest.mark.parametrize("family,level", [("sym", 4), ("wreath:cyclic2", 3)])
 def test_verify_json_out_matches_pin(tmp_path, capsys, family, level):
     target = tmp_path / "verify.json"

@@ -29,7 +29,7 @@ from classalg import (
     project,
     truncation_basis,
 )
-from classalg.center_algebra import center_row, class_size
+from classalg.center_algebra import center_row
 from classalg.correspondence import identity_rows, phi_rows, xi_closed_form
 from classalg.finite_group import TRIVIAL
 from classalg.oracles import (
@@ -53,6 +53,7 @@ from classalg.partial_algebra import (
 from classalg.wreath import (
     class_label_representative,
     class_members,
+    class_size,
     code_class,
     compose,
     encode,
