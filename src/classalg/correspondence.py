@@ -29,13 +29,11 @@ from .partial_algebra import (
     PartialElement,
     partial_str,
     product_rows,
-    vector_rows,
 )
 from .wreath import (
     ClassLabel,
     decode,
     generating_set,
-    label_ids,
     labels_with_alpha_up_to,
     mask_mover,
     mask_str,
@@ -87,22 +85,6 @@ def identity_rows(
     return list(prows[:lo]) + sides, prows
 
 
-def verify_main_lemma(
-    l1: int, c1: ClassLabel, l2: int, c2: ClassLabel,
-    l: int, c: ClassLabel, F: FiniteGroup,
-) -> tuple[int, int]:
-    """(lhs, rhs) of the diagonal identity at target c and level l: the
-    entries of the S side of identity_rows and of phi_rows of its P rows,
-    both 0 when a label does not fit its window or a window does not fit
-    level l.  Kept by name for the benchmark's layer spans; the suites and
-    the tests read identity_rows."""
-    if c1.alpha > l1 or c2.alpha > l2 or c.alpha > l:
-        return 0, 0
-    sides, prows = identity_rows(OmegaLabel(l1, c1), OmegaLabel(l2, c2), l, F)
-    i = label_ids(l, F)[c]
-    return sides[l][i], phi_rows(prows, F)[l][i]
-
-
 def forward_substitute(svec, levels, c: ClassLabel) -> tuple[int, ...]:
     """The unique integer solution of the unipotent system (1 + R) P = svec
     at the given levels, R[i][j] = xi(levels[j], c; levels[i]) below the
@@ -134,17 +116,6 @@ def inversion_rows(
     ]
 
 
-def verify_inversion(
-    omega1: OmegaLabel, omega2: OmegaLabel, c: ClassLabel, F: FiniteGroup
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (solved, brute) entry of target c in inversion_rows, zeros if
-    alpha(c) > l1 + l2.  Kept by name for the benchmark's layer spans."""
-    M = omega1.l + omega2.l
-    if c.alpha > M:
-        return ((0,) * (M + 1 - max(omega1.l, omega2.l)),) * 2
-    return inversion_rows(omega1, omega2, F)[label_ids(M, F)[c]]
-
-
 def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
     """phi of the truncated vector with coefficients rows[l'][id of c]: the
     center row at each level l, sum over l' <= l of xi(l', c; l) rows[l']."""
@@ -163,15 +134,8 @@ def phi_rows(rows, F: FiniteGroup) -> list[tuple[int, ...]]:
     return out
 
 
-def phi(a: AlgebraVector, F: FiniteGroup) -> dict[int, AlgebraVector]:
-    """Image of a truncated class-algebra vector: one center vector per
-    level l <= a.level, with e[(l',c)] contributing xi(l',c;l) e[c(l)].
-    Kept by name for the benchmark's layer spans; the suites and the tests
-    read phi_rows of vector_rows."""
-    return {
-        l: AlgebraVector.from_row(l, labels_with_alpha_up_to(l, F), row)
-        for l, row in enumerate(phi_rows(vector_rows(a, F), F))
-    }
+# bench/spans.py times these kernels under their earlier names
+verify_main_lemma, verify_inversion, phi = identity_rows, inversion_rows, phi_rows
 
 
 def phi_preimage(

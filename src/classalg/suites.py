@@ -252,6 +252,7 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
 
     F = spec.base
     n = min(N, 3) if N else 0
+    check_levels(F, n)
     rng = random.Random(seed)
     ok = True
     for _ in range(PREFLIGHT_TRIPLES):

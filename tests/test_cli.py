@@ -625,6 +625,18 @@ def test_verify_over_budget_writes_no_out_file(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_verify_all_and_main_lemma_report_the_same_budget_level(capsys):
+    """The preflight checks the budget at its levels before its first
+    constant, as each sweep does, so both name the first level over it."""
+    for suite in ("all", "main-lemma"):
+        code, out, err = run(
+            capsys, "verify", suite, "--level", "3", "--budget-elements", "1",
+        )
+        assert (code, out, err) == (
+            3, "", "error: level 2 over base of order 1 has 2 elements, budget is 1\n"
+        )
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
@@ -685,6 +697,11 @@ def test_package_exports_resolve_to_their_submodules():
     unexported |= {name for name, value in vars(oracles).items()
                    if getattr(value, "__module__", None) == oracles.__name__}
     assert not unexported & set(classalg.__all__)
+    # the benchmark's spans of these three names time the kernels the suites call
+    correspondence = importlib.import_module("classalg.correspondence")
+    assert correspondence.verify_main_lemma is correspondence.identity_rows
+    assert correspondence.verify_inversion is correspondence.inversion_rows
+    assert correspondence.phi is correspondence.phi_rows
     for name in classalg.__all__:
         home = importlib.import_module(f"classalg.{classalg._HOME[name]}")
         assert getattr(classalg, name) is getattr(home, name)
