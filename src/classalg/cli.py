@@ -25,9 +25,7 @@ from .finite_group import FiniteGroup, load_group_file
 from .partial_algebra import (
     OmegaLabel, basis_vector, ik_product, p_constant, truncation_basis,
 )
-from .wreath import (
-    ClassLabel, check_levels, class_size, element_budget, labels_with_alpha_up_to,
-)
+from .wreath import ClassLabel, class_size, element_budget, labels_with_alpha_up_to
 
 VERIFY_CHOICES = ("main-lemma", "invert", "phi", "tower", "audit", "all")
 
@@ -156,7 +154,6 @@ def cmd_classes(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     F = spec.base
     N = args.level
-    check_levels(F, N)
     # a class of windows of size l at level N: choose the window, then an
     # element of F wr S_l on it
     omega = [

@@ -36,8 +36,8 @@ from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
     check_budget,
+    check_levels,
     element_str,
-    label_ids,
     labels_with_alpha_up_to,
     mask_str,
     representative_factors,
@@ -140,31 +140,27 @@ def basis_vector(key, level: int) -> AlgebraVector:
 
 
 @lru_cache(maxsize=None)
-def level_omegas(l: int, F: FiniteGroup) -> tuple[OmegaLabel, ...]:
-    """(l, c) for every label c with alpha <= l, by label id."""
-    return tuple(OmegaLabel(l, c) for c in labels_with_alpha_up_to(l, F))
-
-
-@lru_cache(maxsize=None)
 def zero_rows(n: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The zero row of each level l <= n, by label id."""
-    return tuple((0,) * len(level_omegas(l, F)) for l in range(n + 1))
+    return tuple((0,) * len(labels_with_alpha_up_to(l, F)) for l in range(n + 1))
 
 
 def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
-    """All class labels alive at truncation level N, in canonical order."""
-    return [w for l in range(N + 1) for w in level_omegas(l, F)]
+    """All class labels alive at truncation level N, in canonical order;
+    the budget is checked at every level l <= N before any label is listed."""
+    check_levels(F, N)
+    return [OmegaLabel(l, c) for l in range(N + 1) for c in labels_with_alpha_up_to(l, F)]
 
 
-def vector_rows(a: AlgebraVector, F: FiniteGroup) -> list[list[int]]:
+def vector_rows(a: AlgebraVector, F: FiniteGroup) -> list[tuple[int, ...]]:
     """The coefficients of a truncated vector as one row per level
     l <= a.level, indexed by label id; the budget is checked at a.level
     before any label is listed."""
     check_budget(F, a.level)
-    rows = [[0] * len(level_omegas(l, F)) for l in range(a.level + 1)]
+    rows = [list(row) for row in zero_rows(a.level, F)]
     for w, v in a.terms:
-        rows[w.l][label_ids(w.l, F)[w.c]] = v
-    return rows
+        rows[w.l][labels_with_alpha_up_to(w.l, F).index(w.c)] = v
+    return list(map(tuple, rows))
 
 
 def project(a: AlgebraVector, new_level: int) -> AlgebraVector:

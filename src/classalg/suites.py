@@ -3,10 +3,11 @@
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a dict of summary counts
 and its records, one per check.  The sweeps walk truncation_basis, the
-OmegaLabels (l, c), and work on integer rows indexed by label id (a
-label's position in labels_with_alpha_up_to); main-lemma and invert keep
-only integers, and render their records one at a time when they are
-written.  The element budget is checked once per level before a sweep."""
+OmegaLabels (l, c), whose check of the element budget at every level is
+the sweep's own.  They compare the integer rows that the kernels and
+vector_rows return and index no row by label id themselves; main-lemma
+and invert keep only integers, and render their records one at a time
+when they are written."""
 
 from __future__ import annotations
 
@@ -27,11 +28,11 @@ from .correspondence import (
 from .finite_group import FiniteGroup
 from .partial_algebra import (
     OmegaLabel,
+    basis_vector,
     p_constant,
     product_rows,
     truncation_basis,
     vector_rows,
-    zero_rows,
 )
 from .wreath import (
     GroupElement,
@@ -40,7 +41,6 @@ from .wreath import (
     code_inverse,
     compose,
     encode,
-    label_ids,
 )
 
 SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
@@ -64,12 +64,6 @@ def _suite_dict(
         "ok": failures == 0,
         "records": records,
     }
-
-
-def _basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
-    """truncation_basis(N, F), after the budget is checked at every level."""
-    check_levels(F, N)
-    return truncation_basis(N, F)
 
 
 def _pairs(basis: list[OmegaLabel], N: int) -> Iterator[tuple[OmegaLabel, OmegaLabel]]:
@@ -105,7 +99,7 @@ def main_lemma_suite(spec: FamilySpec, N: int) -> dict:
     level; the S side and phi_rows of the P rows are kept as the two
     sides, in target order."""
     F = spec.base
-    basis = _basis(N, F)
+    basis = truncation_basis(N, F)
     lhs: list[int] = []
     rhs: list[int] = []
     for w1 in basis:
@@ -132,7 +126,7 @@ def inversion_suite(spec: FamilySpec, N: int) -> dict:
     l' + l'' <= N and every target, all targets of a pair at once, and
     compare against directly counted P; only the P values are kept."""
     F = spec.base
-    basis = _basis(N, F)
+    basis = truncation_basis(N, F)
     sides = [side for w1, w2 in _pairs(basis, N) for side in inversion_rows(w1, w2, F)]
 
     def records(enc):
@@ -157,14 +151,11 @@ def phi_suite(spec: FamilySpec, N: int) -> dict:
     (images xi(l', c; l) e[c(l)] multiply as a scaled center_row), upper
     triangular with unit diagonal, and that preimages map back."""
     F = spec.base
-    basis = _basis(N, F)
+    basis = truncation_basis(N, F)
     shown = {w: w.display(F) for w in basis}
-    zero = list(zero_rows(N, F))
 
     def unit(w: OmegaLabel) -> list[tuple[int, ...]]:
-        row = list(zero[w.l])
-        row[label_ids(w.l, F)[w.c]] = 1
-        return zero[:w.l] + [tuple(row)] + zero[w.l + 1:]
+        return vector_rows(basis_vector(w, N), F)
 
     records = []
     for w1, w2 in _pairs(basis, N):
@@ -190,7 +181,7 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
     miscount fails; a symmetric one is left to main-lemma, invert and phi,
     which compare P with S."""
     F = spec.base
-    basis = _basis(N, F)
+    basis = truncation_basis(N, F)
     shown = [w.display(F) for w in basis]
     rows = [[product_rows(w1, w2, N, F) for w2 in basis] for w1 in basis]
     records = []

@@ -320,7 +320,9 @@ def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupEl
 
 @lru_cache(maxsize=None)
 def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
-    """All class labels with alpha <= m, each built once, in canonical order."""
+    """All class labels with alpha <= m, each built once, in canonical order;
+    the budget is checked at m before any label is built."""
+    check_budget(F, m)
     kinds = [
         (ln, k)
         for ln in range(1, m + 1)
@@ -339,14 +341,6 @@ def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
 
     rec(0, m, [])
     return tuple(sorted(out, key=ClassLabel.sort_key))
-
-
-@lru_cache(maxsize=None)
-def label_ids(m: int, F: FiniteGroup) -> dict[ClassLabel, int]:
-    """The id of each label with alpha <= m: its position in
-    labels_with_alpha_up_to(m, F).  That list is sorted by (alpha, pairs),
-    so a label has the same id at every m >= alpha."""
-    return {c: i for i, c in enumerate(labels_with_alpha_up_to(m, F))}
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +365,9 @@ def class_members(c: ClassLabel, F: FiniteGroup, n: int) -> tuple[tuple[int, ...
     """The code of every element of F wr S_n with label c, each once, in the
     order found: the orbit of the representative under conjugation by
     generating_set(F, n), by finite_group.orbit_partition, built once per
-    (c, F, n) and cached."""
+    (c, F, n) and cached; the budget is checked at n before the orbit is
+    searched."""
+    check_budget(F, n)
     # g x g^-1 is g o (x o g^-1), both compositions gathered in C by
     # itemgetter; the set is empty unless n |F| >= 2, so they give tuples.
     moves = [(g, itemgetter(*g_inv)) for g, g_inv in generating_set(F, n)]

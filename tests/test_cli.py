@@ -793,9 +793,9 @@ from classalg.correspondence import identity_rows, inversion_rows, phi_rows
 from classalg.errors import BudgetExceeded
 from classalg.finite_group import TRIVIAL
 from classalg.partial_algebra import (
-    OmegaLabel, basis_vector, ik_product, product_rows, vector_rows,
+    OmegaLabel, basis_vector, ik_product, product_rows, truncation_basis, vector_rows,
 )
-from classalg.wreath import ClassLabel
+from classalg.wreath import ClassLabel, class_members, labels_with_alpha_up_to
 e = ClassLabel(())
 try:
     {call}
@@ -814,9 +814,13 @@ except BudgetExceeded as exc:
     ("phi_rows(vector_rows(basis_vector(OmegaLabel(1, e), 40), TRIVIAL), TRIVIAL)",
      OVER_AT_40),
     ("center_row(e, e, 10**6, TRIVIAL)", OVER_AT_1E6),
+    ("truncation_basis(10**6, TRIVIAL)", OVER_AT_11[7:]),
+    ("labels_with_alpha_up_to(200, TRIVIAL)", OVER_AT_40.replace("level 40", "level 200")),
+    ("class_members(ClassLabel(((2, 0),)), TRIVIAL, 10**4)",
+     OVER_AT_40.replace("level 40", "level 10000")),
 ], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40",
         "product-rows-below-windows", "main-lemma-below-windows", "phi-40",
-        "center-row-1e6"])
+        "center-row-1e6", "basis-1e6", "labels-200", "class-members-1e4"])
 def test_huge_level_library_calls_raise_at_once(call, stdout):
     """The identity rows check the budget at each level before they list
     the labels of the levels below the windows, so a library call at a
@@ -825,7 +829,11 @@ def test_huge_level_library_calls_raise_at_once(call, stdout):
     rows, though only levels 1 and 2 can be nonzero, and also when the
     truncation is below both windows, where every row is zero; vector_rows
     checks the vector's level before it lists the labels of its rows, and
-    center_row its level before it reads a column."""
+    center_row its level before it reads a column.  truncation_basis checks
+    every level up to its own before it lists a label, so it raises at the
+    first level over the budget, and the enumerators it and the rows read,
+    labels_with_alpha_up_to and class_members, check their level before
+    they enumerate."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
 
@@ -852,7 +860,7 @@ def test_every_classalg_error_has_an_exit_code(capsys, monkeypatch, error, code)
     def fail(*_):
         raise error("raised inside a command")
 
-    monkeypatch.setattr(cli, "check_levels", fail)
+    monkeypatch.setattr(cli, "truncation_basis", fail)
     assert run(capsys, "classes", "--level", "2") == (
         code, "", "error: raised inside a command\n")
 

@@ -53,7 +53,7 @@ from classalg.partial_algebra import PartialElement, vector_rows
 from classalg.suites import (
     SUITE_NAMES, audit_suite, main_lemma_suite, run_suites, tower_suite,
 )
-from classalg.wreath import apply_perm_to_mask, decode, encode, label_ids
+from classalg.wreath import apply_perm_to_mask, decode, encode
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -69,7 +69,7 @@ def OM(l, parts):
 
 def inversion_entry(w1, w2, c, F=TRIVIAL):
     """The (solved, brute) pair of target c in inversion_rows."""
-    return inversion_rows(w1, w2, F)[label_ids(w1.l + w2.l, F)[c]]
+    return inversion_rows(w1, w2, F)[labels_with_alpha_up_to(w1.l + w2.l, F).index(c)]
 
 
 def phi_image(v, F):

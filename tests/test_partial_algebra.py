@@ -48,7 +48,7 @@ from classalg.oracles import (
     product_oracle,
 )
 from classalg.partial_algebra import (
-    level_omegas, product_column, product_rows, vector_rows, window_pairs,
+    product_column, product_rows, vector_rows, window_pairs,
 )
 from classalg.wreath import (
     class_label_representative,
@@ -58,7 +58,6 @@ from classalg.wreath import (
     compose,
     encode,
     inverse_label,
-    label_ids,
     labels_with_alpha_up_to,
 )
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
@@ -72,6 +71,16 @@ def CL(parts):
 
 def OM(l, parts):
     return OmegaLabel(l, CL(parts))
+
+
+def label_ids(l, F):
+    """The id of each label at level l: its position in labels_with_alpha_up_to."""
+    return {c: i for i, c in enumerate(labels_with_alpha_up_to(l, F))}
+
+
+def level_omegas(l, F):
+    """(l, c) for every label c at level l, by label id."""
+    return [OmegaLabel(l, c) for c in labels_with_alpha_up_to(l, F)]
 
 
 # --- partial elements ---
