@@ -71,9 +71,8 @@ def identity_rows(
     center_row (the full-window P column), and the counted P rows,
     product_rows(w1, w2, n).  The other side, sum over lt <= l of
     xi(lt,c;l) P(w1,w2,(lt,c)), is phi_rows of the P rows; at l1 = l2 = l
-    both read one P column.  The S side is read first, which checks the
-    budget at every level, and below max(l1, l2), where xi is 0, it takes
-    the zero rows of the P rows."""
+    both read one P column.  Below max(l1, l2), where xi is 0, the S side
+    takes the zero rows of the P rows."""
     (l1, c1), (l2, c2) = w1, w2
     lo = max(l1, l2)
     sides = []

@@ -36,7 +36,6 @@ from .finite_group import FiniteGroup
 from .wreath import (
     ClassLabel,
     check_budget,
-    check_levels,
     element_str,
     labels_with_alpha_up_to,
     mask_str,
@@ -147,8 +146,8 @@ def zero_rows(n: int, F: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 def truncation_basis(N: int, F: FiniteGroup) -> list[OmegaLabel]:
     """All class labels alive at truncation level N, in canonical order;
-    the budget is checked at every level l <= N before any label is listed."""
-    check_levels(F, N)
+    the budget is checked at N before any label is listed."""
+    check_budget(F, N)
     return [OmegaLabel(l, c) for l in range(N + 1) for c in labels_with_alpha_up_to(l, F)]
 
 
@@ -249,8 +248,7 @@ def product_rows(
     """e[w1] e[w2] in the truncation at level n as rows[l][id of c] =
     P(w1, w2, (l, c)) for l <= n, each the product_column at l.  Only
     levels max(l1, l2)..min(n, l1 + l2) can be nonzero.  The budget is
-    checked once, at n, before any row is built or any label listed: every
-    level read is at most n, and |F|^l l! grows with l."""
+    checked once, at n, before any row is built or any label listed."""
     l1, l2 = w1.l, w2.l
     lo = l1 if l1 > l2 else l2
     hi = n if n < l1 + l2 else l1 + l2

@@ -3,11 +3,11 @@
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a dict of summary counts
 and its records, one per check.  The sweeps walk truncation_basis, the
-OmegaLabels (l, c), whose check of the element budget at every level is
-the sweep's own.  They compare the integer rows that the kernels and
-vector_rows return and index no row by label id themselves; main-lemma
-and invert keep only integers, and render their records one at a time
-when they are written."""
+OmegaLabels (l, c), whose check of the element budget is the sweep's
+own.  They compare the integer rows that the kernels and vector_rows
+return and index no row by label id themselves; main-lemma and invert
+keep only integers, and render their records one at a time when they are
+written."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .partial_algebra import (
 )
 from .wreath import (
     GroupElement,
-    check_levels,
+    check_budget,
     code_class,
     code_inverse,
     compose,
@@ -242,8 +242,8 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     from .oracles import class_label, inverse, multiply, support
 
     F = spec.base
-    n = min(N, 3) if N else 0
-    check_levels(F, n)
+    n = min(N, 3)
+    check_budget(F, n)
     rng = random.Random(seed)
     ok = True
     for _ in range(PREFLIGHT_TRIPLES):

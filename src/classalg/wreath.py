@@ -91,27 +91,21 @@ def check_count(sizes, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _check_level(order: int, n: int, limit: int) -> None:
-    sizes = (order**k * factorial(k) for k in range(n + 1))
-    check_count(sizes, f"level {clip_int(n)} over base of order {clip_int(order)}")
+def _first_level_over(order: int, limit: int) -> tuple[int, int]:
+    """(l, |F|^l l!) for the first level l over limit, |F| = order: the
+    orders grow with l, so the levels within limit are exactly 0..l-1."""
+    l, size = 0, 1
+    while size <= limit:
+        l += 1
+        size *= order * l
+    return l, size
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
-    """check_count on the orders |F|^k k! of levels 0..n; passes are cached."""
-    _check_level(F.order, n, _limit())
-
-
-def check_levels(F: FiniteGroup, n: int) -> None:
-    """check_budget at the levels 0..n in order: the first level over the
-    budget is the one reported.  The orders are multiplied out once, up to
-    that level, and only there (or at n) is check_budget called."""
-    if n < 0:
-        return
-    limit, order, l = _limit(), 1, 0
-    while l < n and order <= limit:
-        l += 1
-        order *= F.order * l
-    check_budget(F, l)
+    """Raise BudgetExceeded, naming the first level l over the budget, if n >= l."""
+    l, size = _first_level_over(F.order, _limit())
+    if n >= l:
+        check_count([size], f"level {l} over base of order {clip_int(F.order)}")
 
 
 # --- support-set bitmask helpers (bit j <-> point j, displayed 1-based) ---

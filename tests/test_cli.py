@@ -719,15 +719,9 @@ E18 = str(10**18)
 
 
 @pytest.mark.parametrize("argv,code,stderr,stdout", [
-    (["sconst", "--l", "1000000000", "--c1", "[2]", "--c2", "[2]"], 3,
-     "error: level 1000000000 over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n", ""),
-    (["sconst", "--l", "2000", "--c1", "[2]", "--c2", "[2]"], 3,
-     "error: level 2000 over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n", ""),
-    (["verify", "audit", "--level", HUGE], 3,
-     f"error: level {HUGE} over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n", ""),
+    (["sconst", "--l", "1000000000", "--c1", "[2]", "--c2", "[2]"], 3, OVER_AT_11, ""),
+    (["sconst", "--l", "2000", "--c1", "[2]", "--c2", "[2]"], 3, OVER_AT_11, ""),
+    (["verify", "audit", "--level", HUGE], 3, OVER_AT_11, ""),
     (["verify", "all", "--level", HUGE], 3, OVER_AT_11, ""),
     (["classes", "--level", "45"], 3, OVER_AT_11, ""),
     (["classes", "--level", HUGE], 3, OVER_AT_11, ""),
@@ -735,8 +729,7 @@ E18 = str(10**18)
       "--format", "csv"], 0, "",
      "omega1,omega2,omega,P\n1:[],1:[],1:[],1\n1:[],1:[],2:[],2\n"),
     (["pconst", "--level", HUGE, "--omega1", f"{HUGE}:[]", "--omega2", "0:[]"],
-     3, f"error: level {HUGE} over base of order 1 has more than 10000000 "
-     "elements, budget is 10000000\n", ""),
+     3, OVER_AT_11, ""),
     (["xi", "--lprime", "10000", "--class", "[]", "--l", "20000"], 2,
      "error: xi(10000, []; 20000) has more than 4300 digits and cannot be "
      "printed\n", ""),
@@ -771,8 +764,8 @@ E18 = str(10**18)
         "xi-1e400-empty", "xi-1e18-printed", "xi-1e18-too-long",
         "xi-oracle-too-long", "xi-oracle-huge-binomial"])
 def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
-    """The budget is decided without the order of a huge level, classes
-    checks every level before it lists any, pconst reads no level above
+    """The budget is decided without the order of a huge level, and
+    names the first level over it; pconst reads no level above
     l1 + l2, where every product is zero, and lists no labels of a level
     before its budget check, and xi sizes a binomial too long
     to print (more than Python's 4300-digit default) without computing it,
@@ -781,11 +774,6 @@ def test_huge_levels_answer_at_once(argv, code, stderr, stdout):
     proc = child("-m", "classalg", *argv, timeout=2)
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
 
-
-OVER_AT_40 = ("level 40 over base of order 1 has more than 10000000 elements, "
-              "budget is 10000000\n")
-OVER_AT_50 = OVER_AT_40.replace("level 40", "level 50")
-OVER_AT_1E6 = OVER_AT_40.replace("level 40", "level 1000000")
 
 LIBRARY_CALL = """\
 from classalg.center_algebra import center_row
@@ -804,38 +792,54 @@ except BudgetExceeded as exc:
 """
 
 
-@pytest.mark.parametrize("call,stdout", [
-    ("identity_rows(OmegaLabel(1, e), OmegaLabel(1, e), 10**6, TRIVIAL)", OVER_AT_11[7:]),
-    ("inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)", OVER_AT_1E6),
-    ("product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)", OVER_AT_40),
-    ("ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)", OVER_AT_40),
-    ("product_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
-    ("identity_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)", OVER_AT_50),
-    ("phi_rows(vector_rows(basis_vector(OmegaLabel(1, e), 40), TRIVIAL), TRIVIAL)",
-     OVER_AT_40),
-    ("center_row(e, e, 10**6, TRIVIAL)", OVER_AT_1E6),
-    ("truncation_basis(10**6, TRIVIAL)", OVER_AT_11[7:]),
-    ("labels_with_alpha_up_to(200, TRIVIAL)", OVER_AT_40.replace("level 40", "level 200")),
-    ("class_members(ClassLabel(((2, 0),)), TRIVIAL, 10**4)",
-     OVER_AT_40.replace("level 40", "level 10000")),
+@pytest.mark.parametrize("call", [
+    "identity_rows(OmegaLabel(1, e), OmegaLabel(1, e), 10**6, TRIVIAL)",
+    "inversion_rows(OmegaLabel(10**6, e), OmegaLabel(0, e), TRIVIAL)",
+    "product_rows(OmegaLabel(1, e), OmegaLabel(1, e), 40, TRIVIAL)",
+    "ik_product(*[basis_vector(OmegaLabel(1, e), 40)] * 2, TRIVIAL)",
+    "product_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)",
+    "identity_rows(OmegaLabel(60, e), OmegaLabel(0, e), 50, TRIVIAL)",
+    "phi_rows(vector_rows(basis_vector(OmegaLabel(1, e), 40), TRIVIAL), TRIVIAL)",
+    "center_row(e, e, 10**6, TRIVIAL)",
+    "truncation_basis(10**6, TRIVIAL)",
+    "labels_with_alpha_up_to(200, TRIVIAL)",
+    "class_members(ClassLabel(((2, 0),)), TRIVIAL, 10**4)",
 ], ids=["main-lemma-1e6", "inversion-1e6", "product-rows-40", "ik-product-40",
         "product-rows-below-windows", "main-lemma-below-windows", "phi-40",
         "center-row-1e6", "basis-1e6", "labels-200", "class-members-1e4"])
-def test_huge_level_library_calls_raise_at_once(call, stdout):
-    """The identity rows check the budget at each level before they list
-    the labels of the levels below the windows, so a library call at a
-    level of a million raises BudgetExceeded at the first level over it;
-    the product rows check the truncation level before they list its zero
-    rows, though only levels 1 and 2 can be nonzero, and also when the
-    truncation is below both windows, where every row is zero; vector_rows
-    checks the vector's level before it lists the labels of its rows, and
-    center_row its level before it reads a column.  truncation_basis checks
-    every level up to its own before it lists a label, so it raises at the
-    first level over the budget, and the enumerators it and the rows read,
-    labels_with_alpha_up_to and class_members, check their level before
-    they enumerate."""
+def test_huge_level_library_calls_raise_at_once(call):
+    """A library call at any level past the budget raises BudgetExceeded at
+    once, naming the first level over the budget."""
     proc = child("-c", LIBRARY_CALL.format(call=call), timeout=2)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", OVER_AT_11[7:])
+
+
+# the default family is sym
+ONE_LEVEL_OVER = [
+    *[(["verify", suite, "--level", "12"], OVER_AT_11)
+      for suite in ("all", "main-lemma", "invert", "phi", "tower", "audit")],
+    (["classes", "--level", "12"], OVER_AT_11),
+    (["sconst", "--l", "12", "--c1", "[2]", "--c2", "[2]", "--c", "[2]"], OVER_AT_11),
+    (["sconst", "--l", "12", "--c1", "[2]", "--c2", "[2]"], OVER_AT_11),
+    (["pconst", "--level", "12", "--omega1", "6:[]", "--omega2", "6:[]", "--omega", "12:[]"],
+     OVER_AT_11),
+    (["pconst", "--level", "12", "--omega1", "6:[]", "--omega2", "6:[]"], OVER_AT_11),
+    (["verify", "audit", "--level", "9", "--family", "wreath:cyclic2"],
+     "error: level 8 over base of order 2 has 10321920 elements, budget is 10000000\n"),
+    (["sconst", "--l", "12", "--c1", "[2]", "--c2", "[2]", "--budget-elements", "100000000"],
+     "error: level 12 over base of order 1 has 479001600 elements, budget is 100000000\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", ONE_LEVEL_OVER, ids=[
+    "verify-all", "verify-main-lemma", "verify-invert", "verify-phi", "verify-tower",
+    "verify-audit", "classes", "sconst-one", "sconst-expand", "pconst-one",
+    "pconst-expand", "wreath-cyclic2-9", "budget-1e8"])
+def test_one_level_over_the_budget_gives_one_line_everywhere(argv, stderr):
+    """Every entry point at a level past the budget exits 3 with the one
+    line that names the first level over it and that level's order."""
+    proc = child("-m", "classalg", *argv, timeout=10)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (3, stderr, "")
 
 
 def test_budget_message_clips_its_numbers():

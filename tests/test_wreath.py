@@ -401,19 +401,27 @@ def test_element_budget_is_scoped():
         level_group(TRIVIAL, 11)
 
 
-def test_check_budget_caches_passes_only():
-    """A level within the budget is checked once per limit; one over it
-    raises, with the same message, every time."""
-    wreath_mod._check_level.cache_clear()
+def test_check_budget_caches_one_level_cap_per_limit():
+    """The first level over the budget is found once per base order and
+    limit, whatever levels are checked, passing or failing; a check at or
+    above it raises, naming it, with the same message every time."""
+    wreath_mod._first_level_over.cache_clear()
     for _ in range(3):
-        check_budget(Z2, 4)
-        with element_budget(383), pytest.raises(
-            BudgetExceeded,
-            match="^level 4 over base of order 2 has 384 elements, budget is 383$",
-        ):
-            check_budget(Z2, 4)
-    info = wreath_mod._check_level.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
+        for n in (-1, 0, 4, 7):
+            check_budget(Z2, n)
+        with element_budget(383):
+            for n in (0, 1, 2, 3):
+                check_budget(Z2, n)
+            for n in (4, 5, 10**6):
+                with pytest.raises(
+                    BudgetExceeded,
+                    match="^level 4 over base of order 2 has 384 elements, budget is 383$",
+                ):
+                    check_budget(Z2, n)
+    assert wreath_mod._first_level_over(2, 383) == (4, 384)
+    assert wreath_mod._first_level_over(2, 10_000_000) == (8, 10321920)
+    info = wreath_mod._first_level_over.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 @pytest.mark.parametrize(
