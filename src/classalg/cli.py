@@ -14,7 +14,7 @@ import io
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import comb, log10
 
@@ -126,9 +126,15 @@ def _json_doc(payload: dict) -> Iterator[str]:
     yield "\n"
 
 
+def _title(args: argparse.Namespace, spec: FamilySpec, fields: dict) -> str:
+    """The table's title line, from the header fields; none without them."""
+    title = "".join(f"  {k}={v}" for k, v in fields.items())
+    return f"{args.command}  family={spec.name}{title}\n" if title else ""
+
+
 def _render(
     args: argparse.Namespace, spec: FamilySpec, fields: dict,
-    headers: list[str], rows: list[list], lists: dict | None = None,
+    headers: Sequence[str] = (), rows: Sequence[list] = (), lists: dict | None = None,
 ) -> None:
     """Emit one command's result.  rows hold typed values, one per header.
     JSON gets the header fields and `lists` (default: the rows as dicts
@@ -144,10 +150,7 @@ def _render(
     if args.format == "csv":
         _emit(args, [_csv(headers, cells)])
         return
-    title = "".join(f"  {k}={v}" for k, v in fields.items())
-    if title:
-        title = f"{args.command}  family={spec.name}{title}\n"
-    _emit(args, [title, _table(headers, cells)])
+    _emit(args, [_title(args, spec, fields), _table(headers, cells)])
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
@@ -257,9 +260,9 @@ def cmd_xi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_verify_text(result: dict) -> str:
-    lines = [f"verify  family={result['family']}  level={result['level']}"]
-    for s in result["suites"]:
+def _render_verify_text(report: dict) -> str:
+    lines = []
+    for s in report["suites"]:
         if s["suite"] == "audit":
             def mark(flag: bool) -> str:
                 return "ok" if flag else "VIOLATION"
@@ -291,12 +294,12 @@ def _render_verify_text(result: dict) -> str:
                 lines.append(f"  FAIL {fields}")
             if s["failures"] > 5:
                 lines.append(f"  ... and {s['failures'] - 5} more")
-    if result["skipped"]:
+    if report["skipped"]:
         lines.append(
             "skipped (family admits no class machinery): "
-            + ", ".join(result["skipped"])
+            + ", ".join(report["skipped"])
         )
-    lines.append("RESULT: " + ("OK" if result["ok"] else "FAILED"))
+    lines.append("RESULT: " + ("OK" if report["ok"] else "FAILED"))
     return "\n".join(lines) + "\n"
 
 
@@ -305,12 +308,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .suites import SUITE_NAMES, run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    result = run_suites(names, spec, args.level, seed=args.seed)
+    report = run_suites(names, spec, args.level, seed=args.seed)
+    fields = {"level": args.level}
     if args.format == "json":
-        _emit(args, _json_doc(result))
+        _render(args, spec, fields, lists=report)
     else:
-        _emit(args, [_render_verify_text(result)])
-    return 0 if result["ok"] else 1
+        _emit(args, [_title(args, spec, fields), _render_verify_text(report)])
+    return 0 if report["ok"] else 1
 
 
 class _Parser(argparse.ArgumentParser):

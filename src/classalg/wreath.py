@@ -333,7 +333,8 @@ def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
         for cnt in range(room // ln + 1):
             rec(i + 1, room - cnt * ln, acc + [(ln, k)] * cnt)
 
-    rec(0, m, [])
+    if m >= 0:
+        rec(0, m, [])
     return tuple(sorted(out, key=ClassLabel.sort_key))
 
 

@@ -43,6 +43,13 @@ def test_center_basis_counts():
     assert labels == ["[]", "[2]", "[3]"]
 
 
+@pytest.mark.parametrize("F", [TRIVIAL, Z2], ids=["trivial", "cyclic2"])
+@pytest.mark.parametrize("m", [-1, -3])
+def test_center_basis_below_zero_is_empty(F, m):
+    # every label has alpha >= 0, the empty label included
+    assert labels_with_alpha_up_to(m, F) == ()
+
+
 def test_center_basis_label_validation():
     # a class sum c(l) exists only when c fits in l points
     with pytest.raises(InvalidLabel):

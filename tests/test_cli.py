@@ -320,6 +320,42 @@ def test_verify_json_schema(capsys):
     assert suite["checks"] == len(suite["records"])
 
 
+HEADED_RUNS = [
+    (["classes", "--family", "sym", "--level", "3"], {"level": 3}, ["omega", "center"]),
+    (["pconst", "--family", "sym", "--level", "3", "--omega1", "1:[]",
+      "--omega2", "2:[2]"], {"level": 3}, ["rows"]),
+    (["sconst", "--family", "wreath:cyclic2", "--l", "3", "--c1", "[(1,1)]",
+      "--c2", "[(1,1)]"], {"l": 3}, ["rows"]),
+    (["xi", "--family", "sym", "--lprime", "2", "--class", "[2]", "--l", "4"], {},
+     ["rows"]),
+    (["verify", "invert", "--family", "sym", "--level", "2"], {"level": 2},
+     ["skipped", "suites", "ok"]),
+]
+
+
+@pytest.mark.parametrize("argv, fields, lists", HEADED_RUNS,
+                         ids=[argv[0] for argv, _, _ in HEADED_RUNS])
+def test_every_command_has_one_header_and_title(capsys, argv, fields, lists):
+    """JSON opens with schema, command and family, then the command's own
+    fields; the table's title line names the same, and xi, with no fields,
+    has none."""
+    command, family = argv[0], argv[argv.index("--family") + 1]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "command", "family", *fields, *lists]
+    assert (doc["schema"], doc["command"], doc["family"]) == (1, command, family)
+    assert {k: doc[k] for k in fields} == fields
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    first = out.splitlines()[0]
+    if fields:
+        title = "".join(f"  {k}={v}" for k, v in fields.items())
+        assert first == f"{command}  family={family}{title}"
+    else:
+        assert first.split() == ["lprime", "c", "l", "xi"]
+
+
 def test_verify_dtype_audit_expected_failure(capsys):
     code, out, _ = run(
         capsys, "verify", "audit", "--family", "dtype", "--level", "3"

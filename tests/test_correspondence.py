@@ -259,6 +259,14 @@ def test_suites_keep_the_budget_they_are_given(monkeypatch):
             assert run_suites([name], spec, 3)["ok"], name
 
 
+def test_run_suites_returns_only_its_suites():
+    """The header of the verify document (schema, command, family, level)
+    is the CLI's; run_suites reports the suites alone."""
+    for spec in (FamilySpec.symmetric(), FamilySpec.d_type()):
+        rep = run_suites(["preflight", "phi", "audit"], spec, 2)
+        assert list(rep) == ["skipped", "suites", "ok"]
+
+
 def test_tower_reads_each_truncation_once(monkeypatch):
     """The tower reads the rows of each of the 1,444 pairs at wreath:cyclic2
     level 4 through product_rows, once at level 4 and once at each lower
