@@ -2,12 +2,13 @@
 
 Each suite enumerates a canonical task list, checks exact integer
 identities in order in one process, and returns a dict of summary counts
-and its records, one per check.  The sweeps walk truncation_basis, the
-OmegaLabels (l, c), whose check of the element budget is the sweep's
-own.  They compare the integer rows that the kernels and vector_rows
-return and index no row by label id themselves; main-lemma and invert
-keep only integers, and render their records one at a time when they are
-written."""
+and its records, one per check; run_suites heads each report with the
+suite's name and the family, fields no suite writes.  The sweeps walk
+truncation_basis, the OmegaLabels (l, c), whose check of the element
+budget is the sweep's own.  They compare the integer rows that the
+kernels and vector_rows return and index no row by label id themselves;
+main-lemma and invert keep only integers, and render their records one
+at a time when they are written."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .correspondence import (
     phi_preimage,
     phi_rows,
 )
+from .errors import InvalidLabel, clip_int
 from .finite_group import FiniteGroup
 from .partial_algebra import (
     OmegaLabel,
@@ -49,15 +51,10 @@ SUITE_NAMES = ("preflight", "main-lemma", "invert", "phi", "tower", "audit")
 PREFLIGHT_TRIPLES = 200
 
 
-def _suite_dict(
-    name: str, spec: FamilySpec, level: int, records: list[dict] | Records,
-    failures: int | None = None,
-) -> dict:
+def _suite_dict(level: int, records: list[dict] | Records, failures: int | None = None) -> dict:
     if failures is None:
         failures = sum(1 for r in records if not r["ok"])
     return {
-        "suite": name,
-        "family": spec.name,
         "level": level,
         "checks": len(records),
         "failures": failures,
@@ -117,8 +114,7 @@ def main_lemma_suite(spec: FamilySpec, N: int) -> dict:
                     yield l1, c1, l2, c2, l, c, a, b, flags[a == b]
 
     fields = ("l1", "c1", "l2", "c2", "l", "c", "lhs", "rhs", "ok")
-    return _suite_dict("main-lemma", spec, N, Records(fields, len(lhs), records),
-                       sum(map(ne, lhs, rhs)))
+    return _suite_dict(N, Records(fields, len(lhs), records), sum(map(ne, lhs, rhs)))
 
 
 def inversion_suite(spec: FamilySpec, N: int) -> dict:
@@ -142,8 +138,7 @@ def inversion_suite(spec: FamilySpec, N: int) -> dict:
                 )))
 
     fields = ("omega1", "omega2", "c", "levels", "solved", "brute", "ok")
-    return _suite_dict("invert", spec, N, Records(fields, len(sides), records),
-                       sum(s != b for s, b in sides))
+    return _suite_dict(N, Records(fields, len(sides), records), sum(s != b for s, b in sides))
 
 
 def phi_suite(spec: FamilySpec, N: int) -> dict:
@@ -166,7 +161,7 @@ def phi_suite(spec: FamilySpec, N: int) -> dict:
         img = phi_rows(vector_rows(phi_preimage(w.c, w.l, N, F), F), F)
         records.append({"kind": "preimage", "target": f"{w.c.display(F)}({w.l})",
                         "ok": img == units[w]})
-    return _suite_dict("phi", spec, N, records)
+    return _suite_dict(N, records)
 
 
 def tower_suite(spec: FamilySpec, N: int) -> dict:
@@ -188,7 +183,7 @@ def tower_suite(spec: FamilySpec, N: int) -> dict:
             ok = all(top[:np + 1] == product_rows(w1, w2, np, F)
                      for np in range(N)) and top == rows[j][i]
             records.append({"omega1": s1, "omega2": s2, "ok": ok})
-    return _suite_dict("tower", spec, N, records)
+    return _suite_dict(N, records)
 
 
 # --- audit ---
@@ -202,8 +197,6 @@ def audit_suite(spec: FamilySpec, N: int) -> dict:
     expect_violation = spec.kind == "d_type" and N >= 3
     as_expected = rep.passed != expect_violation
     return {
-        "suite": "audit",
-        "family": spec.name,
         "kind": spec.kind,
         "level": N,
         "unit_ok": rep.unit_ok,
@@ -238,6 +231,8 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     pconst do, count the factorization x y."""
     from .oracles import class_label, inverse, multiply, support
 
+    if N < 0:
+        raise InvalidLabel(f"level {clip_int(N)} is negative")
     F = spec.base
     n = min(N, 3)
     check_budget(F, n)
@@ -265,8 +260,6 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
             ok = False
             break
     return {
-        "suite": "preflight",
-        "family": spec.name,
         "level": n,
         "seed": seed,
         "checks": PREFLIGHT_TRIPLES,
@@ -277,18 +270,14 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
 
 def run_suites(names: list[str], spec: FamilySpec, N: int, seed: int = 0) -> dict:
     """Run the named suites in canonical order: the names skipped, the
-    reports of those run, and whether all are ok."""
+    reports of those run, each headed by suite and family, and if all are ok."""
     wanted = [s for s in SUITE_NAMES if s in names]
-    skipped: list[str] = []
-    if spec.kind == "d_type":
-        # class machinery is undefined for a family that breaks fusion
-        skipped = [s for s in wanted if s not in ("audit", "preflight")]
-        wanted = [s for s in wanted if s in ("audit", "preflight")]
-    by_name = {"main-lemma": main_lemma_suite, "invert": inversion_suite,
+    # class machinery is undefined for a family that breaks fusion
+    skipped = [s for s in wanted if spec.kind == "d_type" and s not in ("audit", "preflight")]
+    # looked up at each call: bench/spans.py rebinds the suite functions to time them
+    by_name = {"preflight": lambda spec, N: preflight_suite(spec, N, seed),
+               "main-lemma": main_lemma_suite, "invert": inversion_suite,
                "phi": phi_suite, "tower": tower_suite, "audit": audit_suite}
-    suites = [
-        preflight_suite(spec, N, seed) if name == "preflight"
-        else by_name[name](spec, N)
-        for name in wanted
-    ]
+    suites = [{"suite": name, "family": spec.name, **by_name[name](spec, N)}
+              for name in wanted if name not in skipped]
     return {"skipped": skipped, "suites": suites, "ok": all(s["ok"] for s in suites)}

@@ -438,6 +438,8 @@ def representative_factors(
 
 def enumerate_elements(F: FiniteGroup, n: int):
     """Yield all of F wr S_n in canonical order: perm lex, then deco lex."""
+    if n < 0:
+        raise InvalidLabel(f"level {clip_int(n)} is negative")
     check_budget(F, n)
     for perm in itertools.permutations(range(n)):
         for deco in itertools.product(range(F.order), repeat=n):

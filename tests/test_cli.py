@@ -375,12 +375,22 @@ def test_verify_dtype_audit_passes_below_three_points(capsys, level):
     assert out.strip().endswith("RESULT: OK")
 
 
-def test_verify_dtype_all_skips_class_suites(capsys):
+# sha256 of the table stdout of `verify all --family dtype`, whose JSON
+# VERIFY_JSON_SHA256 pins
+DTYPE_TABLE_SHA256 = {
+    3: "287a8c45c323747023fec736b3a8e575a89312646d2f7950752020813237ec1c",
+    4: "fc198401d5c812e2ec9f87a0e42f830535aa0d939e406014ec2109aa6ac6fc78",
+}
+
+
+@pytest.mark.parametrize("level", list(DTYPE_TABLE_SHA256))
+def test_verify_dtype_all_skips_class_suites(capsys, level):
     code, out, _ = run(
-        capsys, "verify", "all", "--family", "dtype", "--level", "3"
+        capsys, "verify", "all", "--family", "dtype", "--level", str(level)
     )
     assert code == 0
     assert "skipped" in out and "main-lemma" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == DTYPE_TABLE_SHA256[level]
 
 
 @pytest.mark.parametrize("argv", [

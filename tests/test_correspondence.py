@@ -51,9 +51,10 @@ from classalg.oracles import (
 )
 from classalg.partial_algebra import PartialElement, vector_rows
 from classalg.suites import (
-    SUITE_NAMES, audit_suite, main_lemma_suite, run_suites, tower_suite,
+    SUITE_NAMES, audit_suite, inversion_suite, main_lemma_suite, phi_suite,
+    preflight_suite, run_suites, tower_suite,
 )
-from classalg.wreath import apply_perm_to_mask, decode, encode
+from classalg.wreath import apply_perm_to_mask, decode, encode, enumerate_elements
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -265,6 +266,49 @@ def test_run_suites_returns_only_its_suites():
     for spec in (FamilySpec.symmetric(), FamilySpec.d_type()):
         rep = run_suites(["preflight", "phi", "audit"], spec, 2)
         assert list(rep) == ["skipped", "suites", "ok"]
+
+
+def test_no_suite_writes_its_own_header():
+    """suite and family head each report in run_suites alone; the six
+    suites return only the fields that follow them."""
+    spec = FamilySpec.symmetric()
+    reports = [preflight_suite(spec, 2, 0)] + [
+        suite(spec, 2)
+        for suite in (main_lemma_suite, inversion_suite, phi_suite, tower_suite, audit_suite)
+    ]
+    for rep in reports:
+        assert "suite" not in rep and "family" not in rep
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec.symmetric(), FamilySpec.wreath(Z2, "wreath:cyclic2"),
+], ids=["sym", "wreath:cyclic2"])
+def test_run_suites_heads_every_report(spec):
+    """Every report starts with the keys suite and family, and the reports
+    follow SUITE_NAMES order."""
+    reports = run_suites(list(SUITE_NAMES), spec, 2)["suites"]
+    assert [list(rep)[:2] for rep in reports] == [["suite", "family"]] * len(SUITE_NAMES)
+    assert [(rep["suite"], rep["family"]) for rep in reports] == [
+        (name, spec.name) for name in SUITE_NAMES
+    ]
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_level_is_invalid_label(n):
+    """Every entry point that builds elements or draws them at random names
+    a level below 0 in an InvalidLabel, not a bare ValueError from
+    itertools or getrandbits."""
+    sym = FamilySpec.symmetric()
+    calls = [
+        lambda: list(enumerate_elements(TRIVIAL, n)),
+        lambda: level_group(TRIVIAL, n),
+        lambda: admissibility_audit(sym, n),
+        lambda: preflight_suite(sym, n, 0),
+        lambda: run_suites(list(SUITE_NAMES), sym, n),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidLabel, match=f"^level {n} is negative$"):
+            call()
 
 
 def test_tower_reads_each_truncation_once(monkeypatch):
