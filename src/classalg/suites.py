@@ -26,7 +26,6 @@ from .correspondence import (
     phi_preimage,
     phi_rows,
 )
-from .errors import InvalidLabel, clip_int
 from .finite_group import FiniteGroup
 from .partial_algebra import (
     OmegaLabel,
@@ -231,8 +230,6 @@ def preflight_suite(spec: FamilySpec, N: int, seed: int) -> dict:
     pconst do, count the factorization x y."""
     from .oracles import class_label, inverse, multiply, support
 
-    if N < 0:
-        raise InvalidLabel(f"level {clip_int(N)} is negative")
     F = spec.base
     n = min(N, 3)
     check_budget(F, n)

@@ -102,7 +102,10 @@ def _first_level_over(order: int, limit: int) -> tuple[int, int]:
 
 
 def check_budget(F: FiniteGroup, n: int) -> None:
-    """Raise BudgetExceeded, naming the first level l over the budget, if n >= l."""
+    """Raise InvalidLabel if n < 0, and BudgetExceeded, naming the first
+    level l over the budget, if n >= l."""
+    if n < 0:
+        raise InvalidLabel(f"level {clip_int(n)} is negative")
     l, size = _first_level_over(F.order, _limit())
     if n >= l:
         check_count([size], f"level {l} over base of order {clip_int(F.order)}")
@@ -314,28 +317,23 @@ def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupEl
 
 @lru_cache(maxsize=None)
 def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
-    """All class labels with alpha <= m, each built once, in canonical order;
-    the budget is checked at m before any label is built."""
+    """All class labels with alpha <= m, in canonical order by construction:
+    the labels of level m - 1 (the empty label at m = 0), then those with
+    alpha m, each a first pair (ln, k), in ascending order, followed by a
+    label with alpha m - ln of the smaller levels whose first pair may come
+    after (ln, k).  So each level extends the one below with the same
+    objects, and a label's id is the same at every level that holds it.  The
+    budget is checked at m before any label is built."""
+    if m < 0:
+        return ()
     check_budget(F, m)
-    kinds = [
-        (ln, k)
-        for ln in range(1, m + 1)
-        for k in range(F.num_classes)
-        if (ln, k) != (1, 0)
-    ]
-    out: list[ClassLabel] = []
-
-    def rec(i: int, room: int, acc: list[tuple[int, int]]) -> None:
-        if i == len(kinds):
-            out.append(ClassLabel.from_pairs(acc))
-            return
-        ln, k = kinds[i]
-        for cnt in range(room // ln + 1):
-            rec(i + 1, room - cnt * ln, acc + [(ln, k)] * cnt)
-
-    if m >= 0:
-        rec(0, m, [])
-    return tuple(sorted(out, key=ClassLabel.sort_key))
+    out = list(labels_with_alpha_up_to(m - 1, F)) or [ClassLabel(())]
+    for ln in range(1, m + 1):
+        rests = labels_with_alpha_up_to(m - ln, F)[len(labels_with_alpha_up_to(m - ln - 1, F)):]
+        for k in range(ln == 1, F.num_classes):
+            out += [ClassLabel(((ln, k), *r.pairs)) for r in rests
+                    if not r.pairs or (-r.pairs[0][0], r.pairs[0][1]) >= (-ln, k)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -438,8 +436,6 @@ def representative_factors(
 
 def enumerate_elements(F: FiniteGroup, n: int):
     """Yield all of F wr S_n in canonical order: perm lex, then deco lex."""
-    if n < 0:
-        raise InvalidLabel(f"level {clip_int(n)} is negative")
     check_budget(F, n)
     for perm in itertools.permutations(range(n)):
         for deco in itertools.product(range(F.order), repeat=n):

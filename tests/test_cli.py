@@ -73,6 +73,31 @@ def test_classes_csv(capsys):
     assert "omega,2:[2],2,1" in lines
 
 
+# sha256 of `classes --format csv` at levels tier-1 reaches nowhere else:
+# the csv lists every label of every level in id order
+CLASSES_CSV_SHA256 = {
+    ("sym", "30", 10**33): "4bac7856866f79671c8c3fa38ca4aba6ace1efa25e75df234c67d44bd54c4cfb",
+    ("wreath:cyclic2", "12", 10**13):
+        "8705cd0fe857c42c84fae8e129e56683db46aaf940dd669e61090e358315be54",
+    ("wreath:sym3", "8", 10**13):
+        "305576e6d3c916b7ff64ad90f579ec22d60db92fda6abd8064b8848d5fdcb1c4",
+}
+
+
+@pytest.mark.parametrize(
+    "family,level,budget", list(CLASSES_CSV_SHA256),
+    ids=[f"{f}-{l}" for f, l, _ in CLASSES_CSV_SHA256],
+)
+def test_classes_csv_digest(capsys, family, level, budget):
+    code, out, _ = run(
+        capsys, "classes", "--family", family, "--level", level,
+        "--budget-elements", str(budget), "--format", "csv",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CLASSES_CSV_SHA256[(family, level, budget)]
+
+
 def test_pconst_expansion(capsys):
     code, out, _ = run(
         capsys, "pconst", "--family", "sym", "--level", "4",

@@ -49,12 +49,14 @@ from classalg.finite_group import TRIVIAL, orbit_partition
 from classalg.oracles import (
     class_label, d_type_membership, level_views, phi_oracle, xi_count_oracle,
 )
-from classalg.partial_algebra import PartialElement, vector_rows
+from classalg.partial_algebra import PartialElement, product_rows, vector_rows
 from classalg.suites import (
     SUITE_NAMES, audit_suite, inversion_suite, main_lemma_suite, phi_suite,
     preflight_suite, run_suites, tower_suite,
 )
-from classalg.wreath import apply_perm_to_mask, decode, encode, enumerate_elements
+from classalg.wreath import (
+    apply_perm_to_mask, check_budget, decode, encode, enumerate_elements,
+)
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
 Z2 = builtin_group("cyclic2")
@@ -295,16 +297,23 @@ def test_run_suites_heads_every_report(spec):
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_negative_level_is_invalid_label(n):
-    """Every entry point that builds elements or draws them at random names
-    a level below 0 in an InvalidLabel, not a bare ValueError from
-    itertools or getrandbits."""
+    """Every entry point that builds elements, draws them at random or
+    sweeps a truncation names a level below 0 in an InvalidLabel, the one
+    that check_budget raises, not a bare ValueError from itertools or
+    getrandbits or an empty sweep reported as ok."""
     sym = FamilySpec.symmetric()
+    w = OmegaLabel(0, ClassLabel(()))
     calls = [
         lambda: list(enumerate_elements(TRIVIAL, n)),
         lambda: level_group(TRIVIAL, n),
         lambda: admissibility_audit(sym, n),
         lambda: preflight_suite(sym, n, 0),
         lambda: run_suites(list(SUITE_NAMES), sym, n),
+        lambda: run_suites(["main-lemma", "invert", "phi", "tower"], sym, n),
+        lambda: truncation_basis(n, TRIVIAL),
+        lambda: product_rows(w, w, n, TRIVIAL),
+        lambda: identity_rows(w, w, n, TRIVIAL),
+        lambda: check_budget(TRIVIAL, n),
     ]
     for call in calls:
         with pytest.raises(InvalidLabel, match=f"^level {n} is negative$"):

@@ -310,10 +310,43 @@ def test_class_label_drops_trivial_fixed_points():
         ClassLabel.from_pairs([(2, 5)], Z2)
 
 
-def test_label_order_between_labels():
-    labels = labels_with_alpha_up_to(5, TRIVIAL)
-    shown = [c.display(TRIVIAL) for c in labels]
+def _labels_by_sorting(m, F):
+    """Every multiset of (length, F-class) pairs on at most m points, each
+    made a label by from_pairs, sorted by sort_key."""
+    kinds = [(ln, k) for ln in range(1, m + 1) for k in range(F.num_classes)
+             if (ln, k) != (1, 0)]
+
+    def multisets(i, room):
+        if i == len(kinds):
+            yield []
+            return
+        for cnt in range(room // kinds[i][0] + 1):
+            for rest in multisets(i + 1, room - cnt * kinds[i][0]):
+                yield [kinds[i]] * cnt + rest
+
+    return sorted(map(ClassLabel.from_pairs, multisets(0, m)), key=ClassLabel.sort_key)
+
+
+_LABEL_BASES = {
+    "sym": (TRIVIAL, 14), "cyclic2": (Z2, 8), "cyclic3": (Z3, 8), "sym3": (S3F, 8),
+    "dihedral8": (DIHEDRAL8, 6), "quaternion": (QUATERNION, 6),
+    "alternating4": (ALTERNATING4, 6),
+}
+
+
+@pytest.mark.parametrize("F,m", list(_LABEL_BASES.values()), ids=list(_LABEL_BASES))
+def test_label_order_between_labels(F, m):
+    """Each level lists its labels as sorting every multiset would, and
+    begins with the labels of every smaller level, the same objects: a
+    label's id is its position at every level that holds it."""
+    shown = [c.display(TRIVIAL) for c in labels_with_alpha_up_to(5, TRIVIAL)]
     assert shown == ["[]", "[2]", "[3]", "[2,2]", "[4]", "[3,2]", "[5]"]
+    with element_budget(10**12):
+        top = labels_with_alpha_up_to(m, F)
+        for l in range(m + 1):
+            labels = labels_with_alpha_up_to(l, F)
+            assert list(labels) == _labels_by_sorting(l, F)
+            assert all(a is b for a, b in zip(labels, top[:len(labels)], strict=True))
 
 
 @pytest.mark.parametrize(
@@ -404,11 +437,14 @@ def test_element_budget_is_scoped():
 def test_check_budget_caches_one_level_cap_per_limit():
     """The first level over the budget is found once per base order and
     limit, whatever levels are checked, passing or failing; a check at or
-    above it raises, naming it, with the same message every time."""
+    above it raises, naming it, with the same message every time.  A
+    negative level raises before the cap is looked up."""
     wreath_mod._first_level_over.cache_clear()
     for _ in range(3):
-        for n in (-1, 0, 4, 7):
+        for n in (0, 4, 7):
             check_budget(Z2, n)
+        with pytest.raises(InvalidLabel, match="^level -1 is negative$"):
+            check_budget(Z2, -1)
         with element_budget(383):
             for n in (0, 1, 2, 3):
                 check_budget(Z2, n)
