@@ -10,12 +10,12 @@ P is weighed when it is read.  representative_factors counts, for one
 representative h of a target class c at level l, the members x of the first
 class c1 by the label of x^-1 h and by the overlap of the supports of x and
 x^-1 h; weigh sums those counts against window_pairs, the pairs of windows
-holding both supports, a sum of binomials.  factor_rows(c1, l) files the
-rows of every target under each second class c2 in one pass, shared by
-every first window size.  So e[omega1] e[omega2] at level l is one column,
+holding both supports, a sum of binomials.  factor_rows(c1, c2, l) lists
+the rows that hold c2, read from the id prefix of targets with alpha(c)
+<= alpha(c1) + alpha(c2).  So e[omega1] e[omega2] at level l is a column,
 P(omega1, omega2, (l, c)) over the target ids (a label's id is its position
-in labels_with_alpha_up_to), which product_column weighs from the entries
-filed under c2 and returns for product_rows at each level of a truncation
+in labels_with_alpha_up_to), which product_column weighs from those rows
+and returns for product_rows at each level of a truncation
 and for S at the full window (center_algebra.center_row).  expand turns the
 rows of the pairs of terms into a sparse product, for ik_product here and
 center_product there.  p_constant weighs one count of one row; at full
@@ -200,29 +200,28 @@ def weigh(counts: dict[int, int], l: int, l1: int, l2: int, a: int, b: int) -> i
 
 @lru_cache(maxsize=None)
 def factor_rows(
-    c1: ClassLabel, l: int, F: FiniteGroup
-) -> dict[ClassLabel, list[tuple[int, dict[int, int]]]]:
-    """For each second class c2, the (id of c, counts) of every target c at
-    level l whose representative_factors(c1, c, l) row holds c2, by id of c:
-    one pass over the targets, shared by every first window size.  The
+    c1: ClassLabel, c2: ClassLabel, l: int, F: FiniteGroup
+) -> list[tuple[int, dict[int, int]]]:
+    """The (id of c, counts) of every target c at level l whose
+    representative_factors(c1, c, l) row holds c2, by id of c.  A product's
+    support lies in the union of its factors' supports, so only the targets
+    with alpha(c) <= alpha(c1) + alpha(c2), an id prefix, are read.  The
     caller checks the budget."""
-    rows: dict[ClassLabel, list[tuple[int, dict[int, int]]]] = {}
-    for k, c in enumerate(labels_with_alpha_up_to(l, F)):
-        for c2, counts in representative_factors(c1, c, l, F).items():
-            rows.setdefault(c2, []).append((k, counts))
-    return rows
+    targets = labels_with_alpha_up_to(min(l, c1.alpha + c2.alpha), F)
+    return [(k, row[c2]) for k, c in enumerate(targets)
+            if c2 in (row := representative_factors(c1, c, l, F))]
 
 
 def product_column(
     w1: OmegaLabel, w2: OmegaLabel, l: int, F: FiniteGroup
 ) -> tuple[int, ...]:
     """P(w1, w2, (l, c)) for every target c at level l >= max(l1, l2), by
-    label id: the factor_rows of c1 at l that hold c2, each weighed when
-    read.  window_pairs is 0 wherever no pair of windows fits, so every l2
-    is read alike.  The caller checks the budget."""
+    label id: the factor_rows of c1 and c2 at l, each weighed when read,
+    and 0 past them.  window_pairs is 0 wherever no pair of windows fits,
+    so every l2 is read alike.  The caller checks the budget."""
     (l1, c1), (l2, c2) = w1, w2
     col = [0] * len(labels_with_alpha_up_to(l, F))
-    for k, counts in factor_rows(c1, l, F).get(c2, ()):
+    for k, counts in factor_rows(c1, c2, l, F):
         col[k] = weigh(counts, l, l1, l2, c1.alpha, c2.alpha)
     return tuple(col)
 

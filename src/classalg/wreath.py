@@ -319,17 +319,18 @@ def class_label_representative(c: ClassLabel, F: FiniteGroup, n: int) -> GroupEl
 def labels_with_alpha_up_to(m: int, F: FiniteGroup) -> tuple[ClassLabel, ...]:
     """All class labels with alpha <= m, in canonical order by construction:
     the labels of level m - 1 (the empty label at m = 0), then those with
-    alpha m, each a first pair (ln, k), in ascending order, followed by a
-    label with alpha m - ln of the smaller levels whose first pair may come
-    after (ln, k).  So each level extends the one below with the same
-    objects, and a label's id is the same at every level that holds it.  The
-    budget is checked at m before any label is built."""
+    alpha m, each a first pair (ln, k), in ascending order, and a label of
+    alpha m - ln whose first pair may come after (ln, k).  So each level
+    extends the one below with the same objects, and a label's id is the
+    same at every level.  The budget is checked at m, then the lower levels
+    are built in ascending order, so no call recurses past one level."""
     if m < 0:
         return ()
     check_budget(F, m)
-    out = list(labels_with_alpha_up_to(m - 1, F)) or [ClassLabel(())]
+    lower = [labels_with_alpha_up_to(k, F) for k in range(-1, m)]
+    out = list(lower[-1]) or [ClassLabel(())]
     for ln in range(1, m + 1):
-        rests = labels_with_alpha_up_to(m - ln, F)[len(labels_with_alpha_up_to(m - ln - 1, F)):]
+        rests = lower[m - ln + 1][len(lower[m - ln]):]
         for k in range(ln == 1, F.num_classes):
             out += [ClassLabel(((ln, k), *r.pairs)) for r in rests
                     if not r.pairs or (-r.pairs[0][0], r.pairs[0][1]) >= (-ln, k)]

@@ -98,6 +98,52 @@ def test_classes_csv_digest(capsys, family, level, budget):
     assert digest == CLASSES_CSV_SHA256[(family, level, budget)]
 
 
+# sha256 of `sconst` expansions whose level is past what a reader of every
+# target answers in the timeout (the [2] x [2] one took 29 s that way): a
+# column reads only the targets on at most alpha(c1) + alpha(c2) points
+SCONST_EXPANSION_SHA256 = {
+    ("sym", "30", "[2]", "[2]", 10**36):
+        "d47500de574b7d86128ce8f72eb34b366c649d1dfe0ee6edc0abfcf5146549b0",
+    ("wreath:cyclic2", "12", "[(2,0)]", "[(1,1)]", 10**31):
+        "cd58de658ab6056c29cd72571b6e6694e255aad7a3c61a3a1f7d516d886506c0",
+}
+
+
+@pytest.mark.parametrize(
+    "family,l,c1,c2,budget", list(SCONST_EXPANSION_SHA256),
+    ids=[f"{f}-{l}" for f, l, *_ in SCONST_EXPANSION_SHA256],
+)
+def test_sconst_expansion_digest(family, l, c1, c2, budget):
+    proc = child("-m", "classalg", "sconst", "--family", family, "--l", l, "--c1", c1,
+                 "--c2", c2, "--budget-elements", str(budget), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == SCONST_EXPANSION_SHA256[(family, l, c1, c2, budget)]
+
+
+CLASS_EQUATION_AT_50 = """\
+from classalg.center_algebra import center_product
+from classalg.finite_group import TRIVIAL
+from classalg.partial_algebra import basis_vector
+from classalg.wreath import ClassLabel, class_size, element_budget
+c1, c2 = ClassLabel(((2, 0),)), ClassLabel(((3, 0),))
+with element_budget(10**70):
+    v = center_product(basis_vector(c1, 50), basis_vector(c2, 50), TRIVIAL)
+print(len(v.terms))
+print(sum(x * class_size(c, 50, TRIVIAL) for c, x in v.terms))
+print(class_size(c1, 50, TRIVIAL) * class_size(c2, 50, TRIVIAL))
+"""
+
+
+def test_center_product_at_level_50_satisfies_the_class_equation():
+    """[2] x [3] at level 50, whose 204,226 labels stay in the child: the
+    terms, weighed by their class sizes, count every pair of factors."""
+    proc = child("-c", CLASS_EQUATION_AT_50, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    terms, weighed, pairs = map(int, proc.stdout.split())
+    assert terms > 0 and weighed == pairs
+
+
 def test_pconst_expansion(capsys):
     code, out, _ = run(
         capsys, "pconst", "--family", "sym", "--level", "4",

@@ -48,7 +48,7 @@ from classalg.oracles import (
     product_oracle,
 )
 from classalg.partial_algebra import (
-    product_column, product_rows, vector_rows, window_pairs,
+    product_column, product_rows, vector_rows, weigh, window_pairs,
 )
 from classalg.wreath import (
     class_label_representative,
@@ -59,6 +59,7 @@ from classalg.wreath import (
     encode,
     inverse_label,
     labels_with_alpha_up_to,
+    representative_factors,
 )
 from user_groups import ALTERNATING4, DIHEDRAL8, QUATERNION, SYM3_SHIFTED
 
@@ -440,6 +441,80 @@ def test_product_column_matches_p_constant(F, l, data):
     assert product_column(o1, o2, l, F) == tuple(
         p_constant(o1, o2, o, F) for o in level_omegas(l, F)
     ), (o1, o2)
+
+
+# each base up to the level whose every row a sampled column reads cheaply
+PREFIX_BASES = {
+    "sym": (TRIVIAL, 9),
+    "cyclic2": (Z2, 6),
+    "cyclic3": (builtin_group("cyclic3"), 4),
+    "sym3": (builtin_group("sym3"), 4),
+    "dihedral8": (DIHEDRAL8, 3),
+    "quaternion": (QUATERNION, 3),
+    "alternating4": (ALTERNATING4, 3),
+}
+
+
+@pytest.mark.parametrize("F,top", list(PREFIX_BASES.values()), ids=list(PREFIX_BASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_column_matches_every_target_row(F, top, data):
+    """The product_column of sampled labels (l1, c1), (l2, c2) with
+    alpha(c1) + alpha(c2) < l equals the weighed representative_factors
+    row of every target at l, and no target past the id prefix of
+    alpha(c) <= alpha(c1) + alpha(c2) has c2 in its row: that bound is
+    what lets factor_rows read the prefix alone."""
+    l = data.draw(st.integers(1, top))
+    labels = labels_with_alpha_up_to(l, F)
+    c1, c2 = data.draw(st.sampled_from(
+        [(c1, c2) for c1 in labels for c2 in labels if c1.alpha + c2.alpha < l]))
+    l1, l2 = (data.draw(st.integers(c.alpha, l)) for c in (c1, c2))
+    reach = len(labels_with_alpha_up_to(c1.alpha + c2.alpha, F))
+    rows = [representative_factors(c1, c, l, F) for c in labels]
+    assert not any(c2 in row for row in rows[reach:]), (c1, c2, l)
+    assert product_column(OmegaLabel(l1, c1), OmegaLabel(l2, c2), l, F) == tuple(
+        weigh(row.get(c2, {}), l, l1, l2, c1.alpha, c2.alpha) for row in rows
+    ), (l1, c1, l2, c2, l)
+
+
+@pytest.fixture
+def targets_read(monkeypatch):
+    """The target c of every representative_factors row that
+    partial_algebra reads while the test runs, in order.  factor_rows lists
+    the rows, so its cache is cleared on the way in and on the way out."""
+    import classalg.partial_algebra as pa
+
+    read, real = [], pa.representative_factors
+
+    def recorded(c1, c, l, F):
+        read.append(c)
+        return real(c1, c, l, F)
+
+    monkeypatch.setattr(pa, "representative_factors", recorded)
+    pa.factor_rows.cache_clear()
+    yield read
+    monkeypatch.undo()
+    pa.factor_rows.cache_clear()
+
+
+@pytest.mark.parametrize("F,l,c1,c2,read,width", [
+    (TRIVIAL, 12, ((2, 0),), ((2, 0),), 5, 77),
+    (Z2, 8, ((2, 0),), ((1, 1),), 10, 185),
+], ids=["sym-12", "cyclic2-8"])
+def test_a_column_reads_only_the_targets_its_classes_reach(
+    targets_read, F, l, c1, c2, read, width
+):
+    """A product's support lies in the union of its factors' supports, so
+    center_row reads the rows of the targets with alpha(c) <= alpha(c1) +
+    alpha(c2) only, an id prefix of the level: at sym 12, [2] x [2] reads
+    the 5 labels on at most 4 points of the level's 77."""
+    c1, c2 = ClassLabel(c1), ClassLabel(c2)
+    with element_budget(10**9):
+        row = center_row(c1, c2, l, F)
+    reach = labels_with_alpha_up_to(c1.alpha + c2.alpha, F)
+    assert (len(targets_read), len(row)) == (read, width)
+    assert targets_read == list(reach)
+    assert any(row) and not any(row[read:])
 
 
 def test_window_pairs_match_enumeration():

@@ -1,6 +1,7 @@
 """Wreath-product elements, class labels, and the orbit oracles."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -25,7 +26,7 @@ from classalg import (
     labels_with_alpha_up_to,
     level_group,
 )
-from classalg.finite_group import TRIVIAL, orbit_partition
+from classalg.finite_group import TRIVIAL, load_group, orbit_partition
 from classalg.oracles import (
     class_label,
     conjugate,
@@ -347,6 +348,26 @@ def test_label_order_between_labels(F, m):
             labels = labels_with_alpha_up_to(l, F)
             assert list(labels) == _labels_by_sorting(l, F)
             assert all(a is b for a, b in zip(labels, top[:len(labels)], strict=True))
+
+
+def test_a_cold_deep_level_recurses_one_level():
+    """A first call builds the lower levels in ascending order, so it
+    needs a few frames at any level: on a fresh trivial base, level 40
+    lists its 37,338 labels under a recursion limit 25 frames above the
+    caller's."""
+    G = load_group({"order": 1, "mult": [[0]]})
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        with element_budget(10**60):
+            labels = labels_with_alpha_up_to(40, G)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(labels) == 37_338
+    assert labels[:7] == labels_with_alpha_up_to(5, TRIVIAL)
 
 
 @pytest.mark.parametrize(
